@@ -17,6 +17,8 @@ import (
 	"testing"
 
 	"faultroute"
+	"faultroute/internal/graph"
+	"faultroute/internal/percolation"
 )
 
 // allocsPerEstimate measures steady-state allocations of one
@@ -79,5 +81,40 @@ func TestAllocCeilingE3MeshLinear(t *testing.T) {
 	const ceiling = 220
 	if got := allocsPerEstimate(t, spec, u, v); got > ceiling {
 		t.Fatalf("E3 trial allocates %.1f/op, ceiling %d — map churn is back?", got, ceiling)
+	}
+}
+
+// TestAllocCeilingConnected pins percolation.Connected's promise of no
+// allocations in steady state: the bidirectional search borrows its
+// side map and both queues from the pooled arena. A ceiling of 1
+// alloc/op (steady state is 0) leaves room for a GC emptying the pool
+// mid-run.
+func TestAllocCeilingConnected(t *testing.T) {
+	g := graph.MustHypercube(13)
+	dst := g.Antipode(0)
+	for _, c := range []struct {
+		name   string
+		sample func(seed uint64) percolation.Sample
+	}{
+		{"bond p=13^-0.3", func(seed uint64) percolation.Sample {
+			return percolation.New(g, math.Pow(13, -0.3), seed)
+		}},
+		{"site-bond", func(seed uint64) percolation.Sample {
+			return percolation.NewSiteBond(g, 0.6, 0.85, seed)
+		}},
+	} {
+		seed := uint64(0)
+		run := func() {
+			seed++
+			if _, err := percolation.Connected(c.sample(seed), 0, dst); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 5; i++ {
+			run() // warm the arena pool
+		}
+		if got := testing.AllocsPerRun(50, run); got >= 1 {
+			t.Errorf("Connected on %s allocates %.3f/op, want < 1 — scratch escaped the arena?", c.name, got)
+		}
 	}
 }

@@ -387,6 +387,65 @@ func BenchmarkPercolationCoin(b *testing.B) {
 	_ = open
 }
 
+// BenchmarkConnected measures the conditioning search alone: one
+// percolation.Connected call per iteration on a fresh H_13 sample, for
+// the antipodal pair. p = 13^-0.3 is the poly-routing regime of E2 and
+// frbench's estimate-cube, where both clusters are giant; p = 0.2 is
+// E1's regime, where open clusters are sparse and searches from both
+// ends meet after a few hundred vertices. After timing, a counting
+// replay of up to 64 of the same samples reports the deterministic
+// work per call: vertices expanded and edges examined.
+func BenchmarkConnected(b *testing.B) {
+	g := graph.MustHypercube(13)
+	dst := g.Antipode(0)
+	for _, c := range []struct {
+		name string
+		p    float64
+	}{{"p=13^-0.3", math.Pow(13, -0.3)}, {"p=0.2", 0.2}} {
+		b.Run(c.name, func(b *testing.B) {
+			connected := 0
+			for i := 0; i < b.N; i++ {
+				ok, err := percolation.Connected(percolation.New(g, c.p, uint64(i)), 0, dst)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if ok {
+					connected++
+				}
+			}
+			b.StopTimer()
+			cg := &countingGraph{Graph: g}
+			calls := min(b.N, 64)
+			for i := 0; i < calls; i++ {
+				if _, err := percolation.Connected(percolation.New(cg, c.p, uint64(i)), 0, dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(connected)/float64(b.N), "connected/op")
+			b.ReportMetric(float64(cg.degree)/float64(calls), "vertices/op")
+			b.ReportMetric(float64(cg.edgeID)/float64(calls), "edges/op")
+		})
+	}
+}
+
+// countingGraph counts the adjacency calls a search makes: one Degree
+// call per vertex it expands, one EdgeID call per edge whose state it
+// examines.
+type countingGraph struct {
+	graph.Graph
+	degree, edgeID int
+}
+
+func (g *countingGraph) Degree(v graph.Vertex) int {
+	g.degree++
+	return g.Graph.Degree(v)
+}
+
+func (g *countingGraph) EdgeID(u, v graph.Vertex) (uint64, bool) {
+	g.edgeID++
+	return g.Graph.EdgeID(u, v)
+}
+
 // BenchmarkLabelMesh labels a 100x100 mesh sample per iteration.
 func BenchmarkLabelMesh(b *testing.B) {
 	g := graph.MustMesh(2, 100)

@@ -63,9 +63,9 @@ func TestRunRejectsBadInput(t *testing.T) {
 	for _, args := range [][]string{
 		{"-preset", "nope"},
 		{"-clients", "ten"},
-		{"-graphs", "hypercube"},     // missing :n
-		{"-graphs", "klein:4"},       // unknown family
-		{"-graphs", "hypercube:0"},   // invalid size
+		{"-graphs", "hypercube"},      // missing :n
+		{"-graphs", "klein:4"},        // unknown family
+		{"-graphs", "hypercube:0"},    // invalid size
 		{"-zipfs", "-1", "-ops", "4"}, // negative skew rejected by the sampler
 	} {
 		if err := run(append(args, "-q")); err == nil {

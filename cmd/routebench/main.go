@@ -54,12 +54,12 @@ var errUsage = errors.New("usage")
 func run(args []string) error {
 	fs := flag.NewFlagSet("routebench", flag.ContinueOnError)
 	var (
-		list    = fs.Bool("list", false, "list experiments and exit")
-		ids     = fs.String("exp", "", "comma-separated experiment IDs (default: all)")
-		seed    = fs.Uint64("seed", 1, "base random seed (same seed, same tables; 0 selects 1, the wire default)")
-		scale   = fs.String("scale", "quick", "parameter scale: quick or full")
-		plots   = fs.Bool("plot", false, "also render ASCII figures for experiments that define them")
-		format  = fs.String("format", "text", "table format: text, csv, markdown, or json (the canonical encoding the faultrouted cache serves)")
+		list     = fs.Bool("list", false, "list experiments and exit")
+		ids      = fs.String("exp", "", "comma-separated experiment IDs (default: all)")
+		seed     = fs.Uint64("seed", 1, "base random seed (same seed, same tables; 0 selects 1, the wire default)")
+		scale    = fs.String("scale", "quick", "parameter scale: quick or full")
+		plots    = fs.Bool("plot", false, "also render ASCII figures for experiments that define them")
+		format   = fs.String("format", "text", "table format: text, csv, markdown, or json (the canonical encoding the faultrouted cache serves)")
 		workers  = fs.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for trial-level parallelism (results are identical for any value)")
 		timeout  = fs.Duration("timeout", 0, "abort the run after this long, e.g. 30s (0 = no limit)")
 		backends = fs.String("backends", "", "comma-separated faultrouted base URLs; when set, experiments are dispatched across the pool instead of running in-process (bytes are identical either way)")

@@ -12,6 +12,8 @@
 //  2. Killing a backend mid-run only costs time: the lost shards are
 //     re-dispatched to the survivors and the bytes still match.
 //
+// Run it from the repository root:
+//
 //	go run ./examples/distributed
 package main
 

@@ -97,7 +97,7 @@ func TestGoldenKeysForFailureModels(t *testing.T) {
 				Graph:  api.GraphSpec{Family: "torus", D: 2, Side: 8},
 				Ps:     []float64{0.4, 0.6},
 				Trials: 5, Seed: 2,
-				Fail:   &api.FailSpec{Model: "nodes", Count: 3, Seed: 9},
+				Fail: &api.FailSpec{Model: "nodes", Count: 3, Seed: 9},
 			},
 			want: "f366109be434fc7e48fdf85d19ad4b014072ea947ec62ae29d478a92bd5b86c3",
 		},

@@ -190,10 +190,11 @@ func EstimateTrial(spec Spec, src, dst graph.Vertex, trial, maxTries int, seed u
 	var res TrialResult
 	for try := 0; try < maxTries; try++ {
 		sampleSeed := rng.Combine(trialSeed, uint64(try))
-		// Conditioning uses the pooled early-exit cluster search: it
+		// Conditioning uses the pooled bidirectional cluster search: it
 		// answers {src ~ dst} exactly (identical accept/reject decisions
-		// to full component labeling) while touching only src's cluster
-		// and allocating nothing in steady state. The failure mask — when
+		// to full component labeling) while growing src's and dst's
+		// clusters only until they meet or the smaller one is exhausted,
+		// and allocates nothing in steady state. The failure mask — when
 		// a correlated model is active — conditions right along with the
 		// bonds: {src ~ dst} means connected in the surviving graph.
 		s := percolation.New(spec.Graph, spec.P, sampleSeed)

@@ -33,10 +33,10 @@ func conditionedTrial(g graph.Graph, p float64, seed uint64, maxTries int,
 }
 
 // connectedSample draws a sample in which u ~ v — the conditioning of
-// Definition 2. The check is percolation.Connected's exact early-exit
+// Definition 2. The check is percolation.Connected's exact bidirectional
 // cluster search over pooled scratch: identical accept/reject decisions
-// to full component labeling without paying for every edge of every
-// rejected sample.
+// to full component labeling, paying only for the parts of u's and v's
+// clusters explored before they meet or the smaller one runs dry.
 func connectedSample(g graph.Graph, p float64, u, v graph.Vertex, seed uint64, maxTries int) (percolation.Sample, int, error) {
 	return conditionedTrial(g, p, seed, maxTries, func(s percolation.Sample) (bool, error) {
 		return percolation.Connected(s, u, v)

@@ -27,10 +27,10 @@ import (
 // (long-range contacts create shortcuts), so advertising it as an exact
 // metric would be a lie the invariant tests catch.
 type Kleinberg struct {
-	side    uint64
-	r       int
-	seed    uint64
-	order   uint64
+	side  uint64
+	r     int
+	seed  uint64
+	order uint64
 	// extra[u] lists u's long-range neighbors; extraID[u][i] is the
 	// canonical edge ID of {u, extra[u][i]}. Grid edges reuse the mesh
 	// encoding axis*order + smaller endpoint, so long-range IDs start at

@@ -132,12 +132,23 @@ func PercolationDist(s Sample, u, v graph.Vertex, maxVertices uint64) (dist int,
 }
 
 // Connected reports exactly whether u and v lie in the same open
-// component, by BFS from u over open edges with an early exit at v. All
-// scratch comes from the pooled trial arena, so conditioning loops
-// (core.EstimateTrial rejection-samples this event thousands of times)
-// allocate nothing in steady state; the search is also output-sensitive
-// — it touches only u's cluster and its closed boundary, where exact
-// labeling always pays for every edge of the graph.
+// component, by an alternating bidirectional search (Pohl 1971): u's and
+// v's open clusters grow one vertex at a time, always from the side with
+// the smaller pending queue. The answer is true as soon as an open edge
+// reaches a vertex the other side has already seen, and false as soon as
+// either queue runs dry — that side's whole cluster is then known and
+// does not hold the other endpoint. Edge states are stateless coin
+// hashes, so the search order consumes no randomness and the answer is
+// exactly Label's.
+//
+// The search is output-sensitive: it touches only the explored parts of
+// the two clusters and their closed boundaries, and a small cluster on
+// either side decides the event at its own size, where exact labeling
+// always pays for every edge of the graph. All scratch — one vertex map
+// tagging each seen vertex with its side, and two queues — comes from
+// the pooled trial arena, so conditioning loops (core.EstimateTrial
+// rejection-samples this event thousands of times) allocate nothing in
+// steady state.
 //
 // Graphs beyond the exact-labeling cap are rejected with the same error
 // as Label, keeping Estimate's behavior on huge implicit graphs
@@ -154,35 +165,54 @@ func Connected(s Sample, u, v graph.Vertex) (bool, error) {
 	}
 	a := arena.Acquire()
 	defer a.Release()
-	seen := a.Set(n)
-	queue := a.Vertices()
+	// One lookup in side answers both "seen from here?" and "seen from
+	// the other side?": it maps each seen vertex to 0 (u's side) or 1.
+	side := a.Map(n)
+	queues := [2][]graph.Vertex{append(a.Vertices(), u), append(a.Vertices(), v)}
+	var heads [2]int
 	defer func() {
-		a.PutVertices(queue)
-		a.PutSet(seen)
+		a.PutVertices(queues[0])
+		a.PutVertices(queues[1])
+		a.PutMap(side)
 	}()
-	seen.Add(u)
-	queue = append(queue, u)
-	for head := 0; head < len(queue); head++ {
-		x := queue[head]
+	side.Set(u, 0)
+	side.Set(v, 1)
+	// Pure bond samples skip the two endpoint-liveness checks per edge.
+	bond := s.pSite >= 1 && s.dead == nil
+	for {
+		me := 0
+		if len(queues[1])-heads[1] < len(queues[0])-heads[0] {
+			me = 1
+		}
+		if heads[me] == len(queues[me]) {
+			return false, nil
+		}
+		x := queues[me][heads[me]]
+		heads[me]++
+		tag := graph.Vertex(me)
 		d := g.Degree(x)
 		for i := 0; i < d; i++ {
 			w := g.Neighbor(x, i)
-			if seen.Has(w) {
+			wTag, seen := side.Get(w)
+			if seen && wTag == tag {
 				continue
 			}
 			id, ok := g.EdgeID(x, w)
 			if !ok {
 				continue
 			}
-			if !s.OpenEdgeID(x, w, id) {
+			if bond {
+				if !s.OpenID(id) {
+					continue
+				}
+			} else if !s.OpenEdgeID(x, w, id) {
 				continue
 			}
-			if w == v {
+			if seen { // from the other side: this open edge joins the clusters
 				return true, nil
 			}
-			seen.Add(w)
-			queue = append(queue, w)
+			side.Set(w, tag)
+			queues[me] = append(queues[me], w)
 		}
 	}
-	return false, nil
 }
