@@ -12,11 +12,13 @@ package faultroute_test
 // the cost and the headline quantity of each experiment over time.
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
 
 	"faultroute"
+	"faultroute/internal/core"
 	"faultroute/internal/exp"
 	"faultroute/internal/graph"
 	"faultroute/internal/overlay"
@@ -444,6 +446,47 @@ func (g *countingGraph) Degree(v graph.Vertex) int {
 func (g *countingGraph) EdgeID(u, v graph.Vertex) (uint64, bool) {
 	g.edgeID++
 	return g.Graph.EdgeID(u, v)
+}
+
+// BenchmarkEstimateTrial measures the conditioned trial — pre-check,
+// route, validation and, after a failed route, the exact search — on
+// one accept-heavy and two reject-heavy specs. Each op runs 16 trials of
+// a fresh seed through core.EstimateShardCtx on one worker, with
+// path-follow routing between opposite corners. The accept row is
+// frbench's estimate-cube spec, where nearly every first sample is
+// accepted; the reject rows draw several samples per trial, most of
+// them rejected, so they show what routing on samples that turn out
+// disconnected costs.
+func BenchmarkEstimateTrial(b *testing.B) {
+	cube := graph.MustHypercube(13)
+	mesh := graph.MustMesh(2, 64)
+	for _, c := range []struct {
+		name     string
+		g        graph.Graph
+		p        float64
+		src, dst graph.Vertex
+	}{
+		{"accept/H13-p=13^-0.3", cube, math.Pow(13, -0.3), 0, cube.Antipode(0)},
+		{"reject/H13-p=0.12", cube, 0.12, 0, cube.Antipode(0)},
+		{"reject/mesh64-p=0.55", mesh, 0.55, 0, graph.Vertex(mesh.Order() - 1)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			spec := core.Spec{Graph: c.g, P: c.p, Router: route.NewPathFollow()}
+			const trials = 16
+			tries := 0
+			for i := 0; i < b.N; i++ {
+				rows, err := core.EstimateShardCtx(context.Background(), spec, c.src, c.dst,
+					0, trials, 100, uint64(i), 1, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, r := range rows {
+					tries += r.Rejected + 1
+				}
+			}
+			b.ReportMetric(float64(tries)/float64(trials*b.N), "tries/trial")
+		})
+	}
 }
 
 // BenchmarkLabelMesh labels a 100x100 mesh sample per iteration.

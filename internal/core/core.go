@@ -108,13 +108,16 @@ func Run(spec Spec, src, dst graph.Vertex, seed uint64) (Outcome, error) {
 		return Outcome{}, err
 	}
 	s := percolation.New(spec.Graph, spec.P, seed)
-	// The failure mask is a pure function of (Fault, graph, seed), so
-	// rebuilding it here draws exactly the casualties the conditioning
-	// check saw for the same sample seed.
 	if mask := spec.Fault.Sample(spec.Graph, seed); mask != nil {
 		defer mask.Release()
 		s = s.WithDead(mask)
 	}
+	return runOn(spec, s, src, dst)
+}
+
+// runOn is Run on a sample already drawn: it builds the prober, routes
+// and validates the returned path against s.
+func runOn(spec Spec, s percolation.Sample, src, dst graph.Vertex) (Outcome, error) {
 	// Probers (and, through their arena, the routers) draw all trial
 	// bookkeeping from the shared scratch pool; releasing on return is
 	// what lets each worker reuse one warm set of tables across the
@@ -179,31 +182,41 @@ type TrialResult struct {
 	Err error
 }
 
+// precheckExpansions caps the bidirectional search EstimateTrial runs on
+// every sample before routing. In supercritical regimes the clusters
+// outside the giant component are small, so most disconnected samples
+// are rejected within it, before the router pays for them; a sample it
+// leaves open goes to the router, whose validated path is the cheaper
+// proof of {src ~ dst}. BenchmarkEstimateTrial's accept and reject rows
+// measure the trade-off.
+const precheckExpansions = 64
+
 // EstimateTrial runs trial number `trial` of an Estimate: it derives
 // the trial's independent random stream from (seed, trial) by
 // stream-splitting, rejection-samples percolation configurations until
 // {src ~ dst} holds (at most maxTries), and routes once on the accepted
 // sample. It is the parallel engine's unit of work: the result depends
 // only on the arguments, never on which worker runs it.
+//
+// Each try draws its bond sample and failure mask once. A short
+// bidirectional pre-check (percolation.ConnectedLazy) rejects samples
+// with a small cluster on either side; any other sample is routed
+// before {src ~ dst} is decided, because an open src→dst path that
+// route.Validate accepts proves the event and accepts the sample at
+// once. Only a failed route — an error or an invalid path — finishes
+// the exact search (percolation.Connected), which tells a rejected
+// sample apart from a censored run or a router fault. Accept/reject
+// decisions, the accepted sample and its routing run are therefore
+// exactly those of conditioning first and routing after.
 func EstimateTrial(spec Spec, src, dst graph.Vertex, trial, maxTries int, seed uint64) TrialResult {
-	trialSeed := rng.Combine(seed, uint64(trial))
 	var res TrialResult
+	if err := spec.validate(); err != nil {
+		res.Err = err
+		return res
+	}
+	trialSeed := rng.Combine(seed, uint64(trial))
 	for try := 0; try < maxTries; try++ {
-		sampleSeed := rng.Combine(trialSeed, uint64(try))
-		// Conditioning uses the pooled bidirectional cluster search: it
-		// answers {src ~ dst} exactly (identical accept/reject decisions
-		// to full component labeling) while growing src's and dst's
-		// clusters only until they meet or the smaller one is exhausted,
-		// and allocates nothing in steady state. The failure mask — when
-		// a correlated model is active — conditions right along with the
-		// bonds: {src ~ dst} means connected in the surviving graph.
-		s := percolation.New(spec.Graph, spec.P, sampleSeed)
-		mask := spec.Fault.Sample(spec.Graph, sampleSeed)
-		if mask != nil {
-			s = s.WithDead(mask)
-		}
-		conn, err := percolation.Connected(s, src, dst)
-		mask.Release()
+		o, conn, err := conditionedRun(spec, src, dst, rng.Combine(trialSeed, uint64(try)))
 		if err != nil {
 			res.Err = err
 			return res
@@ -211,11 +224,6 @@ func EstimateTrial(spec Spec, src, dst graph.Vertex, trial, maxTries int, seed u
 		if !conn {
 			res.Rejected++
 			continue
-		}
-		o, err := Run(spec, src, dst, sampleSeed)
-		if err != nil {
-			res.Err = err
-			return res
 		}
 		switch {
 		case o.Err == nil:
@@ -232,6 +240,37 @@ func EstimateTrial(spec Spec, src, dst graph.Vertex, trial, maxTries int, seed u
 		"%w: {%d ~ %d} did not occur in %d samples at p = %v",
 		ErrConditioning, src, dst, maxTries, spec.P)
 	return res
+}
+
+// conditionedRun is one try of EstimateTrial on the sample with the
+// given seed. connected reports {src ~ dst}; when it holds, o and err are
+// the routing run on that sample. When it does not, the sample is
+// rejected and err is nil, unless the graph is too large to search.
+func conditionedRun(spec Spec, src, dst graph.Vertex, seed uint64) (o Outcome, connected bool, err error) {
+	// The failure mask conditions right along with the bonds: {src ~ dst}
+	// means connected in the surviving graph, and the router probes the
+	// same surviving graph.
+	s := percolation.New(spec.Graph, spec.P, seed)
+	if mask := spec.Fault.Sample(spec.Graph, seed); mask != nil {
+		defer mask.Release()
+		s = s.WithDead(mask)
+	}
+	connected, decided, err := percolation.ConnectedLazy(s, src, dst, precheckExpansions)
+	if err != nil || (decided && !connected) {
+		return Outcome{}, false, err
+	}
+	o, err = runOn(spec, s, src, dst)
+	if decided || (err == nil && o.Err == nil) {
+		return o, true, err
+	}
+	// The route failed on a sample the pre-check left open: only the
+	// exact search tells a disconnected sample from a censored run or a
+	// router fault.
+	connected, cerr := percolation.Connected(s, src, dst)
+	if !connected {
+		return Outcome{}, false, cerr
+	}
+	return o, true, err
 }
 
 // MergeTrials folds per-trial results — in trial order — into a single

@@ -3,6 +3,7 @@ package percolation
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"faultroute/internal/arena"
 	"faultroute/internal/graph"
@@ -105,21 +106,10 @@ func (c *Cluster) Dist(v graph.Vertex) (dist int, ok bool) {
 	return int(d), ok
 }
 
-// ConnectedLazy reports whether u and v are in the same open component by
-// exploring from u with the given visit budget. The third return is false
-// when the budget ran out before the answer was determined.
-func ConnectedLazy(s Sample, u, v graph.Vertex, maxVertices uint64) (connected, decided bool) {
-	c := Explore(s, u, maxVertices)
-	if c.Contains(v) {
-		return true, true
-	}
-	return false, c.Exhausted
-}
-
 // PercolationDist returns the open-path distance between u and v (the
 // "percolation distance" D(u,v) of Section 4), or -1 if v was not reached
-// within the visit budget. The second return mirrors ConnectedLazy's
-// decidedness.
+// within the visit budget. The second return is false when the budget
+// ran out before the answer was determined.
 func PercolationDist(s Sample, u, v graph.Vertex, maxVertices uint64) (dist int, decided bool) {
 	c := Explore(s, u, maxVertices)
 	if d, ok := c.Dist(v); ok {
@@ -132,36 +122,55 @@ func PercolationDist(s Sample, u, v graph.Vertex, maxVertices uint64) (dist int,
 }
 
 // Connected reports exactly whether u and v lie in the same open
-// component, by an alternating bidirectional search (Pohl 1971): u's and
-// v's open clusters grow one vertex at a time, always from the side with
-// the smaller pending queue. The answer is true as soon as an open edge
-// reaches a vertex the other side has already seen, and false as soon as
-// either queue runs dry — that side's whole cluster is then known and
-// does not hold the other endpoint. Edge states are stateless coin
-// hashes, so the search order consumes no randomness and the answer is
-// exactly Label's.
+// component. It is ConnectedLazy with no expansion budget, so it always
+// decides; the answer is exactly Label's.
+//
+// Graphs beyond the exact-labeling cap are rejected with the same error
+// as Label, keeping Estimate's behavior on huge implicit graphs
+// unchanged.
+func Connected(s Sample, u, v graph.Vertex) (bool, error) {
+	connected, _, err := ConnectedLazy(s, u, v, 0)
+	return connected, err
+}
+
+// ConnectedLazy decides whether u and v lie in the same open component
+// by an alternating bidirectional search (Pohl 1971) that expands at
+// most maxExpansions vertices (0 means unlimited). u's and v's open
+// clusters grow one vertex at a time, always from the side with the
+// smaller pending queue. The answer is true as soon as an open edge
+// reaches a vertex the other side has already seen, and false as soon
+// as either queue runs dry — that side's whole cluster is then known
+// and does not hold the other endpoint. decided is false when the
+// budget ran out first. Edge states are stateless coin hashes, so the
+// search order consumes no randomness and does not depend on the
+// budget: a call decided at one budget is decided, with the same
+// answer, at every larger one, and every decided answer is Label's.
 //
 // The search is output-sensitive: it touches only the explored parts of
 // the two clusters and their closed boundaries, and a small cluster on
 // either side decides the event at its own size, where exact labeling
 // always pays for every edge of the graph. All scratch — one vertex map
 // tagging each seen vertex with its side, and two queues — comes from
-// the pooled trial arena, so conditioning loops (core.EstimateTrial
-// rejection-samples this event thousands of times) allocate nothing in
-// steady state.
+// the pooled trial arena, so conditioning loops allocate nothing in
+// steady state. core.EstimateTrial runs it with a small budget as a
+// pre-check before routing: in supercritical regimes the clusters
+// outside the giant component are small, so most disconnected samples
+// are rejected within the budget.
 //
-// Graphs beyond the exact-labeling cap are rejected with the same error
-// as Label, keeping Estimate's behavior on huge implicit graphs
-// unchanged.
-func Connected(s Sample, u, v graph.Vertex) (bool, error) {
+// Graphs beyond the exact-labeling cap are rejected with Connected's
+// error whatever the budget, before any search.
+func ConnectedLazy(s Sample, u, v graph.Vertex, maxExpansions uint64) (connected, decided bool, err error) {
 	g := s.Graph()
 	n := g.Order()
 	if n > maxLabelOrder {
-		return false, fmt.Errorf("percolation: graph %s too large to label exactly (%d vertices)",
+		return false, false, fmt.Errorf("percolation: graph %s too large to label exactly (%d vertices)",
 			g.Name(), n)
 	}
 	if u == v {
-		return true, nil
+		return true, true, nil
+	}
+	if maxExpansions == 0 {
+		maxExpansions = math.MaxUint64
 	}
 	a := arena.Acquire()
 	defer a.Release()
@@ -185,7 +194,11 @@ func Connected(s Sample, u, v graph.Vertex) (bool, error) {
 			me = 1
 		}
 		if heads[me] == len(queues[me]) {
-			return false, nil
+			return false, true, nil
+		}
+		// Each side's head counts the vertices it has expanded.
+		if uint64(heads[0]+heads[1]) == maxExpansions {
+			return false, false, nil
 		}
 		x := queues[me][heads[me]]
 		heads[me]++
@@ -209,7 +222,7 @@ func Connected(s Sample, u, v graph.Vertex) (bool, error) {
 				continue
 			}
 			if seen { // from the other side: this open edge joins the clusters
-				return true, nil
+				return true, true, nil
 			}
 			side.Set(w, tag)
 			queues[me] = append(queues[me], w)

@@ -39,8 +39,8 @@ func TestLabelEmptyGraphIsIsolated(t *testing.T) {
 }
 
 func TestLabelMatchesBFSExploration(t *testing.T) {
-	// Exact labeling and lazy BFS must agree on connectivity for many
-	// random pairs.
+	// Exact labeling and the unbudgeted lazy search must agree on
+	// connectivity for many random pairs.
 	g := graph.MustMesh(2, 12)
 	s := New(g, 0.55, 77)
 	comps, err := Label(s)
@@ -52,9 +52,12 @@ func TestLabelMatchesBFSExploration(t *testing.T) {
 		u := graph.Vertex(str.Uint64n(g.Order()))
 		v := graph.Vertex(str.Uint64n(g.Order()))
 		want := comps.Connected(u, v)
-		got, decided := ConnectedLazy(s, u, v, 0)
+		got, decided, err := ConnectedLazy(s, u, v, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !decided {
-			t.Fatal("unbudgeted exploration must decide")
+			t.Fatal("unbudgeted search must decide")
 		}
 		if got != want {
 			t.Fatalf("connectivity mismatch for (%d,%d): label=%v bfs=%v", u, v, want, got)

@@ -45,7 +45,10 @@ var sampleKinds = []sampleKind{
 // TestConnectedMatchesLabel checks the bidirectional search against exact
 // component labeling — the slow path it replaces — on every registered
 // family, every sample kind and a spread of pairs: random ones, u == v,
-// an adjacent pair, a dead endpoint and an isolated endpoint.
+// an adjacent pair, a dead endpoint and an isolated endpoint. Each pair
+// also runs the budgeted search at increasing budgets: every decided
+// answer must be Label's, the unlimited budget must decide, and once a
+// budget decides, every larger one must too.
 func TestConnectedMatchesLabel(t *testing.T) {
 	for _, gs := range api.SampleGraphSpecs() {
 		g, err := api.NewGraph(gs)
@@ -111,6 +114,23 @@ func checkConnectedPairs(t *testing.T, kind string, s percolation.Sample, seed u
 			if got != want {
 				t.Fatalf("%s seed %d, %s pair (%d, %d): Connected = %v, Label = %v",
 					kind, seed, pr.what, q[0], q[1], got, want)
+			}
+			// Budgets in increasing order; 0 means unlimited.
+			wasDecided := false
+			for _, budget := range []uint64{1, 8, 64, 0} {
+				got, decided, err := percolation.ConnectedLazy(s, q[0], q[1], budget)
+				if err != nil {
+					t.Fatal(err)
+				}
+				switch {
+				case decided && got != want:
+					t.Fatalf("%s seed %d, %s pair (%d, %d): ConnectedLazy at budget %d = %v, Label = %v",
+						kind, seed, pr.what, q[0], q[1], budget, got, want)
+				case !decided && (budget == 0 || wasDecided):
+					t.Fatalf("%s seed %d, %s pair (%d, %d): ConnectedLazy undecided at budget %d",
+						kind, seed, pr.what, q[0], q[1], budget)
+				}
+				wasDecided = decided
 			}
 		}
 	}
