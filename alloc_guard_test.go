@@ -13,6 +13,7 @@
 package faultroute_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -22,14 +23,15 @@ import (
 )
 
 // allocsPerEstimate measures steady-state allocations of one
-// single-trial Estimate of the given spec, averaged over runs after a
-// pool warm-up.
+// single-trial Local.Estimate of the given spec, averaged over runs
+// after a pool warm-up.
 func allocsPerEstimate(t *testing.T, spec faultroute.Spec, src, dst faultroute.Vertex) float64 {
 	t.Helper()
 	seed := uint64(0)
 	run := func() {
 		seed++
-		if _, err := faultroute.Estimate(spec, src, dst, 1, 400, seed); err != nil &&
+		local := faultroute.NewLocal(faultroute.WithWorkers(1))
+		if _, err := local.Estimate(context.Background(), spec, src, dst, 1, 400, seed); err != nil &&
 			err != faultroute.ErrConditioning {
 			t.Fatal(err)
 		}

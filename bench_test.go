@@ -34,10 +34,11 @@ func routePair(b *testing.B, g faultroute.Graph, p float64, r faultroute.Router,
 	mode faultroute.Mode, src, dst faultroute.Vertex) {
 	b.Helper()
 	spec := faultroute.Spec{Graph: g, P: p, Router: r, Mode: mode}
+	local := faultroute.NewLocal(faultroute.WithWorkers(1))
 	var totalProbes float64
 	routed := 0
 	for i := 0; i < b.N; i++ {
-		c, err := faultroute.Estimate(spec, src, dst, 1, 400, uint64(i))
+		c, err := local.Estimate(context.Background(), spec, src, dst, 1, 400, uint64(i))
 		if errors.Is(err, faultroute.ErrConditioning) {
 			continue
 		}
@@ -551,8 +552,9 @@ func BenchmarkUnionFind(b *testing.B) {
 	}
 }
 
-// benchEstimateWorkers runs one multi-trial Estimate per iteration on
-// the parallel engine with the given worker count (0 = all cores).
+// benchEstimateWorkers runs one multi-trial Local.Estimate per
+// iteration on the parallel engine with the given worker count (0 = all
+// cores).
 func benchEstimateWorkers(b *testing.B, workers int) {
 	b.Helper()
 	g := graph.MustHypercube(10)
@@ -562,8 +564,9 @@ func benchEstimateWorkers(b *testing.B, workers int) {
 		Router: faultroute.NewPathFollowRouter(),
 		Mode:   faultroute.ModeLocal,
 	}
+	local := faultroute.NewLocal(faultroute.WithWorkers(workers))
 	for i := 0; i < b.N; i++ {
-		if _, err := faultroute.EstimateWorkers(spec, 0, g.Antipode(0), 32, 100, uint64(i), workers); err != nil {
+		if _, err := local.Estimate(context.Background(), spec, 0, g.Antipode(0), 32, 100, uint64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -576,15 +579,16 @@ func benchEstimateWorkers(b *testing.B, workers int) {
 func BenchmarkEstimate32TrialsSequential(b *testing.B) { benchEstimateWorkers(b, 1) }
 
 // BenchmarkEstimate32TrialsParallel shards the same 32 trials across
-// all cores via faultroute.EstimateWorkers.
+// all cores via a default Local.
 func BenchmarkEstimate32TrialsParallel(b *testing.B) { benchEstimateWorkers(b, 0) }
 
 // BenchmarkEstimateBatchSweep pushes a whole 4-p sweep through one
-// worker pool in a single EstimateBatch submission — the experiment-row
-// workload of the exp harness.
+// worker pool in a single Local.EstimateBatch submission — the
+// experiment-row workload of the exp harness.
 func BenchmarkEstimateBatchSweep(b *testing.B) {
 	g := graph.MustHypercube(10)
 	ps := []float64{0.35, 0.45, 0.55, 0.7}
+	local := faultroute.NewLocal()
 	for i := 0; i < b.N; i++ {
 		reqs := make([]faultroute.EstimateRequest, len(ps))
 		for j, p := range ps {
@@ -599,7 +603,7 @@ func BenchmarkEstimateBatchSweep(b *testing.B) {
 				Trials: 8, MaxTries: 100, Seed: uint64(i),
 			}
 		}
-		if _, err := faultroute.EstimateBatch(reqs, 0); err != nil {
+		if _, err := local.EstimateBatch(context.Background(), reqs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -128,9 +128,16 @@ func run(args []string) error {
 	})
 	defer svc.Close()
 
+	// Only the header read and idle keep-alives are bounded: SSE streams
+	// at /v1/jobs/{id}/events outlive any whole-request Read/WriteTimeout,
+	// and a ReadTimeout firing during net/http's background read cancels
+	// the request context. The idle bound exceeds Go clients' 90 s
+	// default, so clients drop idle connections before the server does.
 	srv := &http.Server{
-		Addr:    *addr,
-		Handler: svc.Handler(),
+		Addr:              *addr,
+		Handler:           svc.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

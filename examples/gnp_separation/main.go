@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -23,6 +24,7 @@ func main() {
 	fmt.Printf("%6s %12s %12s %10s %12s %12s\n",
 		"n", "local", "oracle", "ratio", "local/n^2", "orc/n^1.5")
 
+	runner := faultroute.NewLocal()
 	for _, n := range []int{200, 400, 800, 1600} {
 		g, err := faultroute.NewComplete(n)
 		if err != nil {
@@ -41,11 +43,11 @@ func main() {
 			Router: faultroute.NewGnpOracleRouter(uint64(n)),
 			Mode:   faultroute.ModeOracle,
 		}
-		cl, err := faultroute.Estimate(local, u, v, trials, 60, seed)
+		cl, err := runner.Estimate(context.Background(), local, u, v, trials, 60, seed)
 		if err != nil {
 			log.Fatal(err)
 		}
-		co, err := faultroute.Estimate(oracle, u, v, trials, 60, seed)
+		co, err := runner.Estimate(context.Background(), oracle, u, v, trials, 60, seed)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -36,9 +37,10 @@ func main() {
 		Router: faultroute.NewPathFollowRouter(),
 		Mode:   faultroute.ModeLocal,
 	}
+	local := faultroute.NewLocal()
 	for _, alpha := range []float64{0.15, 0.30, 0.45, 0.55, 0.70, 0.85} {
 		spec.P = math.Pow(n, -alpha)
-		c, err := faultroute.Estimate(spec, 0, g.Antipode(0), trials, 400, seed)
+		c, err := local.Estimate(context.Background(), spec, 0, g.Antipode(0), trials, 400, seed)
 		if errors.Is(err, faultroute.ErrConditioning) {
 			// Deep in the sparse regime the antipodal pair may simply
 			// never connect within the retry budget; report and move on.

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -23,6 +24,7 @@ func main() {
 		trials = 15
 		seed   = 7
 	)
+	local := faultroute.NewLocal()
 	fmt.Println("M^2: Theorem 4 — probes per unit distance stay bounded for every p > 1/2")
 	fmt.Printf("%6s %6s %10s %12s %12s\n", "p", "dist", "pairs", "mean probes", "probes/dist")
 
@@ -47,7 +49,7 @@ func main() {
 				Router: faultroute.NewPathFollowRouter(),
 				Mode:   faultroute.ModeLocal,
 			}
-			c, err := faultroute.Estimate(spec, u, v, trials, 400, seed)
+			c, err := local.Estimate(context.Background(), spec, u, v, trials, 400, seed)
 			if errors.Is(err, faultroute.ErrConditioning) {
 				fmt.Printf("%6.2f %6d %10s %12s %12s\n", p, n, "-", "-", "-")
 				continue

@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -48,7 +49,7 @@ func main() {
 
 	// 4. Measure the routing complexity distribution over 20 samples,
 	//    conditioned on the endpoints being connected (Definition 2).
-	c, err := faultroute.Estimate(spec, 0, g.Antipode(0), 20, 200, 7)
+	c, err := faultroute.NewLocal().Estimate(context.Background(), spec, 0, g.Antipode(0), 20, 200, 7)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package faultroute_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -22,7 +23,7 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 		Router: faultroute.NewPathFollowRouter(),
 		Mode:   faultroute.ModeLocal,
 	}
-	c, err := faultroute.Estimate(spec, 0, g.Antipode(0), 10, 200, 1)
+	c, err := faultroute.NewLocal().Estimate(context.Background(), spec, 0, g.Antipode(0), 10, 200, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +109,11 @@ func TestFacadeGnpSeparation(t *testing.T) {
 		Graph: g, P: 3.0 / 200,
 		Router: faultroute.NewGnpOracleRouter(1), Mode: faultroute.ModeOracle,
 	}
-	cl, err := faultroute.Estimate(local, 0, 199, 8, 50, 3)
+	cl, err := faultroute.NewLocal().Estimate(context.Background(), local, 0, 199, 8, 50, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	co, err := faultroute.Estimate(oracle, 0, 199, 8, 50, 3)
+	co, err := faultroute.NewLocal().Estimate(context.Background(), oracle, 0, 199, 8, 50, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestFacadeGreedyRouter(t *testing.T) {
 		Graph: g, P: 0.9,
 		Router: faultroute.NewGreedyRouter(), Mode: faultroute.ModeLocal,
 	}
-	c, err := faultroute.Estimate(spec, 0, g.Antipode(0), 5, 50, 2)
+	c, err := faultroute.NewLocal().Estimate(context.Background(), spec, 0, g.Antipode(0), 5, 50, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +226,7 @@ func TestFacadeBFSRouterOnAllFamilies(t *testing.T) {
 		}
 		u := faultroute.Vertex(0)
 		v := faultroute.Vertex(g.Order() - 1)
-		c, err := faultroute.Estimate(spec, u, v, 3, 100, 9)
+		c, err := faultroute.NewLocal().Estimate(context.Background(), spec, u, v, 3, 100, 9)
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name(), err)
 		}

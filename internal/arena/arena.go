@@ -194,19 +194,8 @@ type VMap struct {
 // Reset empties the map and sizes it for a graph with the given order,
 // under the same contract as VSet.Reset.
 func (m *VMap) Reset(order uint64) {
-	m.reset(order <= DenseLimit, order)
-}
-
-// ResetSparse empties the map into the open-addressed representation
-// regardless of graph order. Use it when the expected entry count is
-// far below Order() (cluster exploration of a huge graph's small
-// cluster): memory stays proportional to what is actually stored
-// instead of materializing Order()-sized arrays for a one-shot use.
-func (m *VMap) ResetSparse() { m.reset(false, 0) }
-
-func (m *VMap) reset(dense bool, order uint64) {
 	m.n = 0
-	m.dense = dense
+	m.dense = order <= DenseLimit
 	if m.dense && uint64(len(m.dstamp)) < order {
 		m.dstamp = make([]uint32, order)
 		m.dval = make([]graph.Vertex, order)

@@ -214,7 +214,7 @@ func TestArenaRecyclesStructures(t *testing.T) {
 func TestZeroValueReadsAreEmptyNotPanics(t *testing.T) {
 	// Pre-arena code used nil maps, whose reads safely miss; the
 	// structures must preserve that for never-reset zero values (e.g. a
-	// zero percolation.Cluster queried before any exploration).
+	// zero-valued struct embedding one, queried before its first Reset).
 	var s VSet
 	if s.Has(3) {
 		t.Fatal("zero VSet has a member")

@@ -25,7 +25,7 @@ import (
 	"faultroute/internal/stats"
 )
 
-// ErrConditioning is returned by Estimate when the conditioning event
+// ErrConditioning is returned by EstimateCtx when the conditioning event
 // {src ~ dst} did not occur within the per-trial retry budget — the pair
 // is essentially never connected at these parameters.
 var ErrConditioning = errors.New("core: conditioning failed ({src ~ dst} too rare at these parameters)")
@@ -301,31 +301,18 @@ func MergeTrials(results []TrialResult) (Complexity, error) {
 	return out, nil
 }
 
-// Estimate measures the routing complexity of spec between src and dst
-// over `trials` percolation samples conditioned on {src ~ dst}, exactly
-// as Definition 2 prescribes. Conditioning uses an exact cluster search
-// and therefore requires a finite (labelable) graph; maxTries bounds the
-// rejection sampling per trial.
+// EstimateCtx measures the routing complexity of spec between src and
+// dst over `trials` percolation samples conditioned on {src ~ dst},
+// exactly as Definition 2 prescribes. Conditioning uses an exact
+// cluster search and therefore requires a finite (labelable) graph;
+// maxTries bounds the rejection sampling per trial (<= 0 selects 100).
 //
-// Estimate is the single-worker case of EstimateWorkers; both produce
-// bit-identical results for the same arguments.
-func Estimate(spec Spec, src, dst graph.Vertex, trials, maxTries int, seed uint64) (Complexity, error) {
-	return EstimateWorkers(spec, src, dst, trials, maxTries, seed, 1)
-}
-
-// EstimateWorkers is Estimate with its trials sharded across a worker
-// pool. Each trial's randomness is split from (seed, trial index), so
-// the returned Complexity is bit-identical for every workers value;
-// workers only sets the concurrency (<= 0 selects all cores).
-func EstimateWorkers(spec Spec, src, dst graph.Vertex, trials, maxTries int, seed uint64, workers int) (Complexity, error) {
-	return EstimateCtx(context.Background(), spec, src, dst, trials, maxTries, seed, workers, nil)
-}
-
-// EstimateCtx is EstimateWorkers with cancellation and a progress hook:
-// the estimate aborts with ctx's error once ctx is done (cancel or
+// Trials shard across a worker pool (workers <= 0 selects all cores).
+// Each trial's randomness is split from (seed, trial index), so the
+// returned Complexity is bit-identical for every workers value. The
+// estimate aborts with ctx's error once ctx is done (cancel or
 // deadline), and progress — when non-nil — observes each completed
-// trial. Neither affects the numbers: a run that completes is
-// bit-identical to Estimate with the same arguments.
+// trial; neither affects the numbers of a run that completes.
 func EstimateCtx(ctx context.Context, spec Spec, src, dst graph.Vertex, trials, maxTries int, seed uint64, workers int, progress runner.Progress) (Complexity, error) {
 	results, err := EstimateShardCtx(ctx, spec, src, dst, 0, trials, maxTries, seed, workers, progress)
 	if err != nil {
@@ -362,9 +349,9 @@ func EstimateShardCtx(ctx context.Context, spec Spec, src, dst graph.Vertex, off
 	})
 }
 
-// Request is one Estimate submission within a batch: a spec, a vertex
-// pair, and the trial schedule, carrying its own seed so batch layout
-// never affects results.
+// Request is one estimate within an EstimateBatchCtx call: a spec, a
+// vertex pair, and the trial schedule, carrying its own seed so batch
+// layout never affects results.
 type Request struct {
 	Spec     Spec
 	Src, Dst graph.Vertex
@@ -373,20 +360,12 @@ type Request struct {
 	Seed     uint64
 }
 
-// EstimateBatch runs many estimates — a whole sweep row of vertex pairs
-// and retention probabilities — through one shared worker pool. All
-// trials of all requests are flattened into a single work queue, so the
-// pool stays saturated even when each individual request has only a few
-// trials. Results arrive in request order and are bit-identical to
-// calling Estimate on each request separately.
-func EstimateBatch(reqs []Request, workers int) ([]Complexity, error) {
-	return EstimateBatchCtx(context.Background(), reqs, workers, nil)
-}
-
-// EstimateBatchCtx is EstimateBatch with cancellation and a progress
-// hook, sharing the contract of EstimateCtx: ctx done aborts the whole
-// batch, progress observes completed trials across all requests, and a
-// batch that completes is bit-identical to EstimateBatch.
+// EstimateBatchCtx runs many estimates — a whole sweep row of vertex
+// pairs and retention probabilities — through one shared worker pool,
+// flattening all their trials into one work queue so the pool stays
+// saturated even when each request has few trials. Results arrive in
+// request order, bit-identical to calling EstimateCtx on each request;
+// ctx and progress act as in EstimateCtx, across all requests.
 func EstimateBatchCtx(ctx context.Context, reqs []Request, workers int, progress runner.Progress) ([]Complexity, error) {
 	offsets := make([]int, len(reqs)+1)
 	for i, r := range reqs {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -105,7 +106,7 @@ func TestRunDeterministicInSeed(t *testing.T) {
 func TestEstimateConditionsOnConnectivity(t *testing.T) {
 	g := graph.MustMesh(2, 8)
 	spec := Spec{Graph: g, P: 0.55, Router: route.NewPathFollow(), Mode: ModeLocal}
-	c, err := Estimate(spec, 0, graph.Vertex(g.Order()-1), 10, 200, 5)
+	c, err := EstimateCtx(context.Background(), spec, 0, graph.Vertex(g.Order()-1), 10, 200, 5, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestEstimateConditionsOnConnectivity(t *testing.T) {
 func TestEstimateCensoredRuns(t *testing.T) {
 	g := graph.MustHypercube(8)
 	spec := Spec{Graph: g, P: 1, Router: route.NewBFSLocal(), Mode: ModeLocal, Budget: 3}
-	c, err := Estimate(spec, 0, g.Antipode(0), 5, 10, 1)
+	c, err := EstimateCtx(context.Background(), spec, 0, g.Antipode(0), 5, 10, 1, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestEstimateCensoredRuns(t *testing.T) {
 func TestEstimateFailsWhenConditioningImpossible(t *testing.T) {
 	g := graph.MustRing(10)
 	spec := Spec{Graph: g, P: 0, Router: route.NewBFSLocal(), Mode: ModeLocal}
-	if _, err := Estimate(spec, 0, 5, 3, 5, 1); err == nil {
+	if _, err := EstimateCtx(context.Background(), spec, 0, 5, 3, 5, 1, 1, nil); err == nil {
 		t.Fatal("conditioning on an impossible event succeeded")
 	}
 }
@@ -144,7 +145,7 @@ func TestEstimateFailsWhenConditioningImpossible(t *testing.T) {
 func TestEstimateValidation(t *testing.T) {
 	g := graph.MustRing(10)
 	spec := Spec{Graph: g, P: 1, Router: route.NewBFSLocal(), Mode: ModeLocal}
-	if _, err := Estimate(spec, 0, 5, 0, 5, 1); err == nil {
+	if _, err := EstimateCtx(context.Background(), spec, 0, 5, 0, 5, 1, 1, nil); err == nil {
 		t.Fatal("zero trials accepted")
 	}
 }

@@ -8,12 +8,12 @@ import (
 	"testing"
 )
 
-// TestEstimateCtxMatchesEstimateWorkers pins the ctx variant as a pure
-// superset: background context + nil progress must not perturb a single
-// bit of the Complexity.
+// TestEstimateCtxMatchesEstimateWorkers pins the progress hook as pure
+// observability: a hooked run must not perturb a single bit of the
+// Complexity of the unhooked run.
 func TestEstimateCtxMatchesEstimateWorkers(t *testing.T) {
 	spec, src, dst := parallelTestSpec(t)
-	want, err := EstimateWorkers(spec, src, dst, 12, 100, 5, 3)
+	want, err := EstimateCtx(context.Background(), spec, src, dst, 12, 100, 5, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestEstimateCtxMatchesEstimateWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("EstimateCtx differs from EstimateWorkers:\n%+v\n%+v", want, got)
+		t.Fatalf("hooked EstimateCtx differs from the unhooked run:\n%+v\n%+v", want, got)
 	}
 	if done.Load() != 12 {
 		t.Fatalf("progress counted %d trials, want 12", done.Load())

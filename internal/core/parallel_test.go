@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -26,15 +27,16 @@ func parallelTestSpec(t *testing.T) (Spec, graph.Vertex, graph.Vertex) {
 
 // TestEstimateWorkersDeterministic is the engine's core guarantee: the
 // Complexity from a parallel run is bit-identical to the sequential
-// (Workers=1) path for the same seed, for any worker count.
+// (workers=1) path for the same seed, for any worker count.
 func TestEstimateWorkersDeterministic(t *testing.T) {
 	spec, src, dst := parallelTestSpec(t)
-	seq, err := EstimateWorkers(spec, src, dst, 24, 100, 7, 1)
+	ctx := context.Background()
+	seq, err := EstimateCtx(ctx, spec, src, dst, 24, 100, 7, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 8} {
-		par, err := EstimateWorkers(spec, src, dst, 24, 100, 7, workers)
+		par, err := EstimateCtx(ctx, spec, src, dst, 24, 100, 7, workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,27 +47,11 @@ func TestEstimateWorkersDeterministic(t *testing.T) {
 	}
 }
 
-// TestEstimateMatchesEstimateWorkers pins Estimate as the Workers=1
-// case of the engine.
-func TestEstimateMatchesEstimateWorkers(t *testing.T) {
-	spec, src, dst := parallelTestSpec(t)
-	a, err := Estimate(spec, src, dst, 10, 100, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := EstimateWorkers(spec, src, dst, 10, 100, 3, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("Estimate != EstimateWorkers(8):\n%+v\n%+v", a, b)
-	}
-}
-
 // TestEstimateBatchMatchesSeparateCalls: batching a sweep through one
 // pool must not change any individual result.
 func TestEstimateBatchMatchesSeparateCalls(t *testing.T) {
 	spec, src, dst := parallelTestSpec(t)
+	ctx := context.Background()
 	ps := []float64{0.35, 0.45, 0.6}
 	reqs := make([]Request, len(ps))
 	want := make([]Complexity, len(ps))
@@ -73,14 +59,14 @@ func TestEstimateBatchMatchesSeparateCalls(t *testing.T) {
 		s := spec
 		s.P = p
 		reqs[i] = Request{Spec: s, Src: src, Dst: dst, Trials: 8, MaxTries: 100, Seed: 11}
-		c, err := Estimate(s, src, dst, 8, 100, 11)
+		c, err := EstimateCtx(ctx, s, src, dst, 8, 100, 11, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = c
 	}
 	for _, workers := range []int{1, 4} {
-		got, err := EstimateBatch(reqs, workers)
+		got, err := EstimateBatchCtx(ctx, reqs, workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,13 +79,14 @@ func TestEstimateBatchMatchesSeparateCalls(t *testing.T) {
 
 func TestEstimateBatchValidates(t *testing.T) {
 	spec, src, dst := parallelTestSpec(t)
-	if _, err := EstimateBatch([]Request{{Spec: spec, Src: src, Dst: dst, Trials: 0}}, 2); err == nil {
+	ctx := context.Background()
+	if _, err := EstimateBatchCtx(ctx, []Request{{Spec: spec, Src: src, Dst: dst, Trials: 0}}, 2, nil); err == nil {
 		t.Fatal("zero trials accepted")
 	}
-	if _, err := EstimateBatch([]Request{{Trials: 5}}, 2); err == nil {
+	if _, err := EstimateBatchCtx(ctx, []Request{{Trials: 5}}, 2, nil); err == nil {
 		t.Fatal("empty spec accepted")
 	}
-	if out, err := EstimateBatch(nil, 2); err != nil || len(out) != 0 {
+	if out, err := EstimateBatchCtx(ctx, nil, 2, nil); err != nil || len(out) != 0 {
 		t.Fatalf("empty batch = (%v, %v)", out, err)
 	}
 }
@@ -110,7 +97,7 @@ func TestEstimateWorkersConditioningError(t *testing.T) {
 	spec, src, dst := parallelTestSpec(t)
 	spec.P = 0.01 // deep subcritical: {src ~ dst} essentially never happens
 	for _, workers := range []int{1, 8} {
-		_, err := EstimateWorkers(spec, src, dst, 6, 5, 1, workers)
+		_, err := EstimateCtx(context.Background(), spec, src, dst, 6, 5, 1, workers, nil)
 		if !errors.Is(err, ErrConditioning) {
 			t.Fatalf("workers=%d: err = %v, want ErrConditioning", workers, err)
 		}

@@ -1,10 +1,10 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 
 	"faultroute/internal/graph"
-	"faultroute/internal/percolation"
 	"faultroute/internal/probe"
 	"faultroute/internal/rng"
 	"faultroute/internal/route"
@@ -49,21 +49,12 @@ func runE21(cfg Config) (*Table, error) {
 			if err != nil {
 				return trialResult{}, err
 			}
-			accepted := false
-			var sample percolation.Sample
-			for try := 0; try < 200; try++ {
-				sample = percolation.New(g, p, rng.Combine(seed, uint64(try)))
-				conn, err := percolation.Connected(sample, u, v)
-				if err != nil {
-					return trialResult{}, err
-				}
-				if conn {
-					accepted = true
-					break
-				}
+			sample, _, err := connectedSample(g, p, u, v, seed, 200)
+			if errors.Is(err, ErrConditioning) {
+				return trialResult{}, nil // corners never connected within the tries
 			}
-			if !accepted {
-				return trialResult{}, nil
+			if err != nil {
+				return trialResult{}, err
 			}
 			pr := probe.NewLocal(sample, u, 0)
 			defer pr.Release()

@@ -187,7 +187,10 @@ func TestFloodSurvivesWhereGreedyDies(t *testing.T) {
 		}
 		key := uint64(seed * 977)
 		owner := o.Owner(key)
-		from := comps.GiantVertex()
+		from := graph.Vertex(0)
+		for !comps.InGiant(from) {
+			from++
+		}
 		if !comps.Connected(from, owner) {
 			continue
 		}

@@ -1,7 +1,6 @@
 package percolation
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -9,125 +8,13 @@ import (
 	"faultroute/internal/graph"
 )
 
-// ErrVisitBudget is returned by cluster exploration when the open cluster
-// was not exhausted within the visit budget.
-var ErrVisitBudget = errors.New("percolation: cluster exploration exceeded visit budget")
-
-// Cluster is the result of exploring the open cluster of a start vertex
-// by breadth-first search over open edges. It works on samples of graphs
-// far too large to label exactly (the exploration touches only the
-// cluster itself plus its closed boundary).
-//
-// Its distance table is a flat epoch-stamped structure rather than a
-// map, so a Cluster can be reused across trials with ExploreInto: the
-// table resets in O(1) and its backing arrays are recycled, which keeps
-// sweep loops allocation-free after the first trial.
-type Cluster struct {
-	// Start is the exploration origin.
-	Start graph.Vertex
-	// Vertices holds every vertex of the cluster in BFS order. The
-	// slice doubles as the BFS queue, so it is exactly the visit order.
-	Vertices []graph.Vertex
-	// EdgesProbed counts the distinct base edges whose state the
-	// exploration examined (open or closed).
-	EdgesProbed uint64
-	// Exhausted is true when the whole cluster was enumerated; false when
-	// the visit budget stopped the search early.
-	Exhausted bool
-
-	// dist maps each cluster vertex to its open-path distance from
-	// Start (stored through arena.VMap's vertex-valued slots).
-	dist arena.VMap
-}
-
-// Explore runs a BFS from start over open edges, visiting at most
-// maxVertices cluster vertices (0 means unlimited). It never errors on a
-// budget stop; check Exhausted.
-func Explore(s Sample, start graph.Vertex, maxVertices uint64) *Cluster {
-	c := &Cluster{}
-	ExploreInto(c, s, start, maxVertices)
-	return c
-}
-
-// ExploreInto is Explore reusing c's tables and buffers: resetting them
-// is O(1) (an epoch bump), so trial loops exploring many samples pay
-// the table allocations once. The previous contents of c are discarded.
-func ExploreInto(c *Cluster, s Sample, start graph.Vertex, maxVertices uint64) {
-	g := s.Graph()
-	c.Start = start
-	c.Vertices = c.Vertices[:0]
-	c.EdgesProbed = 0
-	c.Exhausted = false
-	// Sparse always: exploration is the output-sensitive tool for
-	// graphs whose clusters are tiny next to Order(), so the distance
-	// table must be sized to the cluster (like the map it replaced),
-	// never to the graph.
-	c.dist.ResetSparse()
-
-	c.dist.Set(start, 0)
-	c.Vertices = append(c.Vertices, start)
-	for head := 0; head < len(c.Vertices); head++ {
-		v := c.Vertices[head]
-		dv, _ := c.dist.Get(v)
-		d := g.Degree(v)
-		for i := 0; i < d; i++ {
-			w := g.Neighbor(v, i)
-			if c.dist.Has(w) {
-				continue
-			}
-			id, ok := g.EdgeID(v, w)
-			if !ok {
-				continue
-			}
-			c.EdgesProbed++
-			if !s.OpenEdgeID(v, w, id) {
-				continue
-			}
-			c.dist.Set(w, dv+1)
-			c.Vertices = append(c.Vertices, w)
-			if maxVertices > 0 && uint64(len(c.Vertices)) >= maxVertices {
-				return // Exhausted stays false
-			}
-		}
-	}
-	c.Exhausted = true
-}
-
-// Size returns the number of cluster vertices found.
-func (c *Cluster) Size() uint64 { return uint64(len(c.Vertices)) }
-
-// Contains reports whether v was reached.
-func (c *Cluster) Contains(v graph.Vertex) bool { return c.dist.Has(v) }
-
-// Dist returns the open-path distance from Start to v, or ok=false if v
-// was not reached.
-func (c *Cluster) Dist(v graph.Vertex) (dist int, ok bool) {
-	d, ok := c.dist.Get(v)
-	return int(d), ok
-}
-
-// PercolationDist returns the open-path distance between u and v (the
-// "percolation distance" D(u,v) of Section 4), or -1 if v was not reached
-// within the visit budget. The second return is false when the budget
-// ran out before the answer was determined.
-func PercolationDist(s Sample, u, v graph.Vertex, maxVertices uint64) (dist int, decided bool) {
-	c := Explore(s, u, maxVertices)
-	if d, ok := c.Dist(v); ok {
-		return d, true
-	}
-	if c.Exhausted {
-		return -1, true
-	}
-	return -1, false
-}
-
 // Connected reports exactly whether u and v lie in the same open
 // component. It is ConnectedLazy with no expansion budget, so it always
 // decides; the answer is exactly Label's.
 //
 // Graphs beyond the exact-labeling cap are rejected with the same error
-// as Label, keeping Estimate's behavior on huge implicit graphs
-// unchanged.
+// as Label, so conditioning on huge implicit graphs fails exactly as
+// exact labeling does.
 func Connected(s Sample, u, v graph.Vertex) (bool, error) {
 	connected, _, err := ConnectedLazy(s, u, v, 0)
 	return connected, err

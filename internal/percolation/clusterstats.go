@@ -3,7 +3,6 @@ package percolation
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"faultroute/internal/graph"
 	"faultroute/internal/rng"
@@ -63,46 +62,12 @@ func NewClusterStats(s Sample, comps *Components) ClusterStats {
 	return st
 }
 
-// HistogramRows returns (size, count) pairs in ascending size order, for
-// rendering.
-func (st ClusterStats) HistogramRows() [][2]uint64 {
-	rows := make([][2]uint64, 0, len(st.SizeHistogram))
-	for sz, n := range st.SizeHistogram {
-		rows = append(rows, [2]uint64{sz, n})
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i][0] < rows[j][0] })
-	return rows
-}
-
-// ClusterScan averages cluster statistics over `trials` samples at each
-// p; the susceptibility column peaking at criticality is how one reads
-// the threshold off finite data.
-func ClusterScan(g graph.Graph, ps []float64, trials int, baseSeed uint64) ([]ClusterStats, error) {
-	return ClusterScanWorkers(g, ps, trials, baseSeed, 1)
-}
-
-// ClusterScanWorkers is ClusterScan with every (row, trial) sample
-// sharded across one worker pool — a single-p sweep with many trials
-// saturates the pool just as well as a many-p sweep. Sample seeds are
-// split from (baseSeed, row index, trial) exactly as in the sequential
-// scan, and per-row folds run in trial order, so results are
+// ClusterScanSampledCtx averages cluster statistics over `trials`
+// samples at each p, each built by newSample (the failure-model hook,
+// as in GiantScanSampledCtx); the susceptibility column peaking at
+// criticality is how one reads the threshold off finite data. Cells are
+// seeded, sharded and folded exactly as in GiantScanCtx, so results are
 // bit-identical for every workers value.
-func ClusterScanWorkers(g graph.Graph, ps []float64, trials int, baseSeed uint64, workers int) ([]ClusterStats, error) {
-	return ClusterScanCtx(context.Background(), g, ps, trials, baseSeed, workers, nil)
-}
-
-// ClusterScanCtx is ClusterScanWorkers with cancellation and a progress
-// hook: a done ctx aborts the scan with ctx's error, progress — when
-// non-nil — observes each labeled sample, and a completed scan is
-// bit-identical to ClusterScanWorkers.
-func ClusterScanCtx(ctx context.Context, g graph.Graph, ps []float64, trials int, baseSeed uint64, workers int, progress runner.Progress) ([]ClusterStats, error) {
-	return ClusterScanSampledCtx(ctx, g, ps, trials, baseSeed, workers, progress, defaultFactory(g))
-}
-
-// ClusterScanSampledCtx is ClusterScanCtx with every cell's sample built
-// by newSample instead of plain bond percolation — the failure-model
-// hook, mirroring GiantScanSampledCtx. Cell seeds are split exactly as
-// in ClusterScanCtx.
 func ClusterScanSampledCtx(ctx context.Context, g graph.Graph, ps []float64, trials int, baseSeed uint64, workers int, progress runner.Progress, newSample SampleFactory) ([]ClusterStats, error) {
 	if trials <= 0 {
 		return nil, fmt.Errorf("percolation: cluster scan needs positive trials, got %d", trials)

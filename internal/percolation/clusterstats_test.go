@@ -1,6 +1,7 @@
 package percolation
 
 import (
+	"context"
 	"testing"
 
 	"faultroute/internal/graph"
@@ -53,9 +54,9 @@ func TestClusterStatsHistogramConsistent(t *testing.T) {
 	}
 	st := NewClusterStats(s, comps)
 	var clusters, vertices uint64
-	for _, row := range st.HistogramRows() {
-		clusters += row[1]
-		vertices += row[0] * row[1]
+	for size, count := range st.SizeHistogram {
+		clusters += count
+		vertices += size * count
 	}
 	if clusters != st.Clusters {
 		t.Fatalf("histogram clusters %d != %d", clusters, st.Clusters)
@@ -63,19 +64,13 @@ func TestClusterStatsHistogramConsistent(t *testing.T) {
 	if vertices != g.Order() {
 		t.Fatalf("histogram vertices %d != order %d", vertices, g.Order())
 	}
-	rows := st.HistogramRows()
-	for i := 1; i < len(rows); i++ {
-		if rows[i][0] <= rows[i-1][0] {
-			t.Fatal("histogram rows not ascending")
-		}
-	}
 }
 
 func TestClusterScanSusceptibilityPeaksNearCriticality(t *testing.T) {
 	// On M^2 the susceptibility (giant excluded) peaks around p = 1/2.
 	g := graph.MustMesh(2, 24)
 	ps := []float64{0.30, 0.50, 0.75}
-	stats, err := ClusterScan(g, ps, 8, 3)
+	stats, err := ClusterScanSampledCtx(context.Background(), g, ps, 8, 3, 1, nil, defaultFactory(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +85,7 @@ func TestClusterScanSusceptibilityPeaksNearCriticality(t *testing.T) {
 
 func TestClusterScanValidation(t *testing.T) {
 	g := graph.MustRing(8)
-	if _, err := ClusterScan(g, []float64{0.5}, 0, 1); err == nil {
+	if _, err := ClusterScanSampledCtx(context.Background(), g, []float64{0.5}, 0, 1, 1, nil, defaultFactory(g)); err == nil {
 		t.Fatal("zero trials accepted")
 	}
 }

@@ -21,7 +21,7 @@ const maxLabelOrder = 1 << 28
 
 // Label computes the components of the sample. It is linear in the number
 // of base edges and needs O(order) memory; samples of graphs larger than
-// 2^28 vertices are rejected (use Cluster exploration instead).
+// 2^28 vertices are rejected.
 func Label(s Sample) (*Components, error) {
 	n := s.Graph().Order()
 	if n > maxLabelOrder {
@@ -50,11 +50,6 @@ func (c *Components) SizeOf(v graph.Vertex) uint64 {
 
 // Count returns the number of components.
 func (c *Components) Count() uint64 { return c.uf.Sets() }
-
-// Representative returns the canonical label of v's component.
-func (c *Components) Representative(v graph.Vertex) uint64 {
-	return c.uf.Find(uint64(v))
-}
 
 // GiantSize returns the size of the largest component.
 func (c *Components) GiantSize() uint64 {
@@ -88,27 +83,4 @@ func (c *Components) SizesDescending() []uint64 {
 	}
 	sort.Slice(sizes, func(i, j int) bool { return sizes[i] > sizes[j] })
 	return sizes
-}
-
-// SecondSize returns the size of the second-largest component (0 if the
-// sample is connected). The ratio giant/second sharpens threshold scans:
-// above criticality it diverges.
-func (c *Components) SecondSize() uint64 {
-	sizes := c.SizesDescending()
-	if len(sizes) < 2 {
-		return 0
-	}
-	return sizes[1]
-}
-
-// GiantVertex returns some vertex of a largest component; useful as a
-// routing endpoint known to be "well connected".
-func (c *Components) GiantVertex() graph.Vertex {
-	giant := c.GiantSize()
-	for v := uint64(0); v < c.order; v++ {
-		if c.uf.SizeOf(v) == giant {
-			return graph.Vertex(v)
-		}
-	}
-	return 0 // unreachable: some vertex always attains the maximum
 }

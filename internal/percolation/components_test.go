@@ -92,120 +92,73 @@ func TestSizesDescendingSorted(t *testing.T) {
 			t.Fatal("sizes not descending")
 		}
 	}
-	if comps.SecondSize() > comps.GiantSize() {
-		t.Fatal("second larger than giant")
+	if sizes[0] != comps.GiantSize() {
+		t.Fatalf("largest size %d != giant %d", sizes[0], comps.GiantSize())
 	}
 }
 
 func TestGiantVertexIsInGiant(t *testing.T) {
+	// InGiant must accept exactly the vertices whose component attains
+	// GiantSize, and at least one vertex must.
 	g := graph.MustMesh(2, 15)
 	comps, err := Label(New(g, 0.6, 13))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := comps.GiantVertex()
-	if !comps.InGiant(v) {
-		t.Fatalf("GiantVertex %d not in giant", v)
+	giant := 0
+	for v := graph.Vertex(0); uint64(v) < g.Order(); v++ {
+		in := comps.SizeOf(v) == comps.GiantSize()
+		if comps.InGiant(v) != in {
+			t.Fatalf("InGiant(%d) = %v, but SizeOf = %d and giant = %d",
+				v, !in, comps.SizeOf(v), comps.GiantSize())
+		}
+		if in {
+			giant++
+		}
 	}
-	if comps.SizeOf(v) != comps.GiantSize() {
-		t.Fatalf("SizeOf(GiantVertex) = %d, giant = %d", comps.SizeOf(v), comps.GiantSize())
+	if giant == 0 {
+		t.Fatal("no vertex lies in the giant")
 	}
 }
 
 func TestExploreFindsWholeCluster(t *testing.T) {
+	// Searching from 0 to every vertex must find exactly 0's labeled
+	// component: no member missed, no outsider reached.
 	g := graph.MustMesh(2, 10)
 	s := New(g, 0.5, 21)
 	comps, err := Label(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := Explore(s, 0, 0)
-	if !c.Exhausted {
-		t.Fatal("unbudgeted exploration not exhausted")
-	}
-	if c.Size() != comps.SizeOf(0) {
-		t.Fatalf("cluster size %d != component size %d", c.Size(), comps.SizeOf(0))
-	}
-	for _, v := range c.Vertices {
-		if !comps.Connected(0, v) {
-			t.Fatalf("cluster vertex %d not connected to 0 per labeling", v)
+	var size uint64
+	for v := graph.Vertex(0); uint64(v) < g.Order(); v++ {
+		conn, err := Connected(s, 0, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if conn != comps.Connected(0, v) {
+			t.Fatalf("vertex %d: search says %v, labeling says %v", v, conn, !conn)
+		}
+		if conn {
+			size++
 		}
 	}
-}
-
-func TestExploreDistancesAreOpenPathDistances(t *testing.T) {
-	g := graph.MustRing(20)
-	s := New(g, 1, 1) // all edges open
-	c := Explore(s, 0, 0)
-	for _, v := range c.Vertices {
-		d, ok := c.Dist(v)
-		if !ok {
-			t.Fatalf("cluster vertex %d has no distance", v)
-		}
-		if want := g.Dist(0, v); d != want {
-			t.Fatalf("dist to %d = %d, want %d", v, d, want)
-		}
-	}
-}
-
-func TestExploreIntoReuseMatchesFreshExplore(t *testing.T) {
-	// One Cluster recycled across many samples (the O(1) epoch reset)
-	// must report exactly what a fresh exploration of each sample does.
-	g := graph.MustMesh(2, 12)
-	var reused Cluster
-	for seed := uint64(0); seed < 20; seed++ {
-		s := New(g, 0.45, seed)
-		ExploreInto(&reused, s, 0, 0)
-		fresh := Explore(s, 0, 0)
-		if reused.Size() != fresh.Size() || reused.EdgesProbed != fresh.EdgesProbed ||
-			reused.Exhausted != fresh.Exhausted {
-			t.Fatalf("seed %d: reused (size=%d edges=%d exhausted=%v) != fresh (size=%d edges=%d exhausted=%v)",
-				seed, reused.Size(), reused.EdgesProbed, reused.Exhausted,
-				fresh.Size(), fresh.EdgesProbed, fresh.Exhausted)
-		}
-		for i, v := range fresh.Vertices {
-			if reused.Vertices[i] != v {
-				t.Fatalf("seed %d: BFS order diverges at %d", seed, i)
-			}
-			rd, rok := reused.Dist(v)
-			fd, fok := fresh.Dist(v)
-			if !rok || !fok || rd != fd {
-				t.Fatalf("seed %d: dist to %d: reused (%d,%v) fresh (%d,%v)", seed, v, rd, rok, fd, fok)
-			}
-		}
+	if size != comps.SizeOf(0) {
+		t.Fatalf("search found a cluster of %d, component size is %d", size, comps.SizeOf(0))
 	}
 }
 
 func TestExploreBudgetStopsEarly(t *testing.T) {
+	// On the all-open H_10 the antipodes are connected, but 16
+	// expansions reach nowhere near distance 10: the budgeted search must
+	// stop undecided, and the unbudgeted one must find the path.
 	g := graph.MustHypercube(10)
 	s := New(g, 1, 1)
-	c := Explore(s, 0, 16)
-	if c.Exhausted {
-		t.Fatal("budgeted exploration claims exhaustion")
+	if _, decided, err := ConnectedLazy(s, 0, g.Antipode(0), 16); err != nil || decided {
+		t.Fatalf("budget 16: decided=%v err=%v, want an undecided stop", decided, err)
 	}
-	if c.Size() != 16 {
-		t.Fatalf("visited %d vertices, want exactly the budget 16", c.Size())
-	}
-}
-
-func TestPercolationDistOnOpenGraphEqualsMetric(t *testing.T) {
-	g := graph.MustMesh(2, 8)
-	s := New(g, 1, 1)
-	d, decided := PercolationDist(s, 0, graph.Vertex(g.Order()-1), 0)
-	if !decided {
-		t.Fatal("undecided on full graph")
-	}
-	if want := g.Dist(0, graph.Vertex(g.Order()-1)); d != want {
-		t.Fatalf("percolation distance %d, want %d", d, want)
-	}
-}
-
-func TestPercolationDistUnreachable(t *testing.T) {
-	g := graph.MustRing(10)
-	s := New(g, 0, 1)
-	d, decided := PercolationDist(s, 0, 5, 0)
-	if !decided || d != -1 {
-		t.Fatalf("got (%d, %v), want (-1, true)", d, decided)
+	if conn, decided, err := ConnectedLazy(s, 0, g.Antipode(0), 0); err != nil || !decided || !conn {
+		t.Fatalf("unbudgeted: (%v, %v, %v), want connected", conn, decided, err)
 	}
 }
 

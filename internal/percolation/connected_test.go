@@ -90,18 +90,25 @@ func checkConnectedPairs(t *testing.T, kind string, s percolation.Sample, seed u
 	if g.Degree(u) > 0 {
 		pairs = append(pairs, pair{"adjacent", u, g.Neighbor(u, 0)})
 	}
-	var buf []graph.Vertex
+	// hasOpenEdge reports whether any base edge at v is open.
+	hasOpenEdge := func(v graph.Vertex) bool {
+		for i := 0; i < g.Degree(v); i++ {
+			w := g.Neighbor(v, i)
+			if id, ok := g.EdgeID(v, w); ok && s.OpenEdgeID(v, w, id) {
+				return true
+			}
+		}
+		return false
+	}
 	dead, isolated := false, false
 	for v := graph.Vertex(0); uint64(v) < n && !(dead && isolated); v++ {
 		if !dead && !s.Alive(v) {
 			dead = true
 			pairs = append(pairs, pair{"dead endpoint", v, random()})
 		}
-		if !isolated {
-			if buf = s.OpenNeighbors(v, buf[:0]); len(buf) == 0 {
-				isolated = true
-				pairs = append(pairs, pair{"isolated endpoint", random(), v})
-			}
+		if !isolated && !hasOpenEdge(v) {
+			isolated = true
+			pairs = append(pairs, pair{"isolated endpoint", random(), v})
 		}
 	}
 	for _, pr := range pairs {

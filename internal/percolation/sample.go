@@ -7,8 +7,8 @@
 // is a pure function of (seed, edge ID), so samples of graphs with 2^n
 // vertices cost nothing to create and probing is replayable. On top of
 // samples the package provides exact component labeling (union-find),
-// partial cluster exploration for graphs too large to label, and
-// threshold estimation — the machinery needed to condition every routing
+// an output-sensitive bidirectional connectivity search, and threshold
+// estimation — the machinery needed to condition every routing
 // experiment on the event {u ~ v}, exactly as Definition 2 requires.
 package percolation
 
@@ -82,10 +82,6 @@ func (s Sample) Graph() graph.Graph { return s.g }
 // P returns the edge (bond) retention probability.
 func (s Sample) P() float64 { return s.p }
 
-// PSite returns the vertex retention probability (1 for pure bond
-// percolation).
-func (s Sample) PSite() float64 { return s.pSite }
-
 // Seed returns the sample seed.
 func (s Sample) Seed() uint64 { return s.seed }
 
@@ -136,34 +132,4 @@ func (s Sample) OpenEdgeID(u, v graph.Vertex, id uint64) bool {
 // probe layer and component labeling go through endpoint-aware paths.
 func (s Sample) OpenID(id uint64) bool {
 	return rng.Coin(s.seed, id, s.p)
-}
-
-// OpenNeighbors appends to buf the neighbors of v reachable over open
-// edges, returning the extended slice.
-func (s Sample) OpenNeighbors(v graph.Vertex, buf []graph.Vertex) []graph.Vertex {
-	d := s.g.Degree(v)
-	for i := 0; i < d; i++ {
-		w := s.g.Neighbor(v, i)
-		id, ok := s.g.EdgeID(v, w)
-		if !ok {
-			continue
-		}
-		if s.OpenEdgeID(v, w, id) {
-			buf = append(buf, w)
-		}
-	}
-	return buf
-}
-
-// CountOpen enumerates all edges of the base graph and returns
-// (open, total). Linear in graph size; finite instances only.
-func (s Sample) CountOpen() (open, total uint64) {
-	graph.ForEachEdge(s.g, func(u, v graph.Vertex, id uint64) bool {
-		total++
-		if s.OpenEdgeID(u, v, id) {
-			open++
-		}
-		return true
-	})
-	return open, total
 }

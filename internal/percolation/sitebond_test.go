@@ -106,8 +106,8 @@ func TestSiteBondLabelTreatsDeadAsSingletons(t *testing.T) {
 func TestSiteBondClampsProbabilities(t *testing.T) {
 	g := graph.MustRing(5)
 	s := NewSiteBond(g, 2, -1, 1)
-	if s.P() != 1 || s.PSite() != 0 {
-		t.Fatalf("clamp failed: p=%v pSite=%v", s.P(), s.PSite())
+	if s.P() != 1 || s.pSite != 0 {
+		t.Fatalf("clamp failed: p=%v pSite=%v", s.P(), s.pSite)
 	}
 }
 
@@ -117,10 +117,15 @@ func TestSiteBondExploreRespectsLiveness(t *testing.T) {
 	if !s.Alive(0) {
 		t.Skip("origin dead in this sample")
 	}
-	c := Explore(s, 0, 0)
-	for _, v := range c.Vertices {
-		if !s.Alive(v) {
-			t.Fatalf("exploration reached dead vertex %d", v)
+	// The bidirectional search grows 0's cluster; it must never step
+	// onto a dead vertex, so no dead vertex is connected to the origin.
+	for v := graph.Vertex(1); uint64(v) < g.Order(); v++ {
+		conn, err := Connected(s, 0, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if conn && !s.Alive(v) {
+			t.Fatalf("search reached dead vertex %d", v)
 		}
 	}
 }

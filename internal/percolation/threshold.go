@@ -10,30 +10,15 @@ import (
 	"faultroute/internal/runner"
 )
 
-// ErrBadBracket is returned by FindThreshold when the event probability
-// does not bracket the target on [lo, hi].
+// ErrBadBracket is returned by FindThresholdCtx when the event
+// probability does not bracket the target on [lo, hi].
 var ErrBadBracket = errors.New("percolation: threshold target not bracketed")
 
-// EventProbability estimates Pr[event] by Monte Carlo over `trials`
-// independent seeds derived from baseSeed. The event receives the trial
-// seed and must be deterministic in it.
-func EventProbability(trials int, baseSeed uint64, event func(seed uint64) bool) float64 {
-	return EventProbabilityWorkers(trials, baseSeed, 1, event)
-}
-
-// EventProbabilityWorkers is EventProbability with the trials sharded
-// across a worker pool. Each trial's seed is split from (baseSeed,
-// trial), so the estimate is identical for every workers value; the
-// event must be safe for concurrent calls when workers > 1.
-func EventProbabilityWorkers(trials int, baseSeed uint64, workers int, event func(seed uint64) bool) float64 {
-	prob, _ := EventProbabilityCtx(context.Background(), trials, baseSeed, workers, nil, event)
-	return prob
-}
-
-// EventProbabilityCtx is EventProbabilityWorkers with cancellation and a
-// progress hook: a done ctx aborts the estimate with ctx's error, and
-// progress — when non-nil — observes each completed trial. A run that
-// completes is identical to EventProbabilityWorkers.
+// EventProbabilityCtx estimates Pr[event] by Monte Carlo over `trials`
+// seeds split from (baseSeed, trial). The event must be deterministic in
+// its seed, and safe for concurrent calls when workers > 1; the estimate
+// is then identical for every workers value. A done ctx aborts it with
+// ctx's error; progress, when non-nil, observes each completed trial.
 func EventProbabilityCtx(ctx context.Context, trials int, baseSeed uint64, workers int, progress runner.Progress, event func(seed uint64) bool) (float64, error) {
 	if trials <= 0 {
 		return 0, nil
@@ -53,43 +38,11 @@ func EventProbabilityCtx(ctx context.Context, trials int, baseSeed uint64, worke
 	return float64(hits) / float64(trials), nil
 }
 
-// ConnectionProbability estimates Pr[u ~ v] in G_p over `trials` samples,
-// using exact component labeling per sample.
-func ConnectionProbability(g graph.Graph, p float64, u, v graph.Vertex, trials int, baseSeed uint64) (float64, error) {
-	var labelErr error
-	prob := EventProbability(trials, baseSeed, func(seed uint64) bool {
-		comps, err := Label(New(g, p, seed))
-		if err != nil {
-			labelErr = err
-			return false
-		}
-		return comps.Connected(u, v)
-	})
-	if labelErr != nil {
-		return 0, labelErr
-	}
-	return prob, nil
-}
-
-// FindThreshold locates the p at which the (monotone increasing in p)
-// event probability crosses target, by bisection on [lo, hi] down to
-// width tol. The event receives (p, seed).
-func FindThreshold(lo, hi, target, tol float64, trials int, baseSeed uint64, event func(p float64, seed uint64) bool) (float64, error) {
-	return FindThresholdWorkers(lo, hi, target, tol, trials, baseSeed, 1, event)
-}
-
-// FindThresholdWorkers is FindThreshold with the Monte-Carlo trials of
-// each bisection step sharded across a worker pool (the bisection steps
-// themselves are inherently sequential). The located threshold is
-// identical for every workers value.
-func FindThresholdWorkers(lo, hi, target, tol float64, trials int, baseSeed uint64, workers int, event func(p float64, seed uint64) bool) (float64, error) {
-	return FindThresholdCtx(context.Background(), lo, hi, target, tol, trials, baseSeed, workers, nil, event)
-}
-
-// FindThresholdCtx is FindThresholdWorkers with cancellation and a
-// progress hook threaded through every Monte-Carlo batch of the
-// bisection. A done ctx aborts the search with ctx's error; a completed
-// search is identical to FindThresholdWorkers.
+// FindThresholdCtx locates the p at which the (monotone increasing in
+// p) event probability crosses target, by bisection on [lo, hi] down to
+// width tol. The event receives (p, seed). Each step's Monte-Carlo batch
+// runs through EventProbabilityCtx with ctx, workers and progress, so
+// the located threshold is identical for every workers value.
 func FindThresholdCtx(ctx context.Context, lo, hi, target, tol float64, trials int, baseSeed uint64, workers int, progress runner.Progress, event func(p float64, seed uint64) bool) (float64, error) {
 	if lo >= hi || tol <= 0 {
 		return 0, fmt.Errorf("percolation: invalid bracket [%v, %v] or tol %v", lo, hi, tol)
@@ -135,23 +88,6 @@ type GiantStats struct {
 	Components     uint64
 }
 
-// GiantScan labels `trials` samples at each p and returns the mean giant
-// and second-component fractions; the backbone of the E9 (AKS threshold)
-// experiment.
-func GiantScan(g graph.Graph, ps []float64, trials int, baseSeed uint64) ([]GiantStats, error) {
-	return GiantScanWorkers(g, ps, trials, baseSeed, 1)
-}
-
-// GiantScanWorkers is GiantScan with every (row, trial) sample sharded
-// across one worker pool — a single-p sweep with many trials saturates
-// the pool just as well as a many-p sweep. Sample seeds are split from
-// (baseSeed, row index, trial) exactly as in the sequential scan, and
-// per-row folds run in trial order, so results are bit-identical for
-// every workers value.
-func GiantScanWorkers(g graph.Graph, ps []float64, trials int, baseSeed uint64, workers int) ([]GiantStats, error) {
-	return GiantScanCtx(context.Background(), g, ps, trials, baseSeed, workers, nil)
-}
-
 // SampleFactory builds the percolation sample of one Monte-Carlo scan
 // cell from its retention probability and split seed, returning the
 // sample plus an optional release hook (nil when there is nothing to
@@ -168,10 +104,13 @@ func defaultFactory(g graph.Graph) SampleFactory {
 	}
 }
 
-// GiantScanCtx is GiantScanWorkers with cancellation and a progress
-// hook: a done ctx aborts the scan with ctx's error, progress — when
-// non-nil — observes each labeled sample, and a completed scan is
-// bit-identical to GiantScanWorkers.
+// GiantScanCtx labels `trials` samples at each p and returns the mean
+// giant and second-component fractions; the backbone of the E9 (AKS
+// threshold) experiment. Every (row, trial) sample shards across one
+// worker pool from a seed split from (baseSeed, row index, trial), and
+// per-row folds run in trial order, so results are bit-identical for
+// every workers value. A done ctx aborts the scan with ctx's error;
+// progress, when non-nil, observes each labeled sample.
 func GiantScanCtx(ctx context.Context, g graph.Graph, ps []float64, trials int, baseSeed uint64, workers int, progress runner.Progress) ([]GiantStats, error) {
 	return GiantScanSampledCtx(ctx, g, ps, trials, baseSeed, workers, progress, defaultFactory(g))
 }

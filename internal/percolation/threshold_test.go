@@ -1,6 +1,7 @@
 package percolation
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -9,30 +10,52 @@ import (
 )
 
 func TestEventProbabilityExtremes(t *testing.T) {
-	always := EventProbability(50, 1, func(uint64) bool { return true })
-	never := EventProbability(50, 1, func(uint64) bool { return false })
+	ctx := context.Background()
+	always, err := EventProbabilityCtx(ctx, 50, 1, 1, nil, func(uint64) bool { return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	never, err := EventProbabilityCtx(ctx, 50, 1, 1, nil, func(uint64) bool { return false })
+	if err != nil {
+		t.Fatal(err)
+	}
 	if always != 1 || never != 0 {
 		t.Fatalf("got %v and %v", always, never)
 	}
-	if EventProbability(0, 1, func(uint64) bool { return true }) != 0 {
-		t.Fatal("zero trials should yield 0")
+	if got, err := EventProbabilityCtx(ctx, 0, 1, 1, nil, func(uint64) bool { return true }); err != nil || got != 0 {
+		t.Fatalf("zero trials = (%v, %v), want (0, nil)", got, err)
 	}
 }
 
 func TestEventProbabilityCoinIsFair(t *testing.T) {
-	got := EventProbability(4000, 9, func(seed uint64) bool { return seed%2 == 0 })
+	got, err := EventProbabilityCtx(context.Background(), 4000, 9, 1, nil, func(seed uint64) bool { return seed%2 == 0 })
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.Abs(got-0.5) > 0.05 {
 		t.Fatalf("parity event probability = %v", got)
 	}
 }
 
 func TestConnectionProbabilityMonotone(t *testing.T) {
+	// Pr[u ~ v] in G_p, estimated with the exact connectivity search per
+	// sample, must grow with p.
 	g := graph.MustMesh(2, 8)
 	u := graph.Vertex(0)
 	v := graph.Vertex(g.Order() - 1)
 	var prev float64
 	for i, p := range []float64{0.3, 0.6, 0.95} {
-		prob, err := ConnectionProbability(g, p, u, v, 60, 4)
+		var searchErr error
+		prob, err := EventProbabilityCtx(context.Background(), 60, 4, 1, nil, func(seed uint64) bool {
+			conn, err := Connected(New(g, p, seed), u, v)
+			if err != nil {
+				searchErr = err
+			}
+			return conn
+		})
+		if err == nil {
+			err = searchErr
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +74,7 @@ func TestFindThresholdOnKnownEvent(t *testing.T) {
 	// probability of the event is exactly p, so the p at which it crosses
 	// target 0.5 is 0.5.
 	g := graph.MustRing(3)
-	got, err := FindThreshold(0, 1, 0.5, 0.02, 600, 11, func(p float64, seed uint64) bool {
+	got, err := FindThresholdCtx(context.Background(), 0, 1, 0.5, 0.02, 600, 11, 1, nil, func(p float64, seed uint64) bool {
 		s := New(g, p, seed)
 		open, _ := s.Open(0, 1)
 		return open
@@ -65,20 +88,20 @@ func TestFindThresholdOnKnownEvent(t *testing.T) {
 }
 
 func TestFindThresholdBadBracket(t *testing.T) {
-	_, err := FindThreshold(0.8, 0.9, 0.5, 0.01, 50, 1, func(p float64, seed uint64) bool {
+	_, err := FindThresholdCtx(context.Background(), 0.8, 0.9, 0.5, 0.01, 50, 1, 1, nil, func(p float64, seed uint64) bool {
 		return true // probability 1 everywhere: lower bound already above target
 	})
 	if !errors.Is(err, ErrBadBracket) {
 		t.Fatalf("err = %v, want ErrBadBracket", err)
 	}
-	if _, err := FindThreshold(0.9, 0.1, 0.5, 0.01, 10, 1, nil); err == nil {
+	if _, err := FindThresholdCtx(context.Background(), 0.9, 0.1, 0.5, 0.01, 10, 1, 1, nil, nil); err == nil {
 		t.Fatal("inverted bracket accepted")
 	}
 }
 
 func TestGiantScanMonotoneAndBounded(t *testing.T) {
 	g := graph.MustHypercube(9)
-	stats, err := GiantScan(g, []float64{0.05, 0.2, 0.5, 0.9}, 5, 17)
+	stats, err := GiantScanCtx(context.Background(), g, []float64{0.05, 0.2, 0.5, 0.9}, 5, 17, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +136,7 @@ func TestMeshCriticalPointIsHalf(t *testing.T) {
 	g := graph.MustMesh(2, 24)
 	u := graph.Vertex(0)
 	v := graph.Vertex(g.Order() - 1)
-	got, err := FindThreshold(0.3, 0.95, 0.5, 0.01, 300, 23, func(p float64, seed uint64) bool {
+	got, err := FindThresholdCtx(context.Background(), 0.3, 0.95, 0.5, 0.01, 300, 23, 1, nil, func(p float64, seed uint64) bool {
 		comps, err := Label(New(g, p, seed))
 		if err != nil {
 			return false

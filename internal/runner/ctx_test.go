@@ -9,7 +9,8 @@ import (
 )
 
 func TestMapCtxMatchesMap(t *testing.T) {
-	// With a background context and no hook, MapCtx must be Map.
+	// With a background context and no hook, MapCtx is a plain
+	// index-ordered map.
 	for _, workers := range []int{1, 4} {
 		got, err := MapCtx(context.Background(), New(workers), 50, nil, func(i int) (int, error) {
 			return i + 1, nil

@@ -1,5 +1,5 @@
 // Package runner is the parallel trial engine: a deterministic sharded
-// worker pool that the Monte-Carlo layers (core.Estimate, the exp
+// worker pool that the Monte-Carlo layers (core.EstimateCtx, the exp
 // harness, the percolation sweeps) fan their independent trials across.
 //
 // Every unit of work is identified by a dense index i in [0, n); the
@@ -60,38 +60,23 @@ func New(workers int) *Pool {
 // Workers returns the pool's concurrency bound.
 func (p *Pool) Workers() int { return p.workers }
 
-// Run executes fn(i) for every i in [0, n) across the pool and returns
-// the first error in index order (see Map for the determinism
-// contract).
-func (p *Pool) Run(n int, fn func(i int) error) error {
-	_, err := Map(p, n, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
-}
-
-// Map executes fn(i) for every i in [0, n) across the pool and returns
-// the results in index order.
+// MapCtx executes fn(i) for every i in [0, n) across the pool and
+// returns the results in index order.
 //
 // Determinism contract: fn must derive all randomness from i (and
 // captured immutable state), never from scheduling. Under that
-// contract Map's result is independent of the worker count.
+// contract MapCtx's result is independent of the worker count.
 //
-// Error contract: if any fn call fails, Map returns the error of the
+// Error contract: if any fn call fails, MapCtx returns the error of the
 // lowest failing index — exactly the error a sequential loop would
 // have stopped on. Shards are claimed in ascending index order, so
 // every index below the lowest failing one is guaranteed to have run;
 // indices above it may be skipped once a failure is observed.
-func Map[T any](p *Pool, n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapCtx(context.Background(), p, n, nil, fn)
-}
-
-// MapCtx is Map with cancellation and a progress hook.
 //
 // Cancellation contract: workers stop claiming shards once ctx is done
 // and MapCtx returns ctx.Err() — unless some shard had already failed,
-// in which case the lowest-index shard error wins exactly as in Map.
-// A nil ctx means context.Background(); a nil progress installs no hook.
+// in which case the lowest-index shard error wins as above. A nil ctx
+// means context.Background(); a nil progress installs no hook.
 // Cancellation only ever truncates a run, it never alters what any
 // completed shard computed, so a run that finishes without tripping the
 // context is bit-identical to an uncancellable one.

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -10,7 +11,7 @@ import (
 
 func TestMapResultsInIndexOrder(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8, 33} {
-		out, err := Map(New(workers), 100, func(i int) (int, error) {
+		out, err := MapCtx(context.Background(), New(workers), 100, nil, func(i int) (int, error) {
 			return i * i, nil
 		})
 		if err != nil {
@@ -28,15 +29,15 @@ func TestMapResultsInIndexOrder(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	out, err := Map(New(4), 0, func(i int) (int, error) { return 0, nil })
+	out, err := MapCtx(context.Background(), New(4), 0, nil, func(i int) (int, error) { return 0, nil })
 	if err != nil || out != nil {
-		t.Fatalf("Map(0 items) = (%v, %v), want (nil, nil)", out, err)
+		t.Fatalf("MapCtx(0 items) = (%v, %v), want (nil, nil)", out, err)
 	}
 }
 
 func TestMapLowestIndexErrorWins(t *testing.T) {
 	errAt := func(bad map[int]bool) error {
-		_, err := Map(New(8), 64, func(i int) (int, error) {
+		_, err := MapCtx(context.Background(), New(8), 64, nil, func(i int) (int, error) {
 			if bad[i] {
 				return 0, fmt.Errorf("fail at %d", i)
 			}
@@ -57,7 +58,7 @@ func TestMapLowestIndexErrorWins(t *testing.T) {
 func TestMapErrorSkipsRemainingWork(t *testing.T) {
 	var calls atomic.Int64
 	sentinel := errors.New("boom")
-	_, err := Map(New(4), 1_000_000, func(i int) (int, error) {
+	_, err := MapCtx(context.Background(), New(4), 1_000_000, nil, func(i int) (int, error) {
 		calls.Add(1)
 		return 0, sentinel
 	})
@@ -66,22 +67,6 @@ func TestMapErrorSkipsRemainingWork(t *testing.T) {
 	}
 	if n := calls.Load(); n > 1000 {
 		t.Fatalf("ran %d shards after failure; cancellation is not working", n)
-	}
-}
-
-func TestRunPropagatesError(t *testing.T) {
-	sentinel := errors.New("boom")
-	err := New(3).Run(10, func(i int) error {
-		if i == 4 {
-			return sentinel
-		}
-		return nil
-	})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v", err)
-	}
-	if err := New(3).Run(10, func(i int) error { return nil }); err != nil {
-		t.Fatal(err)
 	}
 }
 

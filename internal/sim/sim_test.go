@@ -209,7 +209,6 @@ func TestDistributedBFSMessagesTrackProbes(t *testing.T) {
 	// BFSLocal's distinct-edge probes on the same sample.
 	g := graph.MustHypercube(8)
 	dst := g.Antipode(0)
-	var cluster percolation.Cluster // reused across seeds via ExploreInto
 	for seed := uint64(0); seed < 10; seed++ {
 		s := percolation.New(g, 0.5, seed)
 		out, err := DistributedBFS(s, 0, dst, 0)
@@ -226,19 +225,24 @@ func TestDistributedBFSMessagesTrackProbes(t *testing.T) {
 		}
 		// BFS stops at dst, so its count lower-bounds the flood's work;
 		// the flood's natural yardstick is the full open cluster of the
-		// source, whose distinct incident edges Explore counts. Each is
-		// attempted at most twice (once per in-cluster endpoint), plus
-		// the echo path.
+		// source and its incident edges. Each is attempted at most twice
+		// (once per in-cluster endpoint), plus the echo path.
 		if out.Attempts < pr.Count() {
 			t.Fatalf("seed %d: flood attempted %d < router probes %d",
 				seed, out.Attempts, pr.Count())
 		}
 		// Upper bound: every cluster vertex transmits at most deg(v)
-		// messages (its flood fan-out), plus the echo path.
-		percolation.ExploreInto(&cluster, s, 0, 0)
+		// messages (its flood fan-out), plus the echo path. The source
+		// cluster is the set of vertices labeling puts with vertex 0.
+		comps, err := percolation.Label(s)
+		if err != nil {
+			t.Fatal(err)
+		}
 		maxAttempts := 2 * len(out.Path)
-		for _, v := range cluster.Vertices {
-			maxAttempts += g.Degree(v)
+		for v := graph.Vertex(0); uint64(v) < g.Order(); v++ {
+			if comps.Connected(0, v) {
+				maxAttempts += g.Degree(v)
+			}
 		}
 		if out.Attempts > maxAttempts {
 			t.Fatalf("seed %d: attempts=%d exceed degree-sum bound %d",

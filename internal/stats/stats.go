@@ -83,17 +83,6 @@ func Quantile(sorted []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// MeanCI returns the mean of xs with a normal-approximation confidence
-// interval at z standard errors (z = 1.96 for 95%).
-func MeanCI(xs []float64, z float64) (mean, lo, hi float64, err error) {
-	s, err := Summarize(xs, 0)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	se := s.Std / math.Sqrt(float64(s.N))
-	return s.Mean, s.Mean - z*se, s.Mean + z*se, nil
-}
-
 // Wilson returns the Wilson score interval for a binomial proportion:
 // successes k out of n at z standard errors. It behaves sensibly at the
 // extremes k=0 and k=n, unlike the Wald interval.

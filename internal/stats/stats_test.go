@@ -95,20 +95,6 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestMeanCICoversMean(t *testing.T) {
-	xs := []float64{9, 10, 11, 10, 10, 9, 11}
-	mean, lo, hi, err := MeanCI(xs, 1.96)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo > mean || hi < mean {
-		t.Fatalf("interval [%v, %v] excludes mean %v", lo, hi, mean)
-	}
-	if !almost(mean, 10, 1e-9) {
-		t.Fatalf("mean = %v", mean)
-	}
-}
-
 func TestWilsonBounds(t *testing.T) {
 	for _, c := range []struct{ k, n int }{{0, 10}, {10, 10}, {5, 10}, {1, 1000}} {
 		center, lo, hi, err := Wilson(c.k, c.n, 1.96)

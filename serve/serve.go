@@ -79,6 +79,11 @@ type Options struct {
 // into retry waves (the client adds its own jitter on top).
 const retryAfterSeconds = 1
 
+// maxSubmitBytes caps a POST /v1/jobs body. Every wire spec is a few
+// hundred bytes; the cap stops one request from making the handler
+// buffer an arbitrarily large body. Larger bodies get 413.
+const maxSubmitBytes = 1 << 20
+
 // Service owns one engine + store pair and serves the HTTP API.
 type Service struct {
 	engine        *jobs.Engine
@@ -183,10 +188,15 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // pre-encoded response is served without decoding the body or taking
 // the engine lock at all. See memo.go.
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(r.Body)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	if err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
 		s.metrics.submitted.With("invalid").Inc()
-		writeError(w, http.StatusBadRequest, "reading job request: %v", err)
+		writeError(w, status, "reading job request: %v", err)
 		return
 	}
 	ent := s.memo.get(body)

@@ -358,6 +358,37 @@ func TestBadSubmissions(t *testing.T) {
 	}
 }
 
+// TestOversizedSubmitGets413 pins the submit body cap: a body one byte
+// over 1 MiB is refused with 413 and a JSON error, counted as an
+// invalid submission, and leaves the service ready for the next one. A
+// valid spec padded to exactly 1 MiB is still accepted.
+func TestOversizedSubmitGets413(t *testing.T) {
+	ts := newTestServer(t, 1)
+	const limit = 1 << 20
+	spec := `{"kind":"estimate","estimate":{"graph":{"family":"hypercube","n":4},"p":0.9,"trials":2,"seed":1}}`
+	var e api.ErrorBody
+	code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", spec+strings.Repeat(" ", limit+1-len(spec)), &e)
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized submit: status %d, want 413", code)
+	}
+	if e.Error == "" {
+		t.Fatal("oversized submit: no error message")
+	}
+	var sub api.SubmitResponse
+	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", spec+strings.Repeat(" ", limit-len(spec)), &sub); code != http.StatusAccepted {
+		t.Fatalf("submit at exactly the cap: status %d, want 202", code)
+	}
+	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", spec, &sub); code != http.StatusOK && code != http.StatusAccepted {
+		t.Fatalf("submit after the 413: status %d", code)
+	}
+	if st := awaitJob(t, ts.URL, sub.Job.ID); st.State != api.JobDone {
+		t.Fatalf("job after the 413: %s (%s)", st.State, st.Error)
+	}
+	text := scrape(t, ts.URL)
+	wantLine(t, text, `faultroute_jobs_submitted_total{outcome="invalid"} 1`)
+	wantLine(t, text, `faultroute_http_requests_total{route="POST /v1/jobs",code="413"} 1`)
+}
+
 func TestHealthz(t *testing.T) {
 	ts := newTestServer(t, 1)
 	var h api.Health
