@@ -55,7 +55,7 @@ type FailSpec struct {
 	Seed uint64 `json:"seed,omitempty"`
 }
 
-// EstimateSpec is a routing-complexity measurement job (core.Estimate
+// EstimateSpec is a routing-complexity measurement job (core.EstimateCtx
 // over the wire). Dst nil selects the family's canonical destination
 // (antipode, opposite corner, mirrored root); normalization resolves it.
 //

@@ -5,8 +5,8 @@
 // conditioned on the pair being connected.
 //
 // It is the layer the public faultroute facade and the benchmark suite
-// are built on; the experiment harness (internal/exp) uses the same
-// substrates with bespoke sweeps.
+// are built on; the experiment harness (internal/exp) shares the
+// conditioning kernel, Condition.
 package core
 
 import (
@@ -25,9 +25,10 @@ import (
 	"faultroute/internal/stats"
 )
 
-// ErrConditioning is returned by EstimateCtx when the conditioning event
-// {src ~ dst} did not occur within the per-trial retry budget — the pair
-// is essentially never connected at these parameters.
+// ErrConditioning is returned by Condition, and wrapped by EstimateCtx,
+// when the conditioning event {src ~ dst} did not occur within the
+// per-trial retry budget — the pair is essentially never connected at
+// these parameters.
 var ErrConditioning = errors.New("core: conditioning failed ({src ~ dst} too rare at these parameters)")
 
 // Mode selects the query model of Definition 1.
@@ -82,6 +83,9 @@ func (s Spec) validate() error {
 	if s.P < 0 || s.P > 1 {
 		return fmt.Errorf("core: retention probability %v outside [0, 1]", s.P)
 	}
+	if s.Mode != ModeLocal && s.Mode != ModeOracle {
+		return fmt.Errorf("core: unknown mode %d", s.Mode)
+	}
 	return nil
 }
 
@@ -107,47 +111,59 @@ func Run(spec Spec, src, dst graph.Vertex, seed uint64) (Outcome, error) {
 	if err := spec.validate(); err != nil {
 		return Outcome{}, err
 	}
-	s := percolation.New(spec.Graph, spec.P, seed)
-	if mask := spec.Fault.Sample(spec.Graph, seed); mask != nil {
-		defer mask.Release()
-		s = s.WithDead(mask)
+	s, mask := spec.sample(seed)
+	defer mask.Release()
+	o := runOn(spec, s, src, dst)
+	if o.Err == nil {
+		if err := route.Validate(s, o.Path, src, dst); err != nil {
+			return Outcome{}, invalidPath(spec, err)
+		}
 	}
-	return runOn(spec, s, src, dst)
+	return o, nil
 }
 
-// runOn is Run on a sample already drawn: it builds the prober, routes
-// and validates the returned path against s.
-func runOn(spec Spec, s percolation.Sample, src, dst graph.Vertex) (Outcome, error) {
+// sample draws the percolation sample with the given seed and attaches
+// the spec's failure mask, which the caller releases once it is done
+// with the sample.
+func (spec Spec) sample(seed uint64) (percolation.Sample, *sim.Mask) {
+	s := percolation.New(spec.Graph, spec.P, seed)
+	mask := spec.Fault.Sample(spec.Graph, seed)
+	if mask != nil {
+		s = s.WithDead(mask)
+	}
+	return s, mask
+}
+
+// runOn builds the prober and routes once on a sample already drawn. The
+// path is not validated.
+func runOn(spec Spec, s percolation.Sample, src, dst graph.Vertex) Outcome {
 	// Probers (and, through their arena, the routers) draw all trial
 	// bookkeeping from the shared scratch pool; releasing on return is
 	// what lets each worker reuse one warm set of tables across the
 	// thousands of trials of an Estimate.
-	var pr probe.Prober
-	switch spec.Mode {
-	case ModeLocal:
-		l := probe.NewLocal(s, src, spec.Budget)
-		defer l.Release()
-		pr = l
-	case ModeOracle:
-		o := probe.NewOracle(s, spec.Budget)
-		defer o.Release()
-		pr = o
-	default:
-		return Outcome{}, fmt.Errorf("core: unknown mode %d", spec.Mode)
+	var pr interface {
+		probe.Prober
+		Calls() int
+		Release()
 	}
+	if spec.Mode == ModeOracle {
+		pr = probe.NewOracle(s, spec.Budget)
+	} else {
+		pr = probe.NewLocal(s, src, spec.Budget)
+	}
+	defer pr.Release()
 	path, err := spec.Router.Route(pr, src, dst)
-	out := Outcome{Probes: pr.Count(), Err: err}
+	out := Outcome{Probes: pr.Count(), Calls: pr.Calls(), Err: err}
 	if err == nil {
 		out.Path = path
-		if verr := route.Validate(s, path, src, dst); verr != nil {
-			return Outcome{}, fmt.Errorf("core: router %s returned an invalid path: %w",
-				spec.Router.Name(), verr)
-		}
 	}
-	if c, ok := pr.(interface{ Calls() int }); ok {
-		out.Calls = c.Calls()
-	}
-	return out, nil
+	return out
+}
+
+// invalidPath is the error for a router's path that route.Validate
+// rejected on a connected sample.
+func invalidPath(spec Spec, err error) error {
+	return fmt.Errorf("core: router %s returned an invalid path: %w", spec.Router.Name(), err)
 }
 
 // Complexity is the empirical routing-complexity distribution of a spec
@@ -182,7 +198,7 @@ type TrialResult struct {
 	Err error
 }
 
-// precheckExpansions caps the bidirectional search EstimateTrial runs on
+// precheckExpansions caps the bidirectional search Condition runs on
 // every sample before routing. In supercritical regimes the clusters
 // outside the giant component are small, so most disconnected samples
 // are rejected within it, before the router pays for them; a sample it
@@ -191,86 +207,101 @@ type TrialResult struct {
 // measure the trade-off.
 const precheckExpansions = 64
 
+// Condition is Definition 2's rejection sampler, shared by EstimateTrial
+// and the experiment suite. Try number try draws the sample
+// draw(rng.Combine(trialSeed, try)), and the first of at most maxTries
+// samples on which {src ~ dst} holds is accepted.
+//
+// It routes first. A bidirectional pre-check capped at
+// precheckExpansions (percolation.ConnectedLazy) rejects samples with a
+// small cluster on either side. run routes on every other sample, and a
+// path that route.Validate accepts proves {src ~ dst} at once. Only a
+// failed run — an error or an invalid path — finishes the exact search
+// (percolation.Connected), which tells a disconnected sample apart from
+// a run that failed on a connected one. The accepted sample, the
+// rejection count and run's result on the accepted sample are therefore
+// those of conditioning first and routing after, as long as run depends
+// on its sample alone.
+//
+// runErr is run's error on the accepted sample, or route.Validate's
+// error when run returned an invalid path there. err is ErrConditioning
+// when no sample was connected (rejected is then maxTries), or the
+// search's error on a graph too large to search.
+func Condition(draw func(seed uint64) percolation.Sample, src, dst graph.Vertex, trialSeed uint64, maxTries int,
+	run func(percolation.Sample) (route.Path, error)) (s percolation.Sample, rejected int, runErr, err error) {
+	for try := 0; try < maxTries; try++ {
+		s = draw(rng.Combine(trialSeed, uint64(try)))
+		connected, decided, err := percolation.ConnectedLazy(s, src, dst, precheckExpansions)
+		if err != nil {
+			return percolation.Sample{}, try, nil, err
+		}
+		if decided && !connected {
+			continue
+		}
+		path, runErr := run(s)
+		if runErr == nil {
+			runErr = route.Validate(s, path, src, dst)
+		}
+		if runErr != nil && !decided {
+			if connected, err = percolation.Connected(s, src, dst); err != nil {
+				return percolation.Sample{}, try, nil, err
+			}
+			if !connected {
+				continue
+			}
+		}
+		return s, try, runErr, nil
+	}
+	return percolation.Sample{}, maxTries, nil, ErrConditioning
+}
+
 // EstimateTrial runs trial number `trial` of an Estimate: it derives
 // the trial's independent random stream from (seed, trial) by
-// stream-splitting, rejection-samples percolation configurations until
-// {src ~ dst} holds (at most maxTries), and routes once on the accepted
+// stream-splitting, conditions on {src ~ dst} with Condition (at most
+// maxTries samples), and reports the routing run on the accepted
 // sample. It is the parallel engine's unit of work: the result depends
 // only on the arguments, never on which worker runs it.
-//
-// Each try draws its bond sample and failure mask once. A short
-// bidirectional pre-check (percolation.ConnectedLazy) rejects samples
-// with a small cluster on either side; any other sample is routed
-// before {src ~ dst} is decided, because an open src→dst path that
-// route.Validate accepts proves the event and accepts the sample at
-// once. Only a failed route — an error or an invalid path — finishes
-// the exact search (percolation.Connected), which tells a rejected
-// sample apart from a censored run or a router fault. Accept/reject
-// decisions, the accepted sample and its routing run are therefore
-// exactly those of conditioning first and routing after.
 func EstimateTrial(spec Spec, src, dst graph.Vertex, trial, maxTries int, seed uint64) TrialResult {
 	var res TrialResult
 	if err := spec.validate(); err != nil {
 		res.Err = err
 		return res
 	}
-	trialSeed := rng.Combine(seed, uint64(trial))
-	for try := 0; try < maxTries; try++ {
-		o, conn, err := conditionedRun(spec, src, dst, rng.Combine(trialSeed, uint64(try)))
-		if err != nil {
-			res.Err = err
-			return res
-		}
-		if !conn {
-			res.Rejected++
-			continue
-		}
-		switch {
-		case o.Err == nil:
-			res.Probes = float64(o.Probes)
-			res.Accepted = true
-		case errors.Is(o.Err, probe.ErrBudget):
-			res.Censored = true
-		default:
-			res.Err = fmt.Errorf("core: router failed on a connected pair: %w", o.Err)
-		}
-		return res
-	}
-	res.Err = fmt.Errorf(
-		"%w: {%d ~ %d} did not occur in %d samples at p = %v",
-		ErrConditioning, src, dst, maxTries, spec.P)
-	return res
-}
-
-// conditionedRun is one try of EstimateTrial on the sample with the
-// given seed. connected reports {src ~ dst}; when it holds, o and err are
-// the routing run on that sample. When it does not, the sample is
-// rejected and err is nil, unless the graph is too large to search.
-func conditionedRun(spec Spec, src, dst graph.Vertex, seed uint64) (o Outcome, connected bool, err error) {
 	// The failure mask conditions right along with the bonds: {src ~ dst}
 	// means connected in the surviving graph, and the router probes the
-	// same surviving graph.
-	s := percolation.New(spec.Graph, spec.P, seed)
-	if mask := spec.Fault.Sample(spec.Graph, seed); mask != nil {
-		defer mask.Release()
-		s = s.WithDead(mask)
+	// same surviving graph. Each draw releases the previous try's mask.
+	var mask *sim.Mask
+	defer func() { mask.Release() }()
+	draw := func(seed uint64) percolation.Sample {
+		mask.Release()
+		var s percolation.Sample
+		s, mask = spec.sample(seed)
+		return s
 	}
-	connected, decided, err := percolation.ConnectedLazy(s, src, dst, precheckExpansions)
-	if err != nil || (decided && !connected) {
-		return Outcome{}, false, err
+	var o Outcome
+	_, rejected, runErr, err := Condition(draw, src, dst, rng.Combine(seed, uint64(trial)), maxTries,
+		func(s percolation.Sample) (route.Path, error) {
+			o = runOn(spec, s, src, dst)
+			return o.Path, o.Err
+		})
+	res.Rejected = rejected
+	switch {
+	case errors.Is(err, ErrConditioning):
+		res.Err = fmt.Errorf("%w: {%d ~ %d} did not occur in %d samples at p = %v",
+			ErrConditioning, src, dst, maxTries, spec.P)
+	case err != nil:
+		res.Err = err
+	case runErr == nil:
+		res.Probes = float64(o.Probes)
+		res.Accepted = true
+	case o.Err == nil: // the router answered, but route.Validate rejected the path
+		res.Err = invalidPath(spec, runErr)
+	case errors.Is(runErr, probe.ErrBudget):
+		res.Censored = true
+	default:
+		res.Err = fmt.Errorf("core: router failed on a connected pair: %w", runErr)
 	}
-	o, err = runOn(spec, s, src, dst)
-	if decided || (err == nil && o.Err == nil) {
-		return o, true, err
-	}
-	// The route failed on a sample the pre-check left open: only the
-	// exact search tells a disconnected sample from a censored run or a
-	// router fault.
-	connected, cerr := percolation.Connected(s, src, dst)
-	if !connected {
-		return Outcome{}, false, cerr
-	}
-	return o, true, err
+	return res
 }
 
 // MergeTrials folds per-trial results — in trial order — into a single

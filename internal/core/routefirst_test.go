@@ -197,3 +197,128 @@ func TestEstimateTrialMatchesConditionFirst(t *testing.T) {
 		t.Errorf("want rejections both by the pre-check and after a failed route, got %+v", tally)
 	}
 }
+
+// conditionFirst is the loop Condition replaced: it decides {src ~ dst}
+// with the exact search on every sample and runs once, on the first
+// connected one. tally splits its rejections as in conditionFirstTrial.
+func conditionFirst(draw func(uint64) percolation.Sample, src, dst graph.Vertex, trialSeed uint64, maxTries int,
+	run func(percolation.Sample) (route.Path, error), tally *rejectTally) (s percolation.Sample, rejected int, runErr, err error) {
+	for try := 0; try < maxTries; try++ {
+		s := draw(rng.Combine(trialSeed, uint64(try)))
+		conn, err := percolation.Connected(s, src, dst)
+		if err != nil {
+			return percolation.Sample{}, try, nil, err
+		}
+		if !conn {
+			if _, decided, _ := percolation.ConnectedLazy(s, src, dst, precheckExpansions); decided {
+				tally.precheck++
+			} else {
+				tally.afterRoute++
+			}
+			continue
+		}
+		path, runErr := run(s)
+		if runErr == nil {
+			runErr = route.Validate(s, path, src, dst)
+		}
+		return s, try, runErr, nil
+	}
+	return percolation.Sample{}, maxTries, nil, ErrConditioning
+}
+
+func sameErr(a, b error) bool {
+	return (a == nil) == (b == nil) && (a == nil || a.Error() == b.Error())
+}
+
+// TestConditionMatchesConditionFirst checks Condition against the
+// condition-first loop, trial by trial, on the cases the experiment
+// suite leans on: site-bond samples whose endpoints can die, a router
+// that fails on connected pairs by design (pure greedy), a router that
+// returns invalid paths, and a probe budget. Each trial must accept the
+// same sample after the same number of rejections, and the run on it
+// must report the same probe count and error: a run that fails on a
+// connected sample comes back as runErr, never as a rejection.
+func TestConditionMatchesConditionFirst(t *testing.T) {
+	cube, mesh := graph.MustHypercube(10), graph.MustMesh(2, 24)
+	const src = graph.Vertex(0)
+	bond := func(g graph.Graph, p float64) func(uint64) percolation.Sample {
+		return func(seed uint64) percolation.Sample { return percolation.New(g, p, seed) }
+	}
+	deadEndpoints := 0
+	siteBond := func(g graph.Graph, dst graph.Vertex, p float64) func(uint64) percolation.Sample {
+		return func(seed uint64) percolation.Sample {
+			s := percolation.NewSiteBond(g, 1, p, seed)
+			if !s.Alive(src) || !s.Alive(dst) {
+				deadEndpoints++
+			}
+			return s
+		}
+	}
+	cubeDst, meshDst := cube.Antipode(0), graph.Vertex(mesh.Order()-1)
+	variants := []struct {
+		name   string
+		draw   func(uint64) percolation.Sample
+		dst    graph.Vertex
+		router route.Router
+		budget int
+	}{
+		{"cube/site-bond/p=0.75", siteBond(cube, cubeDst, 0.75), cubeDst, route.NewPathFollow(), 0},
+		{"cube/site-bond/p=0.5", siteBond(cube, cubeDst, 0.5), cubeDst, route.NewPathFollow(), 0},
+		{"mesh/site-bond/p=0.7", siteBond(mesh, meshDst, 0.7), meshDst, route.NewPathFollow(), 0},
+		{"cube/pure-greedy/p=0.6", bond(cube, 0.6), cubeDst, route.NewPureGreedy(), 0},
+		{"cube/pure-greedy/p=0.3", bond(cube, 0.3), cubeDst, route.NewPureGreedy(), 0},
+		{"cube/invalid-path/p=0.3", bond(cube, 0.3), cubeDst, invalidPathRouter{}, 0},
+		{"mesh/invalid-path/p=0.55", bond(mesh, 0.55), meshDst, invalidPathRouter{}, 0},
+		{"cube/budget=12/p=0.3", bond(cube, 0.3), cubeDst, route.NewPathFollow(), 12},
+		{"mesh/budget=40/p=0.55", bond(mesh, 0.55), meshDst, route.NewPathFollow(), 40},
+	}
+	const maxTries = 20
+	var tally rejectTally
+	outcomes := map[string]int{}
+	for _, v := range variants {
+		var probes int
+		run := func(s percolation.Sample) (route.Path, error) {
+			pr := probe.NewLocal(s, src, v.budget)
+			defer pr.Release()
+			path, err := v.router.Route(pr, src, v.dst)
+			probes = pr.Count()
+			return path, err
+		}
+		for seed := uint64(1); seed <= 3; seed++ {
+			for trial := 0; trial < 16; trial++ {
+				trialSeed := rng.Combine(seed, uint64(trial))
+				ws, wRejected, wRunErr, wErr := conditionFirst(v.draw, src, v.dst, trialSeed, maxTries, run, &tally)
+				wProbes := probes
+				gs, gRejected, gRunErr, gErr := Condition(v.draw, src, v.dst, trialSeed, maxTries, run)
+				if gs != ws || gRejected != wRejected || !sameErr(gRunErr, wRunErr) || !sameErr(gErr, wErr) ||
+					(gErr == nil && probes != wProbes) {
+					t.Fatalf("%s seed %d trial %d: Condition = (seed %d, %d rejected, %d probes, %v, %v), condition-first = (seed %d, %d rejected, %d probes, %v, %v)",
+						v.name, seed, trial, gs.Seed(), gRejected, probes, gRunErr, gErr,
+						ws.Seed(), wRejected, wProbes, wRunErr, wErr)
+				}
+				switch {
+				case errors.Is(wErr, ErrConditioning):
+					outcomes["never connected"]++
+				case wRunErr == nil:
+					outcomes["accepted"]++
+				case errors.Is(wRunErr, route.ErrStuck):
+					outcomes["stuck"]++
+				case errors.Is(wRunErr, probe.ErrBudget):
+					outcomes["censored"]++
+				default:
+					outcomes["invalid path"]++
+				}
+			}
+		}
+	}
+	t.Logf("outcomes %v; rejected samples: %d by the pre-check, %d after a failed route; %d draws with a dead endpoint",
+		outcomes, tally.precheck, tally.afterRoute, deadEndpoints)
+	for _, o := range []string{"accepted", "never connected", "stuck", "censored", "invalid path"} {
+		if outcomes[o] == 0 {
+			t.Errorf("no trial ended %s", o)
+		}
+	}
+	if tally.precheck == 0 || tally.afterRoute == 0 || deadEndpoints == 0 {
+		t.Errorf("want rejections by the pre-check and after a failed route, and dead endpoints; got %+v, %d", tally, deadEndpoints)
+	}
+}

@@ -3,9 +3,9 @@ package exp
 import (
 	"fmt"
 
+	"faultroute/internal/core"
 	"faultroute/internal/graph"
 	"faultroute/internal/percolation"
-	"faultroute/internal/probe"
 	"faultroute/internal/rng"
 	"faultroute/internal/route"
 	"faultroute/internal/stats"
@@ -69,16 +69,16 @@ func runE10(cfg Config) (*Table, error) {
 		}
 		results, err := parTrials(cfg, routeTrials, func(trial int) (trialResult, error) {
 			seed := cfg.trialSeed(uint64(100+di), uint64(trial))
-			s, _, err := connectedSample(g, p, g.RootA(), g.RootB(), seed, 400)
+			res := trialResult{ok: true}
+			_, _, runErr, err := core.Condition(bondDraw(g, p), g.RootA(), g.RootB(), seed, 400,
+				localRun(route.NewBFSLocal(), g.RootA(), g.RootB(), &res.probes))
 			if err != nil {
 				return trialResult{}, nil
 			}
-			pr := probe.NewLocal(s, g.RootA(), 0)
-			defer pr.Release()
-			if _, err := route.NewBFSLocal().Route(pr, g.RootA(), g.RootB()); err != nil {
-				return trialResult{}, fmt.Errorf("E10: depth %d: %w", d, err)
+			if runErr != nil {
+				return trialResult{}, fmt.Errorf("E10: depth %d: %w", d, runErr)
 			}
-			return trialResult{probes: float64(pr.Count()), ok: true}, nil
+			return res, nil
 		})
 		if err != nil {
 			return nil, err

@@ -45,17 +45,13 @@ func runE11(cfg Config) (*Table, error) {
 			if err != nil {
 				return trialResult{}, err
 			}
-			comps, err := percolation.Label(o.Sample())
-			if err != nil {
-				return trialResult{}, err
-			}
 			str := rng.NewStream(rng.Combine(seed, 7))
 			key := str.Uint64()
 			from := graph.Vertex(str.Uint64n(o.Cube().Order()))
 			// Condition on the lookup being possible at all: requester
 			// and owner in the same open component.
-			if !comps.Connected(from, o.Owner(key)) {
-				return trialResult{}, nil
+			if ok, err := percolation.Connected(o.Sample(), from, o.Owner(key)); err != nil || !ok {
+				return trialResult{}, err
 			}
 			out := trialResult{done: true}
 			if res, err := o.GreedyLookup(from, key); err == nil {

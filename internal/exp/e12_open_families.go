@@ -6,7 +6,6 @@ import (
 
 	"faultroute/internal/graph"
 	"faultroute/internal/percolation"
-	"faultroute/internal/probe"
 	"faultroute/internal/rng"
 	"faultroute/internal/route"
 	"faultroute/internal/stats"
@@ -69,19 +68,15 @@ func runE12(cfg Config) (*Table, error) {
 					if !ok {
 						continue
 					}
-					pr := probe.NewLocal(s, u, 0)
-					defer pr.Release()
-					path, err := route.NewBFSLocal().Route(pr, u, v)
+					var probes float64
+					path, err := localRun(route.NewBFSLocal(), u, v, &probes)(s)
 					if errors.Is(err, route.ErrNoPath) {
 						return trialResult{}, fmt.Errorf("E12: giant pair disconnected (bug): %w", err)
 					}
 					if err != nil {
 						return trialResult{}, err
 					}
-					out.pairs = append(out.pairs, pairResult{
-						probes: float64(pr.Count()),
-						plen:   float64(path.Len()),
-					})
+					out.pairs = append(out.pairs, pairResult{probes: probes, plen: float64(path.Len())})
 				}
 				return out, nil
 			})

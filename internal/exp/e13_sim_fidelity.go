@@ -6,7 +6,6 @@ import (
 
 	"faultroute/internal/graph"
 	"faultroute/internal/percolation"
-	"faultroute/internal/probe"
 	"faultroute/internal/route"
 	"faultroute/internal/sim"
 	"faultroute/internal/stats"
@@ -57,15 +56,14 @@ func runE13(cfg Config) (*Table, error) {
 			if err != nil {
 				return trialResult{}, fmt.Errorf("E13 %s: %w", in.name, err)
 			}
-			pr := probe.NewLocal(s, in.src, 0)
-			defer pr.Release()
-			_, rerr := route.NewBFSLocal().Route(pr, in.src, in.dst)
+			var probes float64
+			_, rerr := localRun(route.NewBFSLocal(), in.src, in.dst, &probes)(s)
 			if rerr != nil && !errors.Is(rerr, route.ErrNoPath) {
 				return trialResult{}, rerr
 			}
 			return trialResult{
 				attempts: float64(out.Attempts),
-				probes:   float64(pr.Count()),
+				probes:   probes,
 				rounds:   out.Time,
 				agree:    out.Found == (rerr == nil),
 			}, nil

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"math"
 
+	"faultroute/internal/core"
 	"faultroute/internal/graph"
-	"faultroute/internal/probe"
 	"faultroute/internal/route"
 	"faultroute/internal/stats"
 )
@@ -50,21 +50,24 @@ func runE14(cfg Config) (*Table, error) {
 			seed := cfg.trialSeed(uint64(ai), uint64(trial))
 			u := graph.Vertex(0)
 			v := g.Antipode(u)
-			s, _, err := connectedSample(g, p, u, v, seed, 200)
-			if errors.Is(err, ErrConditioning) {
+			out := trialResult{probes: make([]float64, len(routers)), ok: true}
+			// Path-follow, the router most likely to succeed, conditions
+			// the sample; the others route on the accepted one.
+			s, _, runErr, err := core.Condition(bondDraw(g, p), u, v, seed, 200,
+				localRun(routers[0], u, v, &out.probes[0]))
+			if errors.Is(err, core.ErrConditioning) {
 				return trialResult{}, nil
 			}
 			if err != nil {
 				return trialResult{}, err
 			}
-			out := trialResult{probes: make([]float64, len(routers)), ok: true}
 			for ri, r := range routers {
-				pr := probe.NewLocal(s, u, 0)
-				defer pr.Release()
-				if _, err := r.Route(pr, u, v); err != nil {
-					return trialResult{}, fmt.Errorf("E14: %s at alpha=%.2f: %w", r.Name(), alpha, err)
+				if ri > 0 {
+					_, runErr = localRun(r, u, v, &out.probes[ri])(s)
 				}
-				out.probes[ri] = float64(pr.Count())
+				if runErr != nil {
+					return trialResult{}, fmt.Errorf("E14: %s at alpha=%.2f: %w", r.Name(), alpha, runErr)
+				}
 			}
 			return out, nil
 		})

@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"math"
 
+	"faultroute/internal/core"
 	"faultroute/internal/graph"
 	"faultroute/internal/plot"
-	"faultroute/internal/probe"
 	"faultroute/internal/route"
 	"faultroute/internal/stats"
 )
@@ -50,25 +50,24 @@ func runE15(cfg Config) (*Table, error) {
 			seed := cfg.trialSeed(uint64(ai), uint64(trial))
 			u := graph.Vertex(0)
 			v := g.Antipode(u)
-			s, _, err := connectedSample(g, p, u, v, seed, 100)
-			if errors.Is(err, ErrConditioning) {
+			// Greedy with rescue conditions the sample; pure greedy fails
+			// on connected pairs by design, so it routes on the accepted one.
+			s, _, rerr, err := core.Condition(bondDraw(g, p), u, v, seed, 100,
+				localRun(route.NewGreedyWithRescue(rescueBudget), u, v, new(float64)))
+			if errors.Is(err, core.ErrConditioning) {
 				return trialResult{}, nil
 			}
 			if err != nil {
 				return trialResult{}, err
 			}
 			out := trialResult{ok: true}
-			prG := probe.NewLocal(s, u, 0)
-			defer prG.Release()
-			if path, gerr := route.NewPureGreedy().Route(prG, u, v); gerr == nil {
+			if path, gerr := localRun(route.NewPureGreedy(), u, v, new(float64))(s); gerr == nil {
 				out.greedyOK = true
 				out.hops = float64(path.Len())
 			} else if !errors.Is(gerr, route.ErrStuck) {
 				return trialResult{}, gerr
 			}
-			prR := probe.NewLocal(s, u, 0)
-			defer prR.Release()
-			if _, rerr := route.NewGreedyWithRescue(rescueBudget).Route(prR, u, v); rerr == nil {
+			if rerr == nil {
 				out.rescueOK = true
 			} else if !errors.Is(rerr, route.ErrStuck) && !errors.Is(rerr, route.ErrNoPath) {
 				return trialResult{}, rerr

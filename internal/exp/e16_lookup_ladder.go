@@ -45,16 +45,12 @@ func runE16(cfg Config) (*Table, error) {
 			if err != nil {
 				return trialResult{}, err
 			}
-			comps, err := percolation.Label(o.Sample())
-			if err != nil {
-				return trialResult{}, err
-			}
 			str := rng.NewStream(rng.Combine(seed, 5))
 			key := str.Uint64()
 			from := graph.Vertex(str.Uint64n(o.Cube().Order()))
 			owner := o.Owner(key)
-			if !comps.Connected(from, owner) {
-				return trialResult{}, nil
+			if ok, err := percolation.Connected(o.Sample(), from, owner); err != nil || !ok {
+				return trialResult{}, err
 			}
 			out := trialResult{done: true}
 			record := func(i int, found bool, msgs int) {

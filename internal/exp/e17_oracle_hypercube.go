@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"math"
 
+	"faultroute/internal/core"
 	"faultroute/internal/graph"
 	"faultroute/internal/plot"
-	"faultroute/internal/probe"
 	"faultroute/internal/route"
 	"faultroute/internal/stats"
 )
@@ -50,28 +50,22 @@ func runE17(cfg Config) (*Table, error) {
 			seed := cfg.trialSeed(uint64(ni), uint64(trial))
 			u := graph.Vertex(0)
 			v := g.Antipode(u)
-			s, _, err := connectedSample(g, p, u, v, seed, 400)
-			if errors.Is(err, ErrConditioning) {
+			res := trialResult{ok: true}
+			s, _, runErr, err := core.Condition(bondDraw(g, p), u, v, seed, 400,
+				oracleRun(route.NewBidirectionalBFS(), u, v, &res.oracle))
+			if errors.Is(err, core.ErrConditioning) {
 				return trialResult{}, nil
 			}
 			if err != nil {
 				return trialResult{}, err
 			}
-			prO := probe.NewOracle(s, 0)
-			defer prO.Release()
-			if _, err := route.NewBidirectionalBFS().Route(prO, u, v); err != nil {
-				return trialResult{}, fmt.Errorf("E17: oracle n=%d: %w", n, err)
+			if runErr != nil {
+				return trialResult{}, fmt.Errorf("E17: oracle n=%d: %w", n, runErr)
 			}
-			prL := probe.NewLocal(s, u, 0)
-			defer prL.Release()
-			if _, err := route.NewBFSLocal().Route(prL, u, v); err != nil {
+			if _, err := localRun(route.NewBFSLocal(), u, v, &res.local)(s); err != nil {
 				return trialResult{}, fmt.Errorf("E17: local n=%d: %w", n, err)
 			}
-			return trialResult{
-				oracle: float64(prO.Count()),
-				local:  float64(prL.Count()),
-				ok:     true,
-			}, nil
+			return res, nil
 		})
 		if err != nil {
 			return nil, err

@@ -1,13 +1,13 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
+	"faultroute/internal/core"
 	"faultroute/internal/graph"
 	"faultroute/internal/percolation"
-	"faultroute/internal/probe"
-	"faultroute/internal/rng"
 	"faultroute/internal/route"
 	"faultroute/internal/stats"
 )
@@ -47,37 +47,27 @@ func runE18(cfg Config) (*Table, error) {
 		medians := make([]interface{}, 0, 4)
 		for mode := 0; mode < 2; mode++ {
 			mode := mode
+			// Conditioning on {u ~ v} under site percolation implies both
+			// endpoints alive.
+			draw := bondDraw(g, p)
+			if mode == 1 {
+				draw = func(seed uint64) percolation.Sample { return percolation.NewSiteBond(g, 1, p, seed) }
+			}
 			results, err := parTrials(cfg, trials, func(trial int) (trialResult, error) {
 				seed := cfg.trialSeed(uint64(ai*10+mode), uint64(trial))
-				// Conditioned rejection sampling on {u ~ v} (which under
-				// site percolation implies both endpoints alive).
-				var sample percolation.Sample
-				accepted := false
-				for try := 0; try < 400; try++ {
-					sampleSeed := rng.Combine(seed, uint64(try))
-					if mode == 0 {
-						sample = percolation.New(g, p, sampleSeed)
-					} else {
-						sample = percolation.NewSiteBond(g, 1, p, sampleSeed)
-					}
-					comps, err := percolation.Label(sample)
-					if err != nil {
-						return trialResult{}, err
-					}
-					if comps.Connected(u, v) {
-						accepted = true
-						break
-					}
-				}
-				if !accepted {
+				res := trialResult{ok: true}
+				_, _, runErr, err := core.Condition(draw, u, v, seed, 400,
+					localRun(route.NewPathFollow(), u, v, &res.probes))
+				if errors.Is(err, core.ErrConditioning) {
 					return trialResult{}, nil
 				}
-				pr := probe.NewLocal(sample, u, 0)
-				defer pr.Release()
-				if _, err := route.NewPathFollow().Route(pr, u, v); err != nil {
-					return trialResult{}, fmt.Errorf("E18: mode %d alpha %.2f: %w", mode, alpha, err)
+				if err != nil {
+					return trialResult{}, err
 				}
-				return trialResult{probes: float64(pr.Count()), ok: true}, nil
+				if runErr != nil {
+					return trialResult{}, fmt.Errorf("E18: mode %d alpha %.2f: %w", mode, alpha, runErr)
+				}
+				return res, nil
 			})
 			if err != nil {
 				return nil, err

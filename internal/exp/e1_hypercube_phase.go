@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"math"
 
+	"faultroute/internal/core"
 	"faultroute/internal/graph"
 	"faultroute/internal/plot"
-	"faultroute/internal/probe"
 	"faultroute/internal/route"
 	"faultroute/internal/stats"
 )
@@ -54,19 +54,19 @@ func runE1(cfg Config) (*Table, error) {
 			seed := cfg.trialSeed(uint64(ai), uint64(trial))
 			u := graph.Vertex(0)
 			v := g.Antipode(u)
-			s, _, err := connectedSample(g, p, u, v, seed, 200)
-			if errors.Is(err, ErrConditioning) {
+			res := trialResult{ok: true}
+			_, _, runErr, err := core.Condition(bondDraw(g, p), u, v, seed, 200,
+				localRun(route.NewPathFollow(), u, v, &res.probes))
+			if errors.Is(err, core.ErrConditioning) {
 				return trialResult{}, nil // pair essentially never connected at this p
 			}
 			if err != nil {
 				return trialResult{}, err
 			}
-			pr := probe.NewLocal(s, u, 0)
-			defer pr.Release()
-			if _, err := route.NewPathFollow().Route(pr, u, v); err != nil {
-				return trialResult{}, fmt.Errorf("E1: alpha=%.2f: %w", alpha, err)
+			if runErr != nil {
+				return trialResult{}, fmt.Errorf("E1: alpha=%.2f: %w", alpha, runErr)
 			}
-			return trialResult{probes: float64(pr.Count()), ok: true}, nil
+			return res, nil
 		})
 		if err != nil {
 			return nil, err

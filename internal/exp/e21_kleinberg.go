@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 
+	"faultroute/internal/core"
 	"faultroute/internal/graph"
-	"faultroute/internal/probe"
 	"faultroute/internal/rng"
 	"faultroute/internal/route"
 	"faultroute/internal/stats"
@@ -49,19 +49,19 @@ func runE21(cfg Config) (*Table, error) {
 			if err != nil {
 				return trialResult{}, err
 			}
-			sample, _, err := connectedSample(g, p, u, v, seed, 200)
-			if errors.Is(err, ErrConditioning) {
+			res := trialResult{ok: true}
+			_, _, runErr, err := core.Condition(bondDraw(g, p), u, v, seed, 200,
+				localRun(router, u, v, &res.probes))
+			if errors.Is(err, core.ErrConditioning) {
 				return trialResult{}, nil // corners never connected within the tries
 			}
 			if err != nil {
 				return trialResult{}, err
 			}
-			pr := probe.NewLocal(sample, u, 0)
-			defer pr.Release()
-			if _, err := router.Route(pr, u, v); err != nil {
-				return trialResult{}, fmt.Errorf("E21: r=%d: %w", r, err)
+			if runErr != nil {
+				return trialResult{}, fmt.Errorf("E21: r=%d: %w", r, runErr)
 			}
-			return trialResult{probes: float64(pr.Count()), ok: true}, nil
+			return res, nil
 		})
 		if err != nil {
 			return nil, err

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"math"
 
+	"faultroute/internal/core"
 	"faultroute/internal/graph"
-	"faultroute/internal/probe"
 	"faultroute/internal/route"
 	"faultroute/internal/stats"
 )
@@ -47,19 +47,19 @@ func runE2(cfg Config) (*Table, error) {
 				seed := cfg.trialSeed(uint64(ai*100+ni), uint64(trial))
 				u := graph.Vertex(0)
 				v := g.Antipode(u)
-				s, _, err := connectedSample(g, p, u, v, seed, 100)
-				if errors.Is(err, ErrConditioning) {
+				res := trialResult{ok: true}
+				_, _, runErr, err := core.Condition(bondDraw(g, p), u, v, seed, 100,
+					localRun(route.NewPathFollow(), u, v, &res.probes))
+				if errors.Is(err, core.ErrConditioning) {
 					return trialResult{}, nil
 				}
 				if err != nil {
 					return trialResult{}, err
 				}
-				pr := probe.NewLocal(s, u, 0)
-				defer pr.Release()
-				if _, err := route.NewPathFollow().Route(pr, u, v); err != nil {
-					return trialResult{}, fmt.Errorf("E2: n=%d alpha=%.2f: %w", n, alpha, err)
+				if runErr != nil {
+					return trialResult{}, fmt.Errorf("E2: n=%d alpha=%.2f: %w", n, alpha, runErr)
 				}
-				return trialResult{probes: float64(pr.Count()), ok: true}, nil
+				return res, nil
 			})
 			if err != nil {
 				return nil, err

@@ -4,9 +4,9 @@ import (
 	"errors"
 	"fmt"
 
+	"faultroute/internal/core"
 	"faultroute/internal/graph"
 	"faultroute/internal/plot"
-	"faultroute/internal/probe"
 	"faultroute/internal/route"
 	"faultroute/internal/stats"
 )
@@ -91,19 +91,19 @@ func runE3(cfg Config) (*Table, error) {
 				}
 				results, err := parTrials(cfg, trials, func(trial int) (trialResult, error) {
 					seed := cfg.trialSeed(cellID, uint64(trial))
-					s, _, err := connectedSample(g, p, u, v, seed, 200)
-					if errors.Is(err, ErrConditioning) {
+					res := trialResult{ok: true}
+					_, _, runErr, err := core.Condition(bondDraw(g, p), u, v, seed, 200,
+						localRun(route.NewPathFollow(), u, v, &res.probes))
+					if errors.Is(err, core.ErrConditioning) {
 						return trialResult{}, nil
 					}
 					if err != nil {
 						return trialResult{}, err
 					}
-					pr := probe.NewLocal(s, u, 0)
-					defer pr.Release()
-					if _, err := route.NewPathFollow().Route(pr, u, v); err != nil {
-						return trialResult{}, fmt.Errorf("E3: d=%d p=%.2f n=%d: %w", sw.d, p, n, err)
+					if runErr != nil {
+						return trialResult{}, fmt.Errorf("E3: d=%d p=%.2f n=%d: %w", sw.d, p, n, runErr)
 					}
-					return trialResult{probes: float64(pr.Count()), ok: true}, nil
+					return res, nil
 				})
 				if err != nil {
 					return nil, err

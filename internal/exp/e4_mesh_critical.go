@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 
+	"faultroute/internal/core"
+	"faultroute/internal/percolation"
 	"faultroute/internal/probe"
 	"faultroute/internal/route"
 	"faultroute/internal/stats"
@@ -44,22 +46,27 @@ func runE4(cfg Config) (*Table, error) {
 		}
 		results, err := parTrials(cfg, trials, func(trial int) (trialResult, error) {
 			seed := cfg.trialSeed(uint64(pi), uint64(trial))
-			s, rejected, err := connectedSample(g, p, u, v, seed, 300)
+			var probes float64
+			var segs []route.SegmentStats
+			_, rejected, runErr, err := core.Condition(bondDraw(g, p), u, v, seed, 300,
+				func(s percolation.Sample) (path route.Path, err error) {
+					pr := probe.NewLocal(s, u, 0)
+					path, segs, err = route.NewPathFollow().RouteWithStats(pr, u, v)
+					probes = float64(pr.Count())
+					pr.Release()
+					return path, err
+				})
 			res := trialResult{attempted: rejected + 1}
-			if errors.Is(err, ErrConditioning) {
+			if errors.Is(err, core.ErrConditioning) {
 				return res, nil
 			}
 			if err != nil {
 				return trialResult{}, err
 			}
-			res.ok = true
-			pr := probe.NewLocal(s, u, 0)
-			defer pr.Release()
-			_, segs, err := route.NewPathFollow().RouteWithStats(pr, u, v)
-			if err != nil {
-				return trialResult{}, fmt.Errorf("E4: p=%.2f: %w", p, err)
+			if runErr != nil {
+				return trialResult{}, fmt.Errorf("E4: p=%.2f: %w", p, runErr)
 			}
-			res.probes = float64(pr.Count())
+			res.probes, res.ok = probes, true
 			for _, sg := range segs {
 				if f := float64(sg.Probes); f > res.maxSeg {
 					res.maxSeg = f

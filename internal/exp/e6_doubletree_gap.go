@@ -6,7 +6,6 @@ import (
 	"faultroute/internal/graph"
 	"faultroute/internal/percolation"
 	"faultroute/internal/plot"
-	"faultroute/internal/probe"
 	"faultroute/internal/rng"
 	"faultroute/internal/route"
 	"faultroute/internal/stats"
@@ -64,21 +63,14 @@ func runE6(cfg Config) (*Table, error) {
 				if !okFound {
 					return trialResult{}, nil
 				}
-				prO := probe.NewOracle(sample, 0)
-				defer prO.Release()
-				if _, err := route.NewDoubleTreeOracle().Route(prO, g.RootA(), g.RootB()); err != nil {
+				res := trialResult{ok: true}
+				if _, err := oracleRun(route.NewDoubleTreeOracle(), g.RootA(), g.RootB(), &res.oracle)(sample); err != nil {
 					return trialResult{}, fmt.Errorf("E6: oracle at depth %d: %w", d, err)
 				}
-				prL := probe.NewLocal(sample, g.RootA(), 0)
-				defer prL.Release()
-				if _, err := route.NewBFSLocal().Route(prL, g.RootA(), g.RootB()); err != nil {
+				if _, err := localRun(route.NewBFSLocal(), g.RootA(), g.RootB(), &res.local)(sample); err != nil {
 					return trialResult{}, fmt.Errorf("E6: local at depth %d: %w", d, err)
 				}
-				return trialResult{
-					local:  float64(prL.Count()),
-					oracle: float64(prO.Count()),
-					ok:     true,
-				}, nil
+				return res, nil
 			})
 			if err != nil {
 				return nil, err

@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 
+	"faultroute/internal/core"
 	"faultroute/internal/graph"
-	"faultroute/internal/probe"
 	"faultroute/internal/route"
 	"faultroute/internal/stats"
 )
@@ -44,19 +44,19 @@ func runE7(cfg Config) (*Table, error) {
 		}
 		results, err := parTrials(cfg, trials, func(trial int) (trialResult, error) {
 			seed := cfg.trialSeed(uint64(ni), uint64(trial))
-			s, _, err := connectedSample(g, p, u, v, seed, 50)
-			if errors.Is(err, ErrConditioning) {
+			res := trialResult{ok: true}
+			_, _, runErr, err := core.Condition(bondDraw(g, p), u, v, seed, 50,
+				localRun(route.NewGnpLocal(seed), u, v, &res.probes))
+			if errors.Is(err, core.ErrConditioning) {
 				return trialResult{}, nil
 			}
 			if err != nil {
 				return trialResult{}, err
 			}
-			pr := probe.NewLocal(s, u, 0)
-			defer pr.Release()
-			if _, err := route.NewGnpLocal(seed).Route(pr, u, v); err != nil {
-				return trialResult{}, fmt.Errorf("E7: n=%d: %w", n, err)
+			if runErr != nil {
+				return trialResult{}, fmt.Errorf("E7: n=%d: %w", n, runErr)
 			}
-			return trialResult{probes: float64(pr.Count()), ok: true}, nil
+			return res, nil
 		})
 		if err != nil {
 			return nil, err

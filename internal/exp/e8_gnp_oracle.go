@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"math"
 
+	"faultroute/internal/core"
 	"faultroute/internal/graph"
-	"faultroute/internal/probe"
 	"faultroute/internal/route"
 	"faultroute/internal/stats"
 )
@@ -47,28 +47,26 @@ func runE8(cfg Config) (*Table, error) {
 		}
 		results, err := parTrials(cfg, trials, func(trial int) (trialResult, error) {
 			seed := cfg.trialSeed(uint64(ni), uint64(trial))
-			s, _, err := connectedSample(g, p, u, v, seed, 50)
-			if errors.Is(err, ErrConditioning) {
+			res := trialResult{ok: true}
+			s, _, runErr, err := core.Condition(bondDraw(g, p), u, v, seed, 50,
+				oracleRun(route.NewGnpBidirectional(seed), u, v, &res.oracle))
+			if errors.Is(err, core.ErrConditioning) {
 				return trialResult{}, nil
 			}
 			if err != nil {
 				return trialResult{}, err
 			}
-			prO := probe.NewOracle(s, 0)
-			defer prO.Release()
-			if _, err := route.NewGnpBidirectional(seed).Route(prO, u, v); err != nil {
-				return trialResult{}, fmt.Errorf("E8: n=%d: %w", n, err)
+			if runErr != nil {
+				return trialResult{}, fmt.Errorf("E8: n=%d: %w", n, runErr)
 			}
-			res := trialResult{oracle: float64(prO.Count()), ok: true}
 			// The local comparison is the expensive half; sample it on a
 			// subset of trials to keep the sweep affordable.
 			if trial < trials/2+1 {
-				prL := probe.NewLocal(s, u, 0)
-				defer prL.Release()
-				if _, err := route.NewGnpLocal(seed).Route(prL, u, v); err != nil {
+				var local float64
+				if _, err := localRun(route.NewGnpLocal(seed), u, v, &local)(s); err != nil {
 					return trialResult{}, fmt.Errorf("E8: local n=%d: %w", n, err)
 				}
-				res.ratio = float64(prL.Count()) / float64(prO.Count())
+				res.ratio = local / res.oracle
 				res.hasRatio = true
 			}
 			return res, nil

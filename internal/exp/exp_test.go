@@ -2,6 +2,8 @@ package exp
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"strconv"
 	"strings"
@@ -133,6 +135,35 @@ func TestExperimentsWorkerCountInvariant(t *testing.T) {
 	}
 }
 
+// TestExperimentTablesGolden pins the bytes of every quick table: the
+// SHA-256 of the concatenated MarshalJSON of E1..E21, in ID order, at
+// seeds 1, 2 and 3 (seed-major), with the default worker count. A change
+// to any sampled instance, conditioning decision, routing run or table
+// format moves it.
+func TestExperimentTablesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every quick table three times")
+	}
+	const want = "47039ed2ef0e1cd3fd41ffadd6c964f0ab32056b5bf4252b48287d9f2159e968"
+	h := sha256.New()
+	for seed := uint64(1); seed <= 3; seed++ {
+		for _, e := range All() {
+			tbl, err := e.Run(Config{Seed: seed, Scale: ScaleQuick})
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", e.ID, seed, err)
+			}
+			b, err := tbl.MarshalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Write(b)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("quick tables hash %s, want %s", got, want)
+	}
+}
+
 func TestSeedChangesOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs experiments twice")
@@ -178,6 +209,23 @@ func TestConfigSelectors(t *testing.T) {
 	}
 	if ScaleQuick.String() != "quick" || ScaleFull.String() != "full" {
 		t.Fatal("Scale strings wrong")
+	}
+}
+
+// TestParTrialsRejectsAliasedSeeds checks that a cell with more trials
+// than trialSeed keeps distinct fails before running any trial.
+func TestParTrialsRejectsAliasedSeeds(t *testing.T) {
+	cfg := Config{Seed: 1, Workers: 1}
+	if cfg.trialSeed(0, 1<<24) != cfg.trialSeed(1, 0) {
+		t.Fatal("trial 1<<24 of cell 0 no longer aliases trial 0 of cell 1; revisit maxTrials")
+	}
+	calls := 0
+	_, err := parTrials(cfg, 1<<24+1, func(int) (int, error) {
+		calls++
+		return 0, nil
+	})
+	if err == nil || calls != 0 {
+		t.Fatalf("parTrials(1<<24+1) = %v after %d calls, want an error before any call", err, calls)
 	}
 }
 

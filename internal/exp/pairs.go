@@ -1,46 +1,42 @@
 package exp
 
 import (
-	"errors"
-
 	"faultroute/internal/graph"
 	"faultroute/internal/percolation"
+	"faultroute/internal/probe"
 	"faultroute/internal/rng"
+	"faultroute/internal/route"
 )
 
-// ErrConditioning is returned when a conditioned sample could not be
-// drawn within the retry limit (e.g. demanding connected pairs deep in
-// the subcritical phase).
-var ErrConditioning = errors.New("exp: conditioning failed (event too rare at these parameters)")
-
-// conditionedTrial draws percolation samples with consecutive derived
-// seeds until `accept` holds, up to maxTries. It returns the accepted
-// sample together with how many candidates were rejected, so experiments
-// can report the conditioning acceptance rate.
-func conditionedTrial(g graph.Graph, p float64, seed uint64, maxTries int,
-	accept func(s percolation.Sample) (bool, error)) (percolation.Sample, int, error) {
-	for try := 0; try < maxTries; try++ {
-		s := percolation.New(g, p, rng.Combine(seed, uint64(try)))
-		ok, err := accept(s)
-		if err != nil {
-			return percolation.Sample{}, try, err
-		}
-		if ok {
-			return s, try, nil
-		}
-	}
-	return percolation.Sample{}, maxTries, ErrConditioning
+// bondDraw is the core.Condition sample factory of bond percolation on
+// g at retention p.
+func bondDraw(g graph.Graph, p float64) func(seed uint64) percolation.Sample {
+	return func(seed uint64) percolation.Sample { return percolation.New(g, p, seed) }
 }
 
-// connectedSample draws a sample in which u ~ v — the conditioning of
-// Definition 2. The check is percolation.Connected's exact bidirectional
-// cluster search over pooled scratch: identical accept/reject decisions
-// to full component labeling, paying only for the parts of u's and v's
-// clusters explored before they meet or the smaller one runs dry.
-func connectedSample(g graph.Graph, p float64, u, v graph.Vertex, seed uint64, maxTries int) (percolation.Sample, int, error) {
-	return conditionedTrial(g, p, seed, maxTries, func(s percolation.Sample) (bool, error) {
-		return percolation.Connected(s, u, v)
-	})
+// localRun is a core.Condition run callback: it routes r from u to v on
+// a fresh local prober, stores the distinct-probe count in *probes and
+// releases the prober at once, so a trial holds one prober's pooled
+// tables at a time.
+func localRun(r route.Router, u, v graph.Vertex, probes *float64) func(percolation.Sample) (route.Path, error) {
+	return func(s percolation.Sample) (route.Path, error) {
+		pr := probe.NewLocal(s, u, 0)
+		path, err := r.Route(pr, u, v)
+		*probes = float64(pr.Count())
+		pr.Release()
+		return path, err
+	}
+}
+
+// oracleRun is localRun on a fresh oracle prober.
+func oracleRun(r route.Router, u, v graph.Vertex, probes *float64) func(percolation.Sample) (route.Path, error) {
+	return func(s percolation.Sample) (route.Path, error) {
+		pr := probe.NewOracle(s, 0)
+		path, err := r.Route(pr, u, v)
+		*probes = float64(pr.Count())
+		pr.Release()
+		return path, err
+	}
 }
 
 // giantPair samples a uniformly random pair of distinct vertices of the

@@ -51,16 +51,8 @@ func (c *Components) SizeOf(v graph.Vertex) uint64 {
 // Count returns the number of components.
 func (c *Components) Count() uint64 { return c.uf.Sets() }
 
-// GiantSize returns the size of the largest component.
-func (c *Components) GiantSize() uint64 {
-	var best uint64
-	for v := uint64(0); v < c.order; v++ {
-		if c.uf.Find(v) == v && c.uf.SizeOf(v) > best {
-			best = c.uf.SizeOf(v)
-		}
-	}
-	return best
-}
+// GiantSize returns the size of the largest component, in O(1).
+func (c *Components) GiantSize() uint64 { return c.uf.largest }
 
 // GiantFraction returns GiantSize / order.
 func (c *Components) GiantFraction() float64 {

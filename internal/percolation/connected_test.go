@@ -142,3 +142,31 @@ func checkConnectedPairs(t *testing.T, kind string, s percolation.Sample, seed u
 		}
 	}
 }
+
+// TestGiantSizeMatchesScan checks GiantSize, which reads the largest set
+// size union-find tracks, against the scan it replaced — the largest
+// component size over every vertex — on every registered family across
+// the phase diagram.
+func TestGiantSizeMatchesScan(t *testing.T) {
+	for _, gs := range api.SampleGraphSpecs() {
+		g, err := api.NewGraph(gs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []float64{0.05, 0.3, 0.5, 0.7, 0.95} {
+			for seed := uint64(1); seed <= 3; seed++ {
+				comps, err := percolation.Label(percolation.New(g, p, seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var scan uint64
+				for v := uint64(0); v < g.Order(); v++ {
+					scan = max(scan, comps.SizeOf(graph.Vertex(v)))
+				}
+				if got := comps.GiantSize(); got != scan {
+					t.Fatalf("%s p=%v seed %d: GiantSize = %d, scan = %d", g.Name(), p, seed, got, scan)
+				}
+			}
+		}
+	}
+}

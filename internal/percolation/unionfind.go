@@ -7,6 +7,9 @@ type UnionFind struct {
 	parent []uint64
 	size   []uint64
 	sets   uint64
+	// largest is the size of the largest set. Sets only grow, so
+	// tracking it in Union keeps it exact.
+	largest uint64
 }
 
 // NewUnionFind returns a union-find over n singleton sets.
@@ -17,7 +20,7 @@ func NewUnionFind(n uint64) *UnionFind {
 		parent[i] = uint64(i)
 		size[i] = 1
 	}
-	return &UnionFind{parent: parent, size: size, sets: n}
+	return &UnionFind{parent: parent, size: size, sets: n, largest: min(n, 1)}
 }
 
 // Len returns the size of the universe.
@@ -52,6 +55,7 @@ func (u *UnionFind) Union(x, y uint64) bool {
 	}
 	u.parent[ry] = rx
 	u.size[rx] += u.size[ry]
+	u.largest = max(u.largest, u.size[rx])
 	u.sets--
 	return true
 }
