@@ -357,7 +357,8 @@ func (c *Client) retryWait(attempt int, lastErr error) time.Duration {
 
 // call issues one API request with the retry policy and decodes the
 // response. Raw result bytes are preserved exactly: when out is a
-// *json.RawMessage the body is copied verbatim, never re-encoded.
+// *json.RawMessage the body is checked with json.Valid and copied
+// verbatim, never re-encoded.
 func (c *Client) call(ctx context.Context, method, path string, payload []byte, out any) error {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
@@ -380,8 +381,8 @@ func (c *Client) call(ctx context.Context, method, path string, payload []byte, 
 }
 
 // once issues a single HTTP request. retriable reports whether the
-// failure is transient (network error or 503): everything else — 4xx,
-// decode errors — is final.
+// failure is transient (network error, 503, or a raw body that is not
+// valid JSON): everything else — 4xx, decode errors — is final.
 func (c *Client) once(ctx context.Context, method, path string, payload []byte, out any) (retriable bool, err error) {
 	var body io.Reader
 	if payload != nil {
@@ -423,6 +424,14 @@ func (c *Client) once(ctx context.Context, method, path string, payload []byte, 
 		return false, nil
 	}
 	if raw, ok := out.(*json.RawMessage); ok {
+		// A response cut off without a Content-Length (a connection dropped
+		// mid-body on a close-delimited response) reads without error.
+		// Every result is a JSON object, and a strict prefix of an object is
+		// never valid JSON, so this check is what keeps a truncated body
+		// from being returned as a result. Re-reading is idempotent.
+		if !json.Valid(data) {
+			return ctx.Err() == nil, fmt.Errorf("%s %s: response body is not valid JSON (%d bytes, truncated?)", method, path, len(data))
+		}
 		*raw = append((*raw)[:0], data...)
 		return false, nil
 	}

@@ -8,7 +8,6 @@ import (
 	"bytes"
 	"context"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,32 +15,22 @@ import (
 
 	"faultroute"
 	"faultroute/dispatch"
-	"faultroute/serve"
 )
-
-// newSlowBackend boots a backend whose every fresh task sleeps first —
-// the deliberate straggler of the hedging tests.
-func newSlowBackend(t *testing.T, delay time.Duration) *testBackend {
-	t.Helper()
-	svc := serve.New(serve.Options{Executors: 2, Workers: 2, TaskDelay: delay})
-	b := &testBackend{svc: svc, srv: httptest.NewServer(svc.Handler())}
-	t.Cleanup(b.close)
-	return b
-}
 
 func TestPoolHedgingByteIdenticalToLocal(t *testing.T) {
 	// Three backends, one pathologically slow. With a tight hedge floor
 	// every shard stuck behind the straggler is speculatively re-run on a
 	// fast sibling; whatever mixture of primaries and hedges wins, the
-	// merged bytes must equal the in-process run.
-	fast1, fast2 := newBackend(t, nil), newBackend(t, nil)
-	slow := newSlowBackend(t, 300*time.Millisecond)
-	pool := newPool(t, []string{fast1.srv.URL, fast2.srv.URL, slow.srv.URL},
+	// merged bytes must equal the in-process run. The straggler owns
+	// shard [0, 4), so at least one shard is submitted to it first.
+	req := estimateReq(40)
+	srvs, urls := reserve(t, 3)
+	startRoles(t, srvs, urls, ownerOf(t, urls, shardOf(req, 0, 4)), 300*time.Millisecond, nil)
+	pool := newPool(t, urls,
 		dispatch.WithShardTrials(4),
 		dispatch.WithHedgeAfter(30*time.Millisecond))
 	ctx := context.Background()
 
-	req := estimateReq(40)
 	want, err := faultroute.NewLocal().Do(ctx, req)
 	if err != nil {
 		t.Fatal(err)
@@ -76,9 +65,17 @@ func TestPoolHedgingByteIdenticalToLocal(t *testing.T) {
 func TestPoolResolverAdmitsJoinerMidSweep(t *testing.T) {
 	// The pool starts on one backend; the resolver then grows the set and
 	// the next job must both use the joiner and stay byte-identical.
+	//
+	// A different spec for the second job: the first job's results are
+	// stored at the first backend, and a repeat would be answered from
+	// there without dispatching anything. The joiner owns shard [0, 4) of
+	// the second job, so that job must send the joiner work.
+	req2 := estimateReq(24)
+	req2.Estimate.Seed = 11
 	var joinerSubmits atomic.Int64
-	b1 := newBackend(t, nil)
-	b2 := newBackend(t, countSubmits(&joinerSubmits))
+	srvs, addrs := reserve(t, 2)
+	b2, others := startRoles(t, srvs, addrs, ownerOf(t, addrs, shardOf(req2, 0, 4)), 0, countSubmits(&joinerSubmits))
+	b1 := others[0]
 
 	var (
 		mu   sync.Mutex
@@ -91,8 +88,7 @@ func TestPoolResolverAdmitsJoinerMidSweep(t *testing.T) {
 	}
 	pool, err := dispatch.New(nil, fastOpts(
 		dispatch.WithResolver(resolve),
-		dispatch.WithShardTrials(4),
-		dispatch.WithPeerFill(false))...)
+		dispatch.WithShardTrials(4))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,10 +114,6 @@ func TestPoolResolverAdmitsJoinerMidSweep(t *testing.T) {
 	urls = append(urls, b2.srv.URL)
 	mu.Unlock()
 
-	// A different spec: the first job's results are cached fleet-wide and
-	// a repeat would be answered without dispatching anything.
-	req2 := estimateReq(24)
-	req2.Estimate.Seed = 11
 	want2, err := faultroute.NewLocal().Do(ctx, req2)
 	if err != nil {
 		t.Fatal(err)
@@ -142,9 +134,13 @@ func TestPoolResolverAdmitsJoinerMidSweep(t *testing.T) {
 }
 
 func TestPoolResolverDrainsRemovedBackend(t *testing.T) {
+	// Backend 2 owns shard [0, 4) of the first job, so it gets work while
+	// it is a member.
+	req := estimateReq(24)
 	var removedSubmits atomic.Int64
-	b1 := newBackend(t, nil)
-	b2 := newBackend(t, countSubmits(&removedSubmits))
+	srvs, addrs := reserve(t, 2)
+	b2, others := startRoles(t, srvs, addrs, ownerOf(t, addrs, shardOf(req, 0, 4)), 0, countSubmits(&removedSubmits))
+	b1 := others[0]
 
 	var (
 		mu   sync.Mutex
@@ -157,14 +153,13 @@ func TestPoolResolverDrainsRemovedBackend(t *testing.T) {
 	}
 	pool, err := dispatch.New(nil, fastOpts(
 		dispatch.WithResolver(resolve),
-		dispatch.WithShardTrials(4),
-		dispatch.WithPeerFill(false))...)
+		dispatch.WithShardTrials(4))...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
 
-	if _, err := pool.Do(ctx, estimateReq(24)); err != nil {
+	if _, err := pool.Do(ctx, req); err != nil {
 		t.Fatal(err)
 	}
 	if removedSubmits.Load() == 0 {
@@ -200,21 +195,26 @@ func TestPoolResolverDrainsRemovedBackend(t *testing.T) {
 func TestPoolHealthRecoversCooldownBackend(t *testing.T) {
 	// A backend that failed a sub-job sits in cooldown; a successful
 	// Health probe must lift the cooldown immediately instead of letting
-	// the mark expire on its own.
+	// the mark expire on its own. The flaky backend owns shard [0, 4) of
+	// the request, so the first run submits to it (and marks it down),
+	// and the survivor computes and stores that shard instead.
+	req := estimateReq(24)
 	flaky := newHealable() // fails every submission until healed
 	var b1Submits atomic.Int64
-	b1 := newBackend(t, func(next http.Handler) http.Handler {
+	srvs, urls := reserve(t, 2)
+	b1, _ := startRoles(t, srvs, urls, ownerOf(t, urls, shardOf(req, 0, 4)), 0, func(next http.Handler) http.Handler {
 		return countSubmits(&b1Submits)(flaky.wrap(next))
 	})
-	b2 := newBackend(t, nil)
-	pool := newPool(t, []string{b1.srv.URL, b2.srv.URL},
+	pool := newPool(t, urls,
 		dispatch.WithShardTrials(4),
-		dispatch.WithPeerFill(false),
 		dispatch.WithCooldown(time.Hour)) // the probe, not the clock, must recover it
 	ctx := context.Background()
 
-	if _, err := pool.Do(ctx, estimateReq(24)); err != nil {
+	if _, err := pool.Do(ctx, req); err != nil {
 		t.Fatal(err) // b2 absorbs every failover
+	}
+	if b1Submits.Load() == 0 {
+		t.Fatal("the flaky owner was never submitted to, so it never entered its cooldown")
 	}
 
 	flaky.heal()
@@ -229,11 +229,13 @@ func TestPoolHealthRecoversCooldownBackend(t *testing.T) {
 	}
 
 	// The recovered backend must take sub-jobs again within the next job
-	// — an hour-long cooldown would have parked it otherwise.
+	// — an hour-long cooldown would have parked it otherwise. The next job
+	// is a fresh spec whose shard [0, 4) the recovered backend owns, so
+	// that shard is submitted there unless the backend still cools down.
+	// (A repeat of the first job would prove nothing: the survivor, the
+	// owner's successor, holds its shards and answers them.)
 	beforeHeal := b1Submits.Load()
-	req := estimateReq(24)
-	req.Estimate.Seed = 23
-	if _, err := pool.Do(ctx, req); err != nil {
+	if _, err := pool.Do(ctx, ownedBy(t, urls, b1.srv.URL, estimateReq(24), 23)); err != nil {
 		t.Fatal(err)
 	}
 	if b1Submits.Load() == beforeHeal {

@@ -11,8 +11,8 @@
 // re-dispatches, returns exactly the bytes faultroute.Local computes
 // for the same request.
 //
-// Internally the Pool is four layers, each behind a small interface so
-// policies are swappable and testable in isolation:
+// Internally the Pool is four layers, each small enough to test in
+// isolation:
 //
 //   - The planner (planner.go) sizes an estimate's trial shards. By
 //     default it is latency-adaptive: completed sub-jobs feed a
@@ -20,39 +20,44 @@
 //     toward a fixed wall-time target (WithShardTarget); WithShardTrials
 //     pins a fixed size instead. Shard layout never changes bytes —
 //     api.MergeShards folds per-trial rows in trial order.
-//   - The selector (selector.go) picks the backend for each sub-job:
-//     capacity-weighted smooth round-robin, where a backend's weight is
-//     the inverse of its observed per-trial latency. With no
-//     observations it degenerates to pure rotation.
+//   - Placement (placement.go) names each sub-job's owner: the live
+//     members are ranked by a rendezvous hash of the sub-job's content
+//     key, and no member owns more than its even share of one
+//     estimate's shards. The Pool reads the owner's stored result with
+//     one GET /v1/results/{key} (and, on a miss, its successor's: the
+//     next member in placement order, where hedges and failovers put
+//     their results), submits the sub-job to the owner on a miss, and
+//     fails over down the order. A repeated request therefore lands
+//     where its results already sit, and the requests a cached shard
+//     costs do not grow with the fleet.
 //   - The hedger (hedger.go) watches for stragglers: an attempt that
-//     outlives its expected duration is speculatively re-dispatched to
-//     an idle backend, the first completed result wins, and the loser
-//     is canceled remotely (DELETE /v1/jobs/{id}). Determinism makes
-//     the race free: both attempts compute identical bytes.
+//     outlives twice what the fleet's median backend would take is
+//     speculatively re-dispatched to the next-ranked backend, the first
+//     completed result wins, and the loser is canceled remotely (DELETE
+//     /v1/jobs/{id}). Determinism makes the race free: both attempts
+//     compute identical bytes. Hedging is also how faster backends
+//     overtake the shards of a persistently slow owner.
 //   - The membership layer (membership.go) owns the live backend set.
 //     WithResolver re-resolves it between jobs: joiners are admitted,
 //     removed backends drain (they finish or fail over their running
-//     attempts and leave selection immediately).
+//     attempts and leave placement immediately).
 //
 // Fan-out per request kind: estimates are sharded into trial-range
 // sub-jobs (api.ShardSpec), each a content-addressed job of its own;
-// experiments and percolation sweeps dispatch whole to one backend
-// each (their results are not trial-addressable over the wire), though
-// DoBatch still spreads many such requests across the fleet.
+// experiments and percolation sweeps dispatch whole to their owner
+// (their results are not trial-addressable over the wire), so DoBatch
+// spreads many such requests across the fleet by their keys.
 //
 // Failure handling leans on the same determinism: every sub-job is a
 // pure function of its spec, so when a backend dies mid-shard the Pool
-// re-dispatches the shard to a surviving backend and the retried range
-// recomputes identical rows. Failing backends cool down; a cooled-down
-// backend that recovers (next successful Health probe) re-enters
-// selection with its latency estimate reset to the fleet median, so a
-// crash's worst-case EWMA cannot down-weight it forever.
-//
-// The same determinism powers peer cache fill (on by default, see
-// WithPeerFill): before dispatching a sub-job the Pool probes the
-// surviving backends' GET /v1/results/{key} under a short deadline, and
-// any backend that already holds the content-addressed result answers
-// the sub-job outright — no job submitted, no trials recomputed.
+// re-dispatches the shard to the next-ranked backend and the retried
+// range recomputes identical rows. Failing backends cool down; a
+// cooled-down backend that recovers (next successful Health probe)
+// takes its keys back at once, with its latency estimate reset to the
+// fleet median so a crash's worst-case EWMA cannot outlive the crash.
+// Every body read back from a backend, stored or freshly computed, is
+// checked against the shape and trial range its request asks for
+// before the Pool returns it.
 package dispatch
 
 import (
@@ -82,10 +87,8 @@ var (
 		"Sub-jobs re-dispatched to another backend after a transient failure.")
 	mBackendsDown = metrics.Process().Counter("faultroute_dispatch_backends_down_total",
 		"Backends marked down for a cooldown after a failed probe or sub-job.")
-	mPeerProbes = metrics.Process().Counter("faultroute_dispatch_peer_probes_total",
-		"Peer result-cache probes (GET /v1/results/{key}) issued before dispatching sub-jobs.")
 	mPeerFills = metrics.Process().Counter("faultroute_dispatch_peer_fills_total",
-		"Sub-jobs answered from a peer backend's result cache, no work dispatched.")
+		"Sub-jobs answered from a stored result at their owner or its successor (GET /v1/results/{key}), no job submitted.")
 	mHedges = metrics.Process().Counter("faultroute_dispatch_hedges_total",
 		"Speculative duplicate attempts launched against straggling sub-jobs.")
 	mHedgeWins = metrics.Process().Counter("faultroute_dispatch_hedge_wins_total",
@@ -97,7 +100,7 @@ var (
 	mMembersLeft = metrics.Process().Counter("faultroute_dispatch_members_left_total",
 		"Backends drained out of a pool by membership re-resolution (WithResolver).")
 	mBackendEWMA = metrics.Process().GaugeVec("faultroute_dispatch_backend_trial_ewma_us",
-		"Observed per-trial sub-job completion latency EWMA by backend, in microseconds — the selector's capacity signal.",
+		"Observed per-trial sub-job completion latency EWMA by backend, in microseconds; the fleet median sets hedge timing.",
 		"backend")
 )
 
@@ -107,15 +110,12 @@ var (
 // backend set is fixed unless WithResolver makes membership live.
 type Pool struct {
 	members *memberSet
-	sel     selector
 	planner planner
 	hedge   hedger
 	sem     chan struct{} // bounds in-flight sub-jobs, pool-wide
 
-	attempts    int // 0 = dynamic: current member count + 1
-	cooldown    time.Duration
-	peerFill    bool
-	peerTimeout time.Duration
+	attempts int // 0 = dynamic: current member count + 1
+	cooldown time.Duration
 
 	stats poolStats
 }
@@ -140,7 +140,9 @@ type PoolStats struct {
 	// counts races the speculative attempt won; HedgeCancels counts
 	// losing attempts successfully canceled on their backend.
 	Hedges, HedgeWins, HedgeCancels uint64
-	// PeerFills counts sub-jobs answered from a peer's result cache.
+	// PeerFills counts sub-jobs answered from a stored result: a GET
+	// /v1/results/{key} to the sub-job's owner or, after a miss there,
+	// to its successor; no job submitted.
 	PeerFills uint64
 }
 
@@ -167,10 +169,8 @@ type settings struct {
 	maxInFlight int
 	attempts    int
 	cooldown    time.Duration
-	peerFill    bool
 	hedging     bool
 	hedgeAfter  time.Duration
-	peerTimeout time.Duration
 }
 
 // WithClientOptions forwards options (poll interval, retry policy, HTTP
@@ -221,21 +221,23 @@ func WithMaxInFlight(n int) Option { return func(s *settings) { s.maxInFlight = 
 // is final immediately, because it would fail identically everywhere.
 func WithAttempts(n int) Option { return func(s *settings) { s.attempts = n } }
 
-// WithCooldown sets how long a backend that failed a sub-job is skipped
-// by selection (default 15s; it is still used as a last resort when
-// every backend is marked down). A successful Health probe ends the
+// WithCooldown sets how long a backend that failed a sub-job is passed
+// over by placement (default 15s; it is still used as a last resort
+// when every backend is marked down). A successful Health probe ends the
 // cooldown early and resets the backend's latency estimate to the
 // fleet median.
 func WithCooldown(d time.Duration) Option { return func(s *settings) { s.cooldown = d } }
 
 // WithHedging enables or disables straggler speculation (default on,
 // in pools with at least two backends): an attempt that outlives its
-// expected duration — the backend's per-trial latency EWMA times the
-// sub-job's trial count, floored by WithHedgeAfter — is duplicated
-// onto the idlest untried backend. The first completed result wins and
-// the loser is canceled remotely (DELETE /v1/jobs/{id}). By the
-// determinism contract both attempts compute identical bytes, so
-// hedging changes tail latency, never output.
+// expected duration — the fleet-median per-trial latency EWMA times
+// the sub-job's trial count, floored by WithHedgeAfter — is duplicated
+// onto the owner's successor (the next untried backend in placement
+// order), so a persistently slow owner loses its shards to faster
+// backends. The first completed result wins and the loser is canceled
+// remotely (DELETE /v1/jobs/{id}). By the determinism contract both
+// attempts compute identical bytes, so hedging changes tail latency,
+// never output.
 func WithHedging(enabled bool) Option { return func(s *settings) { s.hedging = enabled } }
 
 // WithHedgeAfter sets the minimum time an attempt runs before it may
@@ -244,22 +246,6 @@ func WithHedging(enabled bool) Option { return func(s *settings) { s.hedging = e
 // delay is the larger of the floor and twice the attempt's expected
 // duration.
 func WithHedgeAfter(d time.Duration) Option { return func(s *settings) { s.hedgeAfter = d } }
-
-// WithPeerFill enables or disables peer cache fill (default on, in
-// pools with at least two backends): before dispatching a sub-job, the
-// Pool probes every surviving backend's GET /v1/results/{key} under a
-// short deadline, and any hit IS the sub-job's answer — by the
-// determinism contract the stored bytes are exactly what a
-// recomputation would produce — so a shard a sibling already holds
-// costs one GET instead of a job. Misses fall through to a normal
-// dispatch; the probe can therefore change throughput but never bytes.
-func WithPeerFill(enabled bool) Option { return func(s *settings) { s.peerFill = enabled } }
-
-// WithPeerProbeTimeout bounds how long a peer-fill probe may take
-// before the Pool gives up and dispatches the sub-job normally (<= 0
-// restores the default of 250ms). The deadline is what keeps a dead
-// peer from stalling fresh work.
-func WithPeerProbeTimeout(d time.Duration) Option { return func(s *settings) { s.peerTimeout = d } }
 
 // hedgeFactor scales an attempt's expected duration into its hedge
 // trigger: only attempts at least this many times over their estimate
@@ -285,7 +271,7 @@ func ParseBackends(s string) []string {
 // initial set (and every later one). New performs no I/O beyond that
 // initial resolution; use Health to probe the backends.
 func New(targets []string, opts ...Option) (*Pool, error) {
-	s := settings{cooldown: 15 * time.Second, peerFill: true, hedging: true}
+	s := settings{cooldown: 15 * time.Second, hedging: true}
 	for _, opt := range opts {
 		opt(&s)
 	}
@@ -298,9 +284,6 @@ func New(targets []string, opts ...Option) (*Pool, error) {
 	if s.maxInFlight <= 0 {
 		s.maxInFlight = 4 * len(targets)
 	}
-	if s.peerTimeout <= 0 {
-		s.peerTimeout = 250 * time.Millisecond
-	}
 	if s.hedgeAfter <= 0 {
 		s.hedgeAfter = 400 * time.Millisecond
 	}
@@ -312,22 +295,19 @@ func New(targets []string, opts ...Option) (*Pool, error) {
 		pl = fixedPlanner{size: s.shardTrials}
 	}
 	return &Pool{
-		members:     newMemberSet(targets, s.resolver, s.clientOpts),
-		sel:         &weightedSelector{},
-		planner:     pl,
-		hedge:       hedger{enabled: s.hedging, floor: s.hedgeAfter, factor: hedgeFactor},
-		sem:         make(chan struct{}, s.maxInFlight),
-		attempts:    s.attempts,
-		cooldown:    s.cooldown,
-		peerFill:    s.peerFill,
-		peerTimeout: s.peerTimeout,
+		members:  newMemberSet(targets, s.resolver, s.clientOpts),
+		planner:  pl,
+		hedge:    hedger{enabled: s.hedging, floor: s.hedgeAfter, factor: hedgeFactor},
+		sem:      make(chan struct{}, s.maxInFlight),
+		attempts: s.attempts,
+		cooldown: s.cooldown,
 	}, nil
 }
 
 // Compile-time check: a Pool is interchangeable with Local and Client.
 var _ api.Runner = (*Pool)(nil)
 
-// Backends returns the pool's current base URLs, in selection order.
+// Backends returns the pool's current base URLs, in membership order.
 // With WithResolver the list reflects the membership as of the last
 // refresh (New, or the start of the most recent request).
 func (p *Pool) Backends() []string {
@@ -350,13 +330,13 @@ type BackendHealth struct {
 }
 
 // Health re-resolves membership, probes every backend's /v1/healthz
-// concurrently and returns the reports in selection order. Unreachable
-// backends are marked down (entering the selection cooldown); a
-// backend that answers after having been down recovers immediately —
-// its cooldown ends and its latency estimate resets to the fleet
-// median, so a stale worst-case EWMA cannot down-weight a recovered
-// machine. A Health call therefore doubles as a way to warm (or
-// repair) the Pool's view of the cluster before dispatching.
+// concurrently and returns the reports in membership order. Unreachable
+// backends are marked down (entering the cooldown); a backend that
+// answers after having been down recovers immediately — its cooldown
+// ends, it owns its keys again, and its latency estimate resets to the
+// fleet median, so a stale worst-case EWMA cannot outlive the outage.
+// A Health call therefore doubles as a way to warm (or repair) the
+// Pool's view of the cluster before dispatching.
 func (p *Pool) Health(ctx context.Context) []BackendHealth {
 	p.members.refresh()
 	members := p.members.snapshot()
@@ -375,7 +355,7 @@ func (p *Pool) Health(ctx context.Context) []BackendHealth {
 			case ctx.Err() == nil:
 				// A probe that died because the CALLER's context expired says
 				// nothing about the backend — marking the whole cluster down
-				// off a canceled warm-up would poison selection for a cooldown.
+				// off a canceled warm-up would poison placement for a cooldown.
 				m.markDown(p.cooldown)
 			}
 		}(i, m)
@@ -449,14 +429,15 @@ func (p *Pool) run(ctx context.Context, req api.Request, onEvent func(api.Event)
 		return api.Result{}, err
 	}
 	p.members.refresh()
+	members := p.members.snapshot()
 	norm := plan.Request
 	agg := newAggregator(onEvent, plan.Total)
 	agg.start()
 	var res api.Result
-	if ranges := shardRanges(p.planner, norm, len(p.members.snapshot())); len(ranges) > 1 {
-		res, err = p.runSharded(ctx, norm, plan.Key, ranges, agg)
+	if ranges := shardRanges(p.planner, norm, len(members)); len(ranges) > 1 {
+		res, err = p.runSharded(ctx, norm, plan.Key, ranges, members, agg)
 	} else {
-		res, err = p.dispatch(ctx, norm, 0, agg)
+		res, err = p.dispatch(ctx, plan, rank(members, plan.Key), 0, agg, func(r api.Result) error { return verify(r, norm) })
 	}
 	if err != nil {
 		return api.Result{}, err
@@ -466,8 +447,22 @@ func (p *Pool) run(ctx context.Context, req api.Request, onEvent func(api.Event)
 }
 
 // runSharded fans the estimate's trial ranges out as concurrent
-// sub-jobs and merges the rows back into the parent's canonical bytes.
-func (p *Pool) runSharded(ctx context.Context, norm api.Request, key string, ranges []api.ShardSpec, agg *aggregator) (api.Result, error) {
+// sub-jobs, placed together by assign, and merges the rows back into
+// the parent's canonical bytes.
+func (p *Pool) runSharded(ctx context.Context, norm api.Request, key string, ranges []api.ShardSpec, members []*member, agg *aggregator) (api.Result, error) {
+	plans := make([]*api.Plan, len(ranges))
+	keys := make([]string, len(ranges))
+	for i, r := range ranges {
+		spec := *norm.Estimate
+		spec.Shard = &r
+		plan, err := api.Compile(api.Request{Kind: api.KindEstimate, Estimate: &spec, Workers: norm.Workers})
+		if err != nil {
+			return api.Result{}, err
+		}
+		plans[i], keys[i] = plan, plan.Key
+	}
+	orders := assign(members, keys)
+
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	shards := make([]api.ShardResult, len(ranges))
@@ -481,21 +476,20 @@ func (p *Pool) runSharded(ctx context.Context, norm api.Request, key string, ran
 	abort := func(err error) {
 		fail.Do(func() { cause = err; cancel() })
 	}
-	for i, r := range ranges {
+	for i := range ranges {
 		wg.Add(1)
-		go func(i int, r api.ShardSpec) {
+		go func(i int) {
 			defer wg.Done()
-			spec := *norm.Estimate
-			spec.Shard = &r
-			sub := api.Request{Kind: api.KindEstimate, Estimate: &spec, Workers: norm.Workers}
-			res, err := p.dispatch(ctx, sub, i, agg)
-			if err == nil {
-				shards[i], err = mustShard(res, r)
-			}
+			// The check keeps the rows it decodes, so each shard body is
+			// decoded once.
+			_, err := p.dispatch(ctx, plans[i], orders[i], i, agg, func(res api.Result) (err error) {
+				shards[i], err = mustShard(res, ranges[i])
+				return err
+			})
 			if err != nil {
 				abort(err)
 			}
-		}(i, r)
+		}(i)
 	}
 	wg.Wait()
 	if cause != nil {
@@ -526,12 +520,52 @@ func mustShard(res api.Result, want api.ShardSpec) (api.ShardResult, error) {
 	return sr, nil
 }
 
-// dispatch runs one sub-job to completion on some backend, hedging
-// stragglers and failing over on transient errors. slot identifies the
-// sub-job to the progress aggregator. The call holds one in-flight
-// token for its whole duration (submit, poll, fetch, retries, hedges —
-// a hedge races under its primary's token rather than consuming one).
-func (p *Pool) dispatch(ctx context.Context, req api.Request, slot int, agg *aggregator) (api.Result, error) {
+// verify checks that a result body has the shape its request asks for:
+// a shard's rows must be exactly the requested range (see mustShard),
+// and a whole result must decode strictly as its kind's result type. A
+// content address hashes the spec, not the result, so shape and range
+// are all a body read back from a backend can be checked against: a
+// body of another shape or range fails, another request's result of the
+// same shape and range does not.
+func verify(res api.Result, req api.Request) error {
+	var err error
+	switch {
+	case req.Kind == api.KindEstimate && req.Estimate.Shard != nil:
+		_, err = mustShard(res, *req.Estimate.Shard)
+		return err
+	case req.Kind == api.KindEstimate:
+		_, err = res.Estimate()
+	case req.Kind == api.KindExperiment:
+		_, err = res.Table()
+	case req.Percolation.Clusters:
+		_, err = res.Clusters()
+	default:
+		_, err = res.Giant()
+	}
+	if err != nil {
+		return fmt.Errorf("dispatch: backend result does not fit the request: %w", err)
+	}
+	return nil
+}
+
+// storedReadTimeout bounds the read of a sub-job's stored result, both
+// GETs together. The deadline is what keeps a dead or wedged owner from
+// stalling fresh work: the sub-job then goes through the attempt loop.
+const storedReadTimeout = 250 * time.Millisecond
+
+// dispatch runs one sub-job, compiled to plan, to completion and
+// returns the first result that passes check: it answers from a stored
+// result at the owner or its successor when there is one, and otherwise
+// submits down the sub-job's placement order, hedging stragglers and
+// failing over on transient errors. A body check rejects is a miss at
+// the stored read and a transient failure of its attempt. check runs on
+// the caller's goroutine, one body at a time, so it may keep what it
+// decodes. slot identifies the sub-job to the progress aggregator. The
+// call holds one in-flight token for its whole duration (read, submit,
+// poll, fetch, retries, hedges — a hedge races under its primary's
+// token rather than consuming one).
+func (p *Pool) dispatch(ctx context.Context, plan *api.Plan, order []*member, slot int, agg *aggregator, check func(api.Result) error) (api.Result, error) {
+	req := plan.Request
 	select {
 	case p.sem <- struct{}{}:
 	case <-ctx.Done():
@@ -539,39 +573,25 @@ func (p *Pool) dispatch(ctx context.Context, req api.Request, slot int, agg *agg
 	}
 	defer func() { <-p.sem }()
 
-	members := p.members.snapshot()
-	if len(members) == 0 {
-		return api.Result{}, errors.New("dispatch: no backends resolved")
-	}
-
-	// Peer cache fill: a sibling backend may already hold this sub-job's
-	// content-addressed result — from an earlier run, an overlapping
-	// request, or a previous shard layout that happened to align. One
-	// cheap GET then replaces a full submit/poll/fetch round.
-	if p.peerFill && len(members) > 1 {
-		if res, total, ok := p.probePeers(ctx, members, req); ok {
-			agg.observe(slot, total)
-			return res, nil
-		}
+	if res, ok := p.readStored(ctx, order, req.Kind, plan.Key, check); ok {
+		agg.observe(slot, plan.Total)
+		return res, nil
 	}
 
 	attempts := p.attempts
 	if attempts <= 0 {
-		attempts = len(members) + 1
+		attempts = len(order) + 1
 	}
 	var lastErr error
 	tried := make(map[*member]bool, attempts)
 	for attempt := 0; attempt < attempts; attempt++ {
-		m := p.sel.pick(members, tried)
-		if m == nil {
-			break
-		}
+		m := pick(order, tried)
 		tried[m] = true
 		if attempt > 0 {
 			mFailovers.Inc()
 			p.stats.failovers.Add(1)
 		}
-		res, err := p.runAttempt(ctx, m, req, slot, agg, members, tried)
+		res, err := p.runAttempt(ctx, m, req, slot, agg, check, order, tried)
 		if err == nil {
 			return res, nil
 		}
@@ -586,53 +606,35 @@ func (p *Pool) dispatch(ctx context.Context, req api.Request, slot int, agg *agg
 	return api.Result{}, fmt.Errorf("dispatch: sub-job failed on %d backend(s): %w", len(tried), lastErr)
 }
 
-// probePeers asks every surviving backend, concurrently and under the
-// pool's probe deadline, whether it already holds the sub-job's result
-// (GET /v1/results/{key} of the locally compiled content address). The
-// first hit wins; shard results are validated against the requested
-// range first, exactly like dispatched ones, so a skewed peer copy
-// falls through to a normal dispatch instead of merging wrong bytes.
-// Returns the result, the sub-job's total trial count (for the progress
-// aggregator), and whether any peer answered.
-func (p *Pool) probePeers(ctx context.Context, members []*member, req api.Request) (api.Result, int64, bool) {
-	plan, err := api.Compile(req)
-	if err != nil {
-		return api.Result{}, 0, false // let dispatch surface the compile error
-	}
-	pctx, cancel := context.WithTimeout(ctx, p.peerTimeout)
+// readStored reads the sub-job's stored result from the first two up
+// members of its placement order, the owner and then its successor: one
+// GET /v1/results/{key} each, under one storedReadTimeout. The successor
+// holds what the owner lost: a hedge that overtook it (the owner's
+// canceled attempt stores nothing), a failover, or a key a joiner took
+// over. A body that passes check IS the answer: by the determinism
+// contract it holds exactly the bytes a recomputation would produce.
+// Misses (404), errors, timeouts and rejected bodies report false, and
+// the caller submits. The read feeds no latency EWMA.
+func (p *Pool) readStored(ctx context.Context, order []*member, kind, key string, check func(api.Result) error) (api.Result, bool) {
+	rctx, cancel := context.WithTimeout(ctx, storedReadTimeout)
 	defer cancel()
-	ch := make(chan []byte, len(members))
-	probed := 0
-	for _, m := range members {
-		if !m.up() {
-			continue // a probe to a down backend would just eat the deadline
+	reads := 0
+	for _, m := range order {
+		if reads == 2 || rctx.Err() != nil {
+			break
 		}
-		probed++
-		mPeerProbes.Inc()
-		go func(m *member) {
-			body, err := m.c.Result(pctx, plan.Key)
-			if err != nil {
-				body = nil // misses (404) and dead peers look the same here
-			}
-			ch <- body
-		}(m)
-	}
-	for i := 0; i < probed; i++ {
-		body := <-ch
-		if body == nil {
+		if !m.up() {
 			continue
 		}
-		res := api.Result{Kind: req.Kind, Key: plan.Key, Body: body}
-		if spec := req.Estimate; req.Kind == api.KindEstimate && spec != nil && spec.Shard != nil {
-			if _, err := mustShard(res, *spec.Shard); err != nil {
-				continue
-			}
+		reads++
+		body, err := m.c.Result(rctx, key)
+		if res := (api.Result{Kind: kind, Key: key, Body: body}); err == nil && check(res) == nil {
+			mPeerFills.Inc()
+			p.stats.peerFills.Add(1)
+			return res, true
 		}
-		mPeerFills.Inc()
-		p.stats.peerFills.Add(1)
-		return res, plan.Total, true
 	}
-	return api.Result{}, 0, false
+	return api.Result{}, false
 }
 
 // failoverable classifies a sub-job failure: transient failures are

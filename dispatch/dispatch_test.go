@@ -32,12 +32,21 @@ func (b *testBackend) close() {
 // newBackend boots a backend, optionally wrapping its handler.
 func newBackend(t *testing.T, wrap func(http.Handler) http.Handler) *testBackend {
 	t.Helper()
-	svc := serve.New(serve.Options{Executors: 2, Workers: 2})
+	return startOn(t, httptest.NewUnstartedServer(nil), 0, wrap)
+}
+
+// startOn boots a backend on an unstarted server (see reserve) whose
+// every fresh task sleeps delay first, optionally wrapping its handler.
+func startOn(t *testing.T, srv *httptest.Server, delay time.Duration, wrap func(http.Handler) http.Handler) *testBackend {
+	t.Helper()
+	svc := serve.New(serve.Options{Executors: 2, Workers: 2, TaskDelay: delay})
 	h := http.Handler(svc.Handler())
 	if wrap != nil {
 		h = wrap(h)
 	}
-	b := &testBackend{svc: svc, srv: httptest.NewServer(h)}
+	srv.Config.Handler = h
+	srv.Start()
+	b := &testBackend{svc: svc, srv: srv}
 	t.Cleanup(b.close)
 	return b
 }
@@ -196,17 +205,17 @@ func TestPoolFailoverAfterBackendDiesMidRun(t *testing.T) {
 
 func TestPoolFailoverExperimentWholeJob(t *testing.T) {
 	// Whole-job dispatches (experiments) fail over too: a backend that
-	// dies after accepting the job loses it to the survivor.
-	healthy := newBackend(t, nil)
-	dying := newBackend(t, failAfter(2))
-	// Two attempts: the dying backend first (cursor starts there), then
-	// the survivor.
-	pool := newPool(t, []string{dying.srv.URL, healthy.srv.URL})
-	ctx := context.Background()
+	// dies after accepting the job loses it to the survivor. The dying
+	// backend is the one that owns the experiment's key, so the Pool
+	// reads from it and submits to it first.
 	req := api.Request{
 		Kind:       api.KindExperiment,
 		Experiment: &api.ExperimentSpec{ID: "E1", Seed: 1, Scale: "quick"},
 	}
+	srvs, urls := reserve(t, 2)
+	dying, others := startRoles(t, srvs, urls, ownerOf(t, urls, req), 0, failAfter(2))
+	pool := newPool(t, []string{dying.srv.URL, others[0].srv.URL})
+	ctx := context.Background()
 	want, err := faultroute.NewLocal().Do(ctx, req)
 	if err != nil {
 		t.Fatal(err)
@@ -217,6 +226,9 @@ func TestPoolFailoverExperimentWholeJob(t *testing.T) {
 	}
 	if !bytes.Equal(got.Body, want.Body) {
 		t.Fatalf("failover experiment bytes differ from local")
+	}
+	if st := pool.Stats(); st.Failovers == 0 {
+		t.Fatalf("stats %+v: the job never failed over from its dying owner", st)
 	}
 }
 

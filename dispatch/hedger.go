@@ -2,14 +2,17 @@ package dispatch
 
 // The hedger layer: speculative re-dispatch of straggler sub-jobs.
 // When an attempt outlives its expected duration, the same sub-job is
-// launched on an idle, untried backend and the two race; the first
-// completed result wins and the loser is canceled on its backend
-// (DELETE /v1/jobs/{id}). Hedging is free to verify and free of risk
-// by the determinism contract — both attempts are the same pure
-// function, so whichever finishes first IS the answer, byte for byte —
-// and cheap by content addressing: the duplicate submission coalesces
-// with nothing (each attempt runs on a different backend) but its
-// cancellation releases the loser's executor mid-trial.
+// launched on the owner's successor (the next untried backend in its
+// placement order) and the two race; the first completed result wins
+// and the loser is canceled on its backend (DELETE /v1/jobs/{id}).
+// Hedging is free to verify and free of risk by the determinism
+// contract — both attempts are the same pure function, so whichever
+// finishes first IS the answer, byte for byte — and cheap by content
+// addressing: the duplicate submission coalesces with nothing (each
+// attempt runs on a different backend) but its cancellation releases
+// the loser's executor mid-trial. A winning hedge leaves the result at
+// the successor, which is where the stored read looks after a miss at
+// the owner, so a repeat of the key is still answered without a submit.
 
 import (
 	"context"
@@ -52,14 +55,17 @@ func requestTrials(req api.Request) int {
 	return req.Estimate.Trials
 }
 
-// expectedDuration predicts how long req should take on m from the
-// member's per-trial EWMA (0 when either is unknown).
-func expectedDuration(m *member, req api.Request) time.Duration {
+// expectedDuration predicts how long req should take from the
+// fleet-median per-trial EWMA (0 when either is unknown), not from the
+// primary's own: placement ignores capacity on purpose, so a
+// persistently slow owner keeps its keys, and only a hedge timed
+// against the fleet lets faster backends overtake its shards.
+func expectedDuration(members []*member, req api.Request) time.Duration {
 	trials := requestTrials(req)
 	if trials <= 0 {
 		return 0
 	}
-	return m.trialEWMA() * time.Duration(trials)
+	return fleetMedianEWMA(members) * time.Duration(trials)
 }
 
 // attempt is one in-flight execution of a sub-job on one member: its
@@ -81,12 +87,13 @@ type outcome struct {
 
 // runAttempt executes one sub-job on `primary`, hedging onto a second
 // backend if the attempt outlives its expected duration. It returns
-// the first successful result, or — once every launched attempt has
-// failed — the primary's classification-relevant error. Transiently
-// failing members are marked down here so the caller's failover loop
-// and the selector see one coherent health view. tried is extended
-// with every member an attempt actually ran on.
-func (p *Pool) runAttempt(ctx context.Context, primary *member, req api.Request, slot int, agg *aggregator, members []*member, tried map[*member]bool) (api.Result, error) {
+// the first result that passes check (a body check rejects fails its
+// attempt like a transient error), or — once every launched attempt has
+// failed — the first failure's error. Transiently failing members are
+// marked down here so the caller's failover loop and the next sub-job's
+// placement see one coherent health view. tried is extended with every
+// member an attempt actually ran on.
+func (p *Pool) runAttempt(ctx context.Context, primary *member, req api.Request, slot int, agg *aggregator, check func(api.Result) error, order []*member, tried map[*member]bool) (api.Result, error) {
 	ch := make(chan outcome, 2)
 	launch := func(m *member) *attempt {
 		actx, cancel := context.WithCancel(ctx)
@@ -102,8 +109,8 @@ func (p *Pool) runAttempt(ctx context.Context, primary *member, req api.Request,
 	}()
 
 	var hedgeCh <-chan time.Time
-	if p.hedge.enabled && len(members) > 1 {
-		timer := time.NewTimer(p.hedge.delay(expectedDuration(primary, req)))
+	if p.hedge.enabled && len(order) > 1 {
+		timer := time.NewTimer(p.hedge.delay(expectedDuration(order, req)))
 		defer timer.Stop()
 		hedgeCh = timer.C
 	}
@@ -115,7 +122,7 @@ func (p *Pool) runAttempt(ctx context.Context, primary *member, req api.Request,
 			return api.Result{}, ctx.Err()
 		case <-hedgeCh:
 			hedgeCh = nil // one hedge per attempt: doubling work, not flooding it
-			h := pickHedge(members, tried, primary)
+			h := pickHedge(order, tried, primary)
 			if h == nil {
 				continue
 			}
@@ -126,6 +133,9 @@ func (p *Pool) runAttempt(ctx context.Context, primary *member, req api.Request,
 			outstanding++
 		case out := <-ch:
 			outstanding--
+			if out.err == nil {
+				out.err = check(out.res)
+			}
 			if out.err == nil {
 				if out.at.m != primary {
 					mHedgeWins.Inc()
@@ -159,8 +169,6 @@ func (p *Pool) runAttempt(ctx context.Context, primary *member, req api.Request,
 // safe: the sum only ever reflects the farthest-along attempt.
 func (p *Pool) watchOn(ctx context.Context, at *attempt, req api.Request, slot int, agg *aggregator, ch chan<- outcome) {
 	m := at.m
-	m.inflight.Add(1)
-	defer m.inflight.Add(-1)
 	mSubJobs.Inc()
 	p.stats.subJobs.Add(1)
 	start := time.Now()
@@ -208,29 +216,25 @@ func (p *Pool) cancelLosers(attempts []*attempt, winner *attempt) {
 	}
 }
 
-// pickHedge selects the backend for a speculative duplicate: up,
-// untried for this sub-job, not the primary, and as idle as possible
-// (fewest in-flight attempts — the backend that already finished its
-// share is the one with cycles to steal). Returns nil when no such
-// backend exists; a hedge onto a busy straggler would just race two
-// stragglers.
-func pickHedge(members []*member, tried map[*member]bool, primary *member) *member {
-	var best *member
-	var bestLoad int64
-	for _, m := range members {
-		if m == primary || tried[m] || !m.up() {
-			continue
-		}
-		if load := m.inflight.Load(); best == nil || load < bestLoad {
-			best, bestLoad = m, load
+// pickHedge selects the backend for a speculative duplicate: the
+// primary's successor, the first member in the sub-job's placement
+// order that is up, untried for this sub-job and not the primary. A
+// winning hedge stores its result there, and that is the second member
+// the stored read asks (see readStored); a hedge onto the idlest
+// backend instead would strand the result where no read looks. Returns
+// nil when no such backend exists.
+func pickHedge(order []*member, tried map[*member]bool, primary *member) *member {
+	for _, m := range order {
+		if m != primary && !tried[m] && m.up() {
+			return m
 		}
 	}
-	return best
+	return nil
 }
 
 // observeSuccess feeds one successful sub-job back into the adaptive
-// layers: the member's per-trial EWMA (selection weight, hedge timing)
-// and the planner's fleet-wide estimate (next job's shard size).
+// layers: the member's per-trial EWMA (the fleet median that times
+// hedges) and the planner's fleet-wide estimate (next job's shard size).
 func (p *Pool) observeSuccess(m *member, req api.Request, elapsed time.Duration) {
 	trials := requestTrials(req)
 	if trials <= 0 || elapsed <= 0 {

@@ -7,44 +7,42 @@ package dispatch
 //
 // Draining is structural rather than stateful: sub-jobs hold *member
 // references, so removing a member from the set only removes it from
-// FUTURE selection — attempts already running against it finish (or
+// FUTURE placement — attempts already running against it finish (or
 // fail over) on their own, and the member is garbage once the last one
 // returns. There is nothing to flush and no stop-the-world barrier,
 // which is exactly what the determinism contract buys: a drained
 // backend's unfinished shards recompute identically elsewhere.
 
 import (
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"faultroute/client"
 )
 
 // member is one backend in the Pool's current view: its client, its
-// health mark, and the observed-capacity state the selector, planner
-// and hedger feed on.
+// rendezvous identity, its health mark, and the observed latency the
+// hedger times against.
 type member struct {
-	url string
-	c   *client.Client
+	url     string
+	urlHash uint64 // fnv64a(url): the member's side of every rendezvous score
+	c       *client.Client
 
 	mu        sync.Mutex
 	downUntil time.Time
 	wasDown   bool          // down since the last EWMA reset; cleared on recovery
 	ewma      time.Duration // per-trial completion latency EWMA (0 = no observation)
-
-	// credit is the member's smooth-weighted-round-robin balance; it is
-	// owned by the selector and only touched under the selector's lock.
-	credit float64
-
-	// inflight counts sub-job attempts currently running against this
-	// backend — the hedger's idleness signal.
-	inflight atomic.Int64
 }
 
-// markDown records a dispatch failure: the backend is skipped by
-// selection until the cooldown passes (it stays eligible as a last
-// resort when every backend is down).
+// newMember builds a member for one backend URL.
+func newMember(url string, clientOpts []client.Option) *member {
+	return &member{url: url, urlHash: fnv64a(url), c: client.New(url, clientOpts...)}
+}
+
+// markDown records a dispatch failure: dispatch passes over the
+// backend until the cooldown ends (it stays eligible as a last resort
+// when every backend is down).
 func (m *member) markDown(cooldown time.Duration) {
 	m.mu.Lock()
 	m.downUntil = time.Now().Add(cooldown)
@@ -53,7 +51,8 @@ func (m *member) markDown(cooldown time.Duration) {
 	mBackendsDown.Inc()
 }
 
-// up reports whether the backend is currently eligible for selection.
+// up reports whether the backend is out of its cooldown: stored reads,
+// submits and hedges pass over a down backend.
 func (m *member) up() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -93,9 +92,9 @@ func (m *member) observe(perTrial time.Duration) {
 
 // recover clears a previously-down member's health mark and resets its
 // latency estimate to the fleet median: the stale worst-case EWMA a
-// backend earned while failing must not permanently down-weight it
-// after it comes back (a recovered machine is presumed ordinary until
-// observed otherwise). No-op for members that were never down.
+// backend earned while failing must not skew the fleet median after it
+// comes back (a recovered machine is presumed ordinary until observed
+// otherwise). No-op for members that were never down.
 func (m *member) recover(fleetMedian time.Duration) {
 	m.mu.Lock()
 	if m.wasDown {
@@ -124,7 +123,7 @@ func newMemberSet(urls []string, resolve func() []string, clientOpts []client.Op
 	ms := &memberSet{resolve: resolve, clientOpts: clientOpts}
 	ms.members = make([]*member, len(urls))
 	for i, url := range urls {
-		ms.members[i] = &member{url: url, c: client.New(url, clientOpts...)}
+		ms.members[i] = newMember(url, clientOpts)
 	}
 	return ms
 }
@@ -134,15 +133,13 @@ func newMemberSet(urls []string, resolve func() []string, clientOpts []client.Op
 func (ms *memberSet) snapshot() []*member {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	out := make([]*member, len(ms.members))
-	copy(out, ms.members)
-	return out
+	return slices.Clone(ms.members)
 }
 
 // refresh re-resolves the backend set: members whose URL is still
 // resolved are kept (health marks and EWMAs intact), resolved URLs
 // without a member are admitted as fresh joiners, and members whose URL
-// disappeared are dropped from selection — draining, per the package
+// disappeared are dropped from placement — draining, per the package
 // rationale above. A resolver returning an empty list is ignored: an
 // empty fleet is indistinguishable from a resolver outage, and keeping
 // the last known members beats dispatching into nothing.
@@ -171,7 +168,7 @@ func (ms *memberSet) refresh() {
 			next = append(next, m)
 			continue
 		}
-		next = append(next, &member{url: url, c: client.New(url, ms.clientOpts...)})
+		next = append(next, newMember(url, ms.clientOpts))
 		mMembersJoined.Inc()
 	}
 	for url := range current {
@@ -182,9 +179,12 @@ func (ms *memberSet) refresh() {
 	ms.members = next
 }
 
-// fleetMedianEWMA returns the median per-trial EWMA across members with
-// an observation, or 0 when nothing has been observed yet — the reset
-// value a recovered backend re-enters the fleet with.
+// fleetMedianEWMA returns the lower median per-trial EWMA across
+// members with an observation, or 0 when nothing has been observed yet:
+// the pace hedges are timed against, and the reset value a recovered
+// backend re-enters the fleet with. The lower median of an even count
+// keeps a two-member fleet's bar at its faster backend; the upper one
+// would time a slow owner against its own slowness.
 func fleetMedianEWMA(members []*member) time.Duration {
 	var known []time.Duration
 	for _, m := range members {
@@ -195,10 +195,6 @@ func fleetMedianEWMA(members []*member) time.Duration {
 	if len(known) == 0 {
 		return 0
 	}
-	for i := 1; i < len(known); i++ { // insertion sort: the fleet is small
-		for j := i; j > 0 && known[j] < known[j-1]; j-- {
-			known[j], known[j-1] = known[j-1], known[j]
-		}
-	}
-	return known[len(known)/2]
+	slices.Sort(known)
+	return known[(len(known)-1)/2]
 }

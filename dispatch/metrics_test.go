@@ -45,8 +45,12 @@ func scrapeCounter(t *testing.T, base, name string) float64 {
 }
 
 func TestPoolFailoverCountersOnMetricsEndpoint(t *testing.T) {
-	healthy := newBackend(t, nil)
-	dying := newBackend(t, failAfter(3))
+	// The dying backend owns shard [0, 4), so at least one shard is read
+	// from and submitted to it before it dies.
+	req := estimateReq(40)
+	srvs, urls := reserve(t, 2)
+	dying, others := startRoles(t, srvs, urls, ownerOf(t, urls, shardOf(req, 0, 4)), 0, failAfter(3))
+	healthy := others[0]
 
 	// The counters are cumulative across the process (other tests may
 	// have dispatched too), so assert deltas around this run.
@@ -56,7 +60,6 @@ func TestPoolFailoverCountersOnMetricsEndpoint(t *testing.T) {
 
 	pool := newPool(t, []string{dying.srv.URL, healthy.srv.URL}, dispatch.WithShardTrials(4))
 	ctx := context.Background()
-	req := estimateReq(40)
 	want, err := faultroute.NewLocal().Do(ctx, req)
 	if err != nil {
 		t.Fatal(err)

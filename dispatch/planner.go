@@ -28,8 +28,8 @@ type planner interface {
 }
 
 // fixedPlanner always returns the configured size — the WithShardTrials
-// contract, kept for reproducible layouts (tests, benchmarks, peer
-// cache fill across runs).
+// contract, kept for reproducible layouts (tests, benchmarks, stored
+// reads across runs).
 type fixedPlanner struct{ size int }
 
 func (p fixedPlanner) shardSize(trials, members int) int { return p.size }

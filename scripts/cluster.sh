@@ -151,8 +151,10 @@ echo "cluster: faultbench sweep emitted $(grep -c '"name":' "$workdir/faultbench
 echo "cluster: smoke 5 — warm restart from a persistent -cache-dir"
 # Boot one more daemon with a disk result tier, compute through it, kill
 # it, restart it on the same directory, and re-run the same workload:
-# every submission must answer from the recovered cache (outcome
-# "cached", disk-tier hits) without recomputing a single trial.
+# every result must come from the recovered cache (cache hits,
+# disk-tier hits) without recomputing a single trial. The pool reads
+# each shard's stored result from its owner before submitting, so the
+# restarted daemon answers GET /v1/results and receives no submissions.
 warm_port=$((BASE_PORT + M))
 warm_url="http://127.0.0.1:$warm_port"
 cache_dir="$workdir/cache"
@@ -195,8 +197,8 @@ if ! cmp -s "$workdir/warm1.txt" "$workdir/warm2.txt"; then
     exit 1
 fi
 fetch "$warm_url/v1/metrics" >"$workdir/warm-metrics.txt"
-if ! grep 'faultroute_jobs_submitted_total{outcome="cached"}' "$workdir/warm-metrics.txt" | grep -qv ' 0$'; then
-    echo "cluster: FAIL — restarted daemon served no cached submissions" >&2
+if ! grep '^faultroute_cache_hits_total ' "$workdir/warm-metrics.txt" | grep -qv ' 0$'; then
+    echo "cluster: FAIL — restarted daemon served no cached results" >&2
     exit 1
 fi
 if grep 'faultroute_jobs_submitted_total{outcome="fresh"}' "$workdir/warm-metrics.txt" | grep -qv ' 0$'; then
