@@ -196,8 +196,9 @@ type JobStatus struct {
 // SubmitResponse is the body of POST /v1/jobs.
 type SubmitResponse struct {
 	Job JobStatus `json:"job"`
-	// Cached reports that the result already existed: GET /v1/results
-	// will answer immediately, nothing was enqueued.
+	// Cached reports that the result already existed: nothing was
+	// enqueued, Result usually carries the bytes, and GET /v1/results
+	// answers immediately.
 	Cached bool `json:"cached"`
 	// Coalesced reports that an identical job was already in flight and
 	// this submission attached to it.
@@ -208,6 +209,13 @@ type SubmitResponse struct {
 	// predates the stream simply omits the field and clients fall back
 	// to polling (see client.WithSSE).
 	Events string `json:"events,omitempty"`
+	// Result, when non-empty, is the job's canonical result bytes
+	// without their trailing newline, which a value inside a JSON
+	// document cannot keep: Result plus "\n" is byte-identical to
+	// GET /v1/results/{key}. The daemon sets it only on a done job whose
+	// bytes are still stored; clients fetch the result when it is
+	// absent, as they do for a fresh job.
+	Result json.RawMessage `json:"result,omitempty"`
 }
 
 // ErrorBody is the JSON error envelope of every non-2xx response.

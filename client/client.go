@@ -5,10 +5,12 @@
 // api.Request produces byte-identical canonical result bytes through
 // either, because both execute the one compiled codec of faultroute/api
 // and the service serves exactly the bytes it cached. Do submits a job,
-// polls it to completion and fetches the result; Watch additionally
-// streams progress events; the lower-level Submit / Status / Result /
-// Cancel calls expose the raw endpoints for callers that manage jobs
-// themselves.
+// follows it to completion over the daemon's event stream (or by
+// polling) and fetches the result; a submission the daemon answers as
+// cached carries the result bytes itself, so it costs one round trip.
+// Watch additionally delivers progress events; the lower-level Submit /
+// Status / Result / Cancel calls expose the raw endpoints for callers
+// that manage jobs themselves.
 //
 // Submissions are content-addressed and therefore idempotent: the
 // client retries transient failures (network errors, 503 queue-full)
@@ -165,7 +167,7 @@ func (c *Client) run(ctx context.Context, req api.Request, onEvent func(api.Even
 		streamed := false
 		if c.sse && sub.Events != "" {
 			var fin api.JobStatus
-			fin, streamed, err = c.watchEvents(ctx, sub.Events, st.ID, &last, onEvent)
+			fin, streamed, err = c.watchEvents(ctx, sub.Events, st, &last, onEvent)
 			if err != nil {
 				return api.Result{}, err
 			}
@@ -181,6 +183,11 @@ func (c *Client) run(ctx context.Context, req api.Request, onEvent func(api.Even
 	}
 	if st.State != api.JobDone {
 		return api.Result{}, &JobError{Status: st}
+	}
+	if len(sub.Result) > 0 {
+		// A cached submission carries its stored bytes, less the
+		// canonical trailing newline a JSON value cannot keep.
+		return api.Result{Kind: req.Kind, Key: st.Key, Body: append(sub.Result, '\n')}, nil
 	}
 	body, err := c.Result(ctx, st.Key)
 	if err != nil {
@@ -357,8 +364,7 @@ func (c *Client) retryWait(attempt int, lastErr error) time.Duration {
 
 // call issues one API request with the retry policy and decodes the
 // response. Raw result bytes are preserved exactly: when out is a
-// *json.RawMessage the body is checked with json.Valid and copied
-// verbatim, never re-encoded.
+// *json.RawMessage the body is copied verbatim, never re-encoded.
 func (c *Client) call(ctx context.Context, method, path string, payload []byte, out any) error {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
@@ -381,8 +387,9 @@ func (c *Client) call(ctx context.Context, method, path string, payload []byte, 
 }
 
 // once issues a single HTTP request. retriable reports whether the
-// failure is transient (network error, 503, or a raw body that is not
-// valid JSON): everything else — 4xx, decode errors — is final.
+// failure is transient (network error, 503, or a 2xx body that is not
+// valid JSON): everything else — 4xx, decode errors on valid JSON — is
+// final.
 func (c *Client) once(ctx context.Context, method, path string, payload []byte, out any) (retriable bool, err error) {
 	var body io.Reader
 	if payload != nil {
@@ -423,15 +430,16 @@ func (c *Client) once(ctx context.Context, method, path string, payload []byte, 
 	if out == nil {
 		return false, nil
 	}
+	// A response cut off without a Content-Length (a connection dropped
+	// mid-body on a close-delimited response) reads without error. Every
+	// body the API answers 2xx with is a JSON object, and a strict prefix
+	// of an object is never valid JSON, so this check is what keeps a
+	// truncated body from being returned as a result or decoded into a
+	// final error. Every call is idempotent, so re-reading is safe.
+	if !json.Valid(data) {
+		return ctx.Err() == nil, fmt.Errorf("%s %s: response body is not valid JSON (%d bytes, truncated?)", method, path, len(data))
+	}
 	if raw, ok := out.(*json.RawMessage); ok {
-		// A response cut off without a Content-Length (a connection dropped
-		// mid-body on a close-delimited response) reads without error.
-		// Every result is a JSON object, and a strict prefix of an object is
-		// never valid JSON, so this check is what keeps a truncated body
-		// from being returned as a result. Re-reading is idempotent.
-		if !json.Valid(data) {
-			return ctx.Err() == nil, fmt.Errorf("%s %s: response body is not valid JSON (%d bytes, truncated?)", method, path, len(data))
-		}
 		*raw = append((*raw)[:0], data...)
 		return false, nil
 	}

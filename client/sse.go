@@ -20,12 +20,13 @@ import (
 )
 
 // watchEvents consumes the job's SSE stream at path, delivering
-// deduplicated events to onEvent. It returns streamed=false when the
-// caller should fall back to polling: the stream was refused, is not an
-// event stream, or died before the job reached a terminal state. A
-// non-nil error is final (the caller's context ended, or the job
-// finished but its authoritative status could not be fetched).
-func (c *Client) watchEvents(ctx context.Context, path, jobID string, last *api.Event, onEvent func(api.Event)) (st api.JobStatus, streamed bool, err error) {
+// deduplicated events to onEvent; sub is the job's status from the
+// submit response. It returns streamed=false when the caller should
+// fall back to polling: the stream was refused, is not an event stream,
+// or died before the job reached a terminal state. A non-nil error is
+// final (the caller's context ended, or the job failed or was canceled
+// but its status could not be fetched).
+func (c *Client) watchEvents(ctx context.Context, path string, sub api.JobStatus, last *api.Event, onEvent func(api.Event)) (st api.JobStatus, streamed bool, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
 	if err != nil {
 		return api.JobStatus{}, false, nil
@@ -44,7 +45,7 @@ func (c *Client) watchEvents(ctx context.Context, path, jobID string, last *api.
 		return api.JobStatus{}, false, nil // not a stream (404, proxy, old daemon)
 	}
 
-	terminal := false
+	var final api.JobState // the terminal event's state, once one arrives
 	sc := bufio.NewScanner(resp.Body)
 	var data []byte
 	flush := func() {
@@ -62,12 +63,12 @@ func (c *Client) watchEvents(ctx context.Context, path, jobID string, last *api.
 				}
 			}
 			if ev.State.Terminal() {
-				terminal = true
+				final = ev.State
 			}
 		}
 		data = nil
 	}
-	for !terminal && sc.Scan() {
+	for final == "" && sc.Scan() {
 		line := sc.Text()
 		switch {
 		case line == "": // blank line: dispatch the accumulated event
@@ -77,7 +78,7 @@ func (c *Client) watchEvents(ctx context.Context, path, jobID string, last *api.
 		default: // "event:", "retry:", comments — irrelevant to us
 		}
 	}
-	if !terminal {
+	if final == "" {
 		// Disconnected mid-job (daemon restart, broken proxy, scanner
 		// error): hand the job back to the poll loop unless the caller
 		// itself is done.
@@ -86,9 +87,15 @@ func (c *Client) watchEvents(ctx context.Context, path, jobID string, last *api.
 		}
 		return api.JobStatus{}, false, nil
 	}
-	// The stream only carries progress counters; fetch the terminal
-	// status once for the authoritative record (error message, key).
-	fin, err := c.Status(ctx, jobID)
+	if final == api.JobDone {
+		// A done job needs nothing the stream lacks: the caller fetches
+		// the result by the key the submit response already carries.
+		sub.State = final
+		return sub, true, nil
+	}
+	// The stream only carries progress counters; a failed or canceled
+	// job's error message comes from its status.
+	fin, err := c.Status(ctx, sub.ID)
 	if err != nil {
 		return api.JobStatus{}, false, err
 	}

@@ -30,18 +30,29 @@ func watchFixture() api.Request {
 	}}
 }
 
-// transportCounts wraps a service handler and tallies which progress
-// transport the client actually used.
+// transportCounts wraps a service handler and tallies the requests the
+// client made, by route: which progress transport it used, and how
+// many submissions and result fetches it needed.
 type transportCounts struct {
 	next    http.Handler
 	srvURL  string
+	submits atomic.Int64 // POST /v1/jobs
 	events  atomic.Int64 // GET /v1/jobs/{id}/events subscriptions
 	status  atomic.Int64 // GET /v1/jobs/{id} polls
+	results atomic.Int64 // GET /v1/results/{key} fetches
 	aborter func(w http.ResponseWriter) http.ResponseWriter
+	// taskDelay is the service's serve.Options.TaskDelay: it keeps a
+	// fresh job running after its submit response.
+	taskDelay time.Duration
 }
 
 func (tc *transportCounts) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/jobs/") {
+	switch {
+	case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs":
+		tc.submits.Add(1)
+	case r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/results/"):
+		tc.results.Add(1)
+	case r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/jobs/"):
 		if strings.HasSuffix(r.URL.Path, "/events") {
 			tc.events.Add(1)
 			if tc.aborter != nil {
@@ -63,6 +74,7 @@ func newCountingService(t *testing.T, counts *transportCounts, opts ...client.Op
 		Executors:     2,
 		QueueDepth:    16,
 		EventInterval: 2 * time.Millisecond,
+		TaskDelay:     counts.taskDelay,
 	})
 	t.Cleanup(svc.Close)
 	counts.next = svc.Handler()
@@ -139,13 +151,14 @@ func TestWatchSSEMatchesPolling(t *testing.T) {
 	}
 
 	// Pin which transport ran. The SSE client subscribed to the stream
-	// and fetched status exactly once (the authoritative terminal
-	// fetch); the polling client never touched the stream.
+	// and never fetched status: a stream that ends on done leaves
+	// nothing for a status fetch to add. The polling client never
+	// touched the stream.
 	if got := sseCounts.events.Load(); got != 1 {
 		t.Errorf("sse client opened %d event streams, want 1", got)
 	}
-	if got := sseCounts.status.Load(); got != 1 {
-		t.Errorf("sse client polled status %d times, want exactly the one terminal fetch", got)
+	if got := sseCounts.status.Load(); got != 0 {
+		t.Errorf("sse client fetched status %d times, want 0 after a done stream", got)
 	}
 	if got := pollCounts.events.Load(); got != 0 {
 		t.Errorf("polling client opened %d event streams, want 0", got)

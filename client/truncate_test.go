@@ -17,18 +17,20 @@ import (
 	"faultroute/serve"
 )
 
-// truncatingTransport cuts 200 GET /v1/results/{key} bodies in half and
-// drops their Content-Length, so the cut reads as a clean end of body:
-// the shape of a connection dropped mid-body on a close-delimited
-// response. cuts is how many such bodies it still cuts.
+// truncatingTransport cuts the 200 bodies that can carry a result —
+// GET /v1/results/{key} and a cached POST /v1/jobs — in half and drops
+// their Content-Length, so the cut reads as a clean end of body: the
+// shape of a connection dropped mid-body on a close-delimited response.
+// cuts is how many such bodies it still cuts.
 type truncatingTransport struct {
 	cuts atomic.Int64
 }
 
 func (tt *truncatingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 	resp, err := http.DefaultTransport.RoundTrip(r)
-	if err != nil || resp.StatusCode != http.StatusOK || r.Method != http.MethodGet ||
-		!strings.HasPrefix(r.URL.Path, api.BasePath+"/results/") || tt.cuts.Add(-1) < 0 {
+	carriesResult := r.Method == http.MethodPost && r.URL.Path == api.BasePath+"/jobs" ||
+		r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, api.BasePath+"/results/")
+	if err != nil || resp.StatusCode != http.StatusOK || !carriesResult || tt.cuts.Add(-1) < 0 {
 		return resp, err
 	}
 	body, err := io.ReadAll(resp.Body)
@@ -53,29 +55,44 @@ func TestClientRejectsTruncatedResultBody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	newClient := func(tt *truncatingTransport) *client.Client {
+	// cut returns a client whose transport cuts the next n bodies.
+	cut := func(n int64) *client.Client {
+		tt := &truncatingTransport{}
+		tt.cuts.Store(n)
 		return client.New(ts.URL,
 			client.WithPollInterval(2*time.Millisecond),
 			client.WithRetry(1, time.Millisecond),
 			client.WithHTTPClient(&http.Client{Transport: tt}))
 	}
-
-	// Every read is cut: the client must fail, never return the prefix.
-	always := &truncatingTransport{}
-	always.cuts.Store(1 << 30)
-	if res, err := newClient(always).Do(ctx, req); err == nil {
-		t.Fatalf("Do returned %d of %d bytes from truncated bodies with a nil error", len(res.Body), len(want.Body))
+	// The first Do is a fresh job: its 202 submit response is whole, and
+	// every result GET is cut. The later ones are cached: the 200 submit
+	// response carries the result, and it is what gets cut.
+	for _, phase := range []string{"fresh job, result GET", "cached submit"} {
+		// Every read is cut: the client must fail, never return the prefix.
+		if res, err := cut(1<<30).Do(ctx, req); err == nil {
+			t.Fatalf("%s: Do returned %d of %d bytes from truncated bodies with a nil error", phase, len(res.Body), len(want.Body))
+		}
 	}
 
 	// Only the first read is cut: the error is retriable, and the retry
-	// reads the whole body.
-	once := &truncatingTransport{}
-	once.cuts.Store(1)
-	got, err := newClient(once).Do(ctx, req)
+	// reads the whole body — the cached submit's here, and a fresh job's
+	// result GET for a new request.
+	fresh := api.Request{Kind: api.KindExperiment, Experiment: &api.ExperimentSpec{ID: "E1", Seed: 2, Scale: "quick"}}
+	wantFresh, err := faultroute.NewLocal().Do(ctx, fresh)
 	if err != nil {
-		t.Fatalf("Do after one truncated read: %v", err)
+		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Body, want.Body) {
-		t.Fatalf("Do after one truncated read returned other bytes:\n got %s\nwant %s", got.Body, want.Body)
+	for _, tc := range []struct {
+		phase string
+		req   api.Request
+		want  api.Result
+	}{{"cached submit", req, want}, {"fresh job, result GET", fresh, wantFresh}} {
+		got, err := cut(1).Do(ctx, tc.req)
+		if err != nil {
+			t.Fatalf("%s: Do after one truncated read: %v", tc.phase, err)
+		}
+		if !bytes.Equal(got.Body, tc.want.Body) {
+			t.Fatalf("%s: Do after one truncated read returned other bytes:\n got %s\nwant %s", tc.phase, got.Body, tc.want.Body)
+		}
 	}
 }

@@ -34,15 +34,18 @@ const (
 	dropped         // the round trip fails with a transport error
 	status500       // a 500 answers, the backend never sees the request
 	status503       // a 503 answers, the backend never sees the request
-	truncated       // a 200 GET /v1/results body is cut in half, Content-Length dropped
+	truncated       // a 200 GET /v1/results or POST /v1/jobs body is cut in half, Content-Length dropped
 	swapped         // GET /v1/results/{key} is answered with another key's stored body
 	numFaults
 )
 
 // faultyTransport is a deterministic fault injector: schedule picks the
 // fault for each request from its method, path and occurrence count
-// alone, never from a clock or a shared random stream. truncated and
-// swapped apply only to GET /v1/results; anywhere else they pass.
+// alone, never from a clock or a shared random stream. truncated
+// applies to the two responses that can carry a result, GET
+// /v1/results and a 200 POST /v1/jobs (a cached submit carries its
+// bytes inline); swapped applies only to GET /v1/results. Anywhere else
+// they pass.
 type faultyTransport struct {
 	schedule func(id string, n int) fault
 	foreign  map[string][]byte // stored bodies by key, the swapped answers
@@ -64,6 +67,7 @@ func (f *faultyTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 	f.mu.Unlock()
 	key, isResult := strings.CutPrefix(r.URL.Path, api.BasePath+"/results/")
 	isResult = isResult && r.Method == http.MethodGet
+	isSubmit := r.Method == http.MethodPost && r.URL.Path == api.BasePath+"/jobs"
 
 	switch ft := f.schedule(id, n); {
 	case ft == dropped:
@@ -86,7 +90,7 @@ func (f *faultyTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 		slices.Sort(others)
 		f.injected[ft].Add(1)
 		return reply(r, http.StatusOK, f.foreign[others[n%len(others)]]), nil
-	case ft == truncated && isResult:
+	case ft == truncated && (isResult || isSubmit):
 		resp, err := http.DefaultTransport.RoundTrip(r)
 		if err != nil || resp.StatusCode != http.StatusOK {
 			return resp, err
@@ -213,9 +217,9 @@ func TestPoolUnderInjectedFaultsReturnsLocalBytesOrError(t *testing.T) {
 }
 
 func TestPoolRejectsTruncatedResultBody(t *testing.T) {
-	// Every 200 GET /v1/results body arrives cut in half, with no
-	// Content-Length and no error: a one-backend pool must fail, never
-	// return the prefix as E1's result.
+	// Every 200 GET /v1/results and POST /v1/jobs body arrives cut in
+	// half, with no Content-Length and no error: a one-backend pool must
+	// fail, never return the prefix as E1's result.
 	b := newBackend(t, nil)
 	ft := newFaultyTransport(func(string, int) fault { return truncated }, nil)
 	pool := newPool(t, []string{b.srv.URL},

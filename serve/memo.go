@@ -9,12 +9,17 @@ package serve
 // over. Duplicate submissions are byte-identical on the wire (clients
 // marshal the same spec the same way), so the raw body is a perfect
 // memo key: a hit skips decode + normalization + content addressing
-// entirely, and serves the frozen, pre-encoded response of the done
-// job. Distinct-body submissions that normalize to the same spec miss
-// the memo and pay the full decode — correctness never depends on a
-// memo hit, only the per-request CPU does.
+// entirely, reads the result bytes with one store Get, and serves the
+// frozen, pre-encoded response of the done job with those bytes
+// spliced in as its "result" (see writeCached). The frozen response
+// never holds the result itself, so result bytes live only in the
+// store, under its byte budget. Distinct-body submissions that
+// normalize to the same spec miss the memo and pay the full decode —
+// correctness never depends on a memo hit, only the per-request CPU
+// does.
 
 import (
+	"net/http"
 	"sync"
 	"sync/atomic"
 
@@ -43,18 +48,18 @@ type memoEntry struct {
 	task  api.Task
 	// resp is the frozen cache-hit fast path, set once the job is done:
 	// a done job's status is immutable, so every later duplicate of
-	// this body gets exactly these bytes — without touching the
-	// decoder or the engine's lock. The handler guards the fast path
-	// with a store presence probe: under a bounded store the result
-	// bytes can be evicted after the freeze, and the duplicate must
-	// then recompute instead of being pointed at a 404.
+	// this body gets exactly these bytes plus the stored result —
+	// without touching the decoder or the engine's lock. The fast path
+	// is taken only when the store Get hits: under a bounded store the
+	// result bytes can be evicted after the freeze, and the duplicate
+	// must then recompute instead of being pointed at a 404.
 	resp atomic.Pointer[memoResp]
 }
 
 // memoResp is the pre-encoded cache-hit response plus the identifiers
 // the request log wants.
 type memoResp struct {
-	body  []byte // encoded SubmitResponse, trailing newline included
+	body  []byte // encoded SubmitResponse without Result, trailing newline included
 	jobID string
 }
 
@@ -93,3 +98,27 @@ func (sm *submitMemo) put(body []byte, e *memoEntry) {
 	sm.m[string(body)] = e
 	sm.mu.Unlock()
 }
+
+// writeCached writes a done job's encoded SubmitResponse, frozen
+// (without Result, ending in "}\n"), with the stored result bytes data
+// spliced in as its last field: the closing brace becomes
+// `,"result":` + data without its trailing newline + "}\n". The bytes go
+// out verbatim — json.Marshal would re-scan and re-compact a
+// RawMessage — so the client's result plus "\n" is exactly data. When
+// data does not end in the canonical newline (a store miss above all),
+// frozen goes out alone and the client fetches the result.
+func writeCached(w http.ResponseWriter, frozen, data []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	if len(data) == 0 || data[len(data)-1] != '\n' {
+		w.Write(frozen)
+		return
+	}
+	w.Write(frozen[:len(frozen)-2])
+	w.Write(resultField)
+	w.Write(data[:len(data)-1])
+	w.Write(frozen[len(frozen)-2:])
+}
+
+// resultField opens the spliced Result field (a package variable, so
+// writing it allocates nothing).
+var resultField = []byte(`,"result":`)

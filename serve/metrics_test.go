@@ -66,8 +66,9 @@ func wantSeries(t *testing.T, exposition, series string) {
 // submission outcomes are exactly determined, then asserts the scrape
 // line-by-line. The engine's submission path checks in-flight jobs and
 // finished jobs before the store, so store misses come only from fresh
-// submissions and store hits only from GET /v1/results fetches —
-// making every count below deterministic.
+// submissions and store hits only from GET /v1/results fetches and
+// cached submissions, which read the bytes they carry — making every
+// count below deterministic.
 func TestMetricsScrapeAfterScriptedMix(t *testing.T) {
 	svc := serve.New(serve.Options{Workers: 1, Executors: 1, QueueDepth: 16})
 	defer svc.Close()
@@ -92,7 +93,8 @@ func TestMetricsScrapeAfterScriptedMix(t *testing.T) {
 	}
 	// Result fetch A: store hit #1.
 	fetchResult(t, ts.URL, subA.Job.Key)
-	// Resubmit A: answered from the finished job, no store lookup.
+	// Resubmit A: answered from the finished job, whose stored bytes
+	// the response carries: store hit #2.
 	var again api.SubmitResponse
 	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", estimateA, &again); code != http.StatusOK || !again.Cached {
 		t.Fatalf("resubmit A: status %d cached=%v, want 200 cached", code, again.Cached)
@@ -134,14 +136,14 @@ func TestMetricsScrapeAfterScriptedMix(t *testing.T) {
 	if st := awaitJob(t, ts.URL, subC.Job.ID); st.State != api.JobDone {
 		t.Fatalf("job C finished %s (%s)", st.State, st.Error)
 	}
-	// Result fetch C: store hit #2. (With one executor, C ran only
+	// Result fetch C: store hit #3. (With one executor, C ran only
 	// after the canceled experiment's task returned, so its latency
 	// sample is recorded by now too.)
 	fetchResult(t, ts.URL, subC.Job.Key)
 
 	text := scrape(t, ts.URL)
 
-	wantLine(t, text, `faultroute_cache_hits_total 2`)
+	wantLine(t, text, `faultroute_cache_hits_total 3`)
 	wantLine(t, text, `faultroute_cache_misses_total 3`)
 	wantLine(t, text, `faultroute_cache_results 2`)
 	// The default store is memory-only, so its single tier's counters
@@ -149,7 +151,7 @@ func TestMetricsScrapeAfterScriptedMix(t *testing.T) {
 	// (canonical result bytes are deterministic) but pinning it would
 	// couple this test to result encoding size; presence is enough.
 	wantLine(t, text, `faultroute_cache_tier_entries{tier="memory"} 2`)
-	wantLine(t, text, `faultroute_cache_tier_hits_total{tier="memory"} 2`)
+	wantLine(t, text, `faultroute_cache_tier_hits_total{tier="memory"} 3`)
 	wantLine(t, text, `faultroute_cache_tier_misses_total{tier="memory"} 3`)
 	wantLine(t, text, `faultroute_cache_tier_evictions_total{tier="memory"} 0`)
 	wantSeries(t, text, `faultroute_cache_tier_bytes{tier="memory"}`)

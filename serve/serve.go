@@ -182,7 +182,9 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // fresh job. The compiled task is wrapped so every executed job feeds
 // the per-kind latency histogram and terminal-state counters.
 //
-// Duplicate submissions — byte-identical bodies, the shape of a
+// A submission whose job is already done is answered with the stored
+// result bytes inline (api.SubmitResponse.Result), read with one store
+// Get. Duplicate submissions — byte-identical bodies, the shape of a
 // popularity-skewed fleet — take the memo fast path: the first
 // submission's compile outcome is reused, and once the job is done the
 // pre-encoded response is served without decoding the body or taking
@@ -220,16 +222,18 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		ent = &memoEntry{key: plan.Key, total: plan.Total, kind: plan.Request.Kind, task: plan.Task}
 		s.memo.put(body, ent)
-	} else if frozen := ent.resp.Load(); frozen != nil && s.store.Has(ent.key) {
-		// The presence probe keeps the frozen fast path honest under a
-		// bounded store: once the result's bytes are evicted, the
-		// submission must fall through and recompute rather than point
-		// the client at a /v1/results fetch that would 404.
-		s.metrics.submitted.With("cached").Inc()
-		annotate(r, frozen.jobID, ent.key)
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(frozen.body)
-		return
+	} else if frozen := ent.resp.Load(); frozen != nil {
+		// The Get both fetches the bytes the response carries and keeps
+		// the frozen fast path honest under a bounded store: once the
+		// result's bytes are evicted, the submission falls through and
+		// recomputes rather than point the client at a /v1/results
+		// fetch that would 404.
+		if data, ok := s.store.Get(ent.key); ok {
+			s.metrics.submitted.With("cached").Inc()
+			annotate(r, frozen.jobID, ent.key)
+			writeCached(w, frozen.body, data)
+			return
+		}
 	}
 	kind, task := ent.kind, ent.task
 	instrumented := func(ctx context.Context, progress func(int)) ([]byte, error) {
@@ -286,13 +290,14 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if resp.Cached {
 		// The job is terminal and its status frozen: encode once, freeze
 		// the bytes on the memo entry, and serve every later duplicate
-		// from them.
+		// from them. This response and every later one carry the stored
+		// result bytes (writeCached), so the client needs no
+		// GET /v1/results.
 		if b, err := json.Marshal(resp); err == nil {
 			b = append(b, '\n')
 			ent.resp.Store(&memoResp{body: b, jobID: job.ID()})
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(status)
-			w.Write(b)
+			data, _ := s.store.Get(ent.key)
+			writeCached(w, b, data)
 			return
 		}
 	}
