@@ -89,6 +89,71 @@ func TestCompileRejectsNonPositiveTrials(t *testing.T) {
 	}
 }
 
+// TestCompileCapsTrials pins api.MaxTrials: an estimate (a shard
+// included) may ask for at most MaxTrials trials, and a percolation
+// sweep for at most MaxTrials samples over all its ps, checked so that
+// a product which overflows int is still refused.
+func TestCompileCapsTrials(t *testing.T) {
+	const maxInt = int(^uint(0) >> 1)
+	ps := func(k int) []float64 {
+		out := make([]float64, k)
+		for i := range out {
+			out[i] = float64(i+1) / float64(k+1)
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name   string
+		ps     int // 0: an estimate
+		trials int
+		ok     bool
+	}{
+		{"estimate at the cap", 0, api.MaxTrials, true},
+		{"estimate over the cap", 0, api.MaxTrials + 1, false},
+		{"estimate trials 1<<40", 0, 1 << 40, false},
+		{"estimate trials maxInt", 0, maxInt, false},
+		{"sweep of 1 at the cap", 1, api.MaxTrials, true},
+		{"sweep of 1 over the cap", 1, api.MaxTrials + 1, false},
+		{"sweep of 2 at the cap", 2, api.MaxTrials / 2, true},
+		{"sweep of 2 over the cap", 2, api.MaxTrials/2 + 1, false},
+		{"sweep of 3 under the cap", 3, api.MaxTrials / 3, true},
+		{"sweep of 3 over the cap", 3, api.MaxTrials/3 + 1, false},
+		{"sweep whose product wraps negative", 2, maxInt/2 + 1, false},
+		{"sweep whose product wraps to 0", 4, 1 << 62, false},
+		{"sweep whose product wraps to 4", 4, 1<<62 + 1, false},
+	} {
+		req := estimateReq()
+		if c.ps > 0 {
+			req = percolationReq()
+			req.Percolation.Ps = ps(c.ps)
+			req.Percolation.Trials = c.trials
+		} else {
+			req.Estimate.Trials = c.trials
+		}
+		if !c.ok {
+			wantReject(t, req, "exceed the cap")
+			continue
+		}
+		plan, err := api.Compile(req)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if plan.Total > api.MaxTrials {
+			t.Fatalf("%s: Total %d over the cap", c.name, plan.Total)
+		}
+	}
+	// A shard of an estimate at the cap compiles; the cap is on the
+	// parent's Trials, which bounds every shard.
+	req := estimateReq()
+	req.Estimate.Trials = api.MaxTrials
+	req.Estimate.Shard = &api.ShardSpec{Offset: api.MaxTrials - 5, Count: 5}
+	if _, err := api.Compile(req); err != nil {
+		t.Fatalf("shard of an estimate at the cap: %v", err)
+	}
+	req.Estimate.Trials = api.MaxTrials + 1
+	wantReject(t, req, "exceed the cap")
+}
+
 func TestCompileRejectsBadModeAndScaleStrings(t *testing.T) {
 	req := estimateReq()
 	req.Estimate.Mode = "clairvoyant"

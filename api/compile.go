@@ -327,6 +327,14 @@ func NewRouter(name string, seed uint64) (route.Router, error) {
 	}
 }
 
+// MaxTrials caps the trials one request may run: an estimate's Trials
+// (so every shard's Count too) and a percolation sweep's
+// len(Ps) × Trials. The engine allocates a result slot per trial up
+// front, so without a cap a ~100-byte submission could make a daemon
+// attempt an allocation that kills the process. At the cap an
+// estimate's trial rows take 40 MiB.
+const MaxTrials = 1 << 20
+
 // Failure-model parameter ceilings: far beyond anything meaningful (a
 // count or radius near a graph's order already kills everything), they
 // exist so a hostile spec cannot make fault sampling arbitrarily
@@ -419,6 +427,9 @@ func normalizeEstimate(es EstimateSpec, workers int) (EstimateSpec, int64, Task,
 	}
 	if norm.Trials <= 0 {
 		return zero, 0, nil, fmt.Errorf("trials must be positive, got %d", norm.Trials)
+	}
+	if norm.Trials > MaxTrials {
+		return zero, 0, nil, fmt.Errorf("trials %d exceed the cap of %d", norm.Trials, MaxTrials)
 	}
 	if norm.MaxTries <= 0 {
 		norm.MaxTries = 100
@@ -605,6 +616,11 @@ func normalizePercolation(ps PercolationSpec, workers int) (PercolationSpec, int
 	}
 	if norm.Trials <= 0 {
 		return zero, 0, nil, fmt.Errorf("trials must be positive, got %d", norm.Trials)
+	}
+	// Divide rather than multiply, so the product cannot overflow.
+	if norm.Trials > MaxTrials/len(norm.Ps) {
+		return zero, 0, nil, fmt.Errorf("%d ps × %d trials exceed the cap of %d trials",
+			len(norm.Ps), norm.Trials, MaxTrials)
 	}
 	if norm.Seed == 0 {
 		norm.Seed = 1

@@ -11,7 +11,8 @@ import (
 // specs — hostile FailSpecs and GraphSpecs above all — must be rejected
 // with an error, never a panic, and anything Compile accepts must be a
 // fixed point (normalizing a normalized request changes neither the
-// request nor its content address). CI runs this as a 30s -fuzz smoke;
+// request nor its content address) whose Total is at most
+// api.MaxTrials. CI runs this as a 30s -fuzz smoke;
 // the seed corpus covers every kind, every family axis, and the
 // malformed shapes the validators must catch.
 func FuzzCompile(f *testing.F) {
@@ -46,6 +47,9 @@ func FuzzCompile(f *testing.F) {
 		`{"kind":"warp"}`,
 		`{}`,
 		`not json at all`,
+		// Trial counts past api.MaxTrials, alone and as a sweep product.
+		`{"kind":"estimate","estimate":{"graph":{"family":"hypercube","n":6},"p":0.6,"trials":1099511627776}}`,
+		`{"kind":"percolation","percolation":{"graph":{"family":"mesh","side":4},"ps":[0.4,0.6],"trials":4611686018427387904}}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -58,6 +62,10 @@ func FuzzCompile(f *testing.F) {
 		plan, err := api.Compile(req)
 		if err != nil {
 			return
+		}
+		// No accepted plan may run more trials than the cap allows.
+		if plan.Total > api.MaxTrials {
+			t.Fatalf("accepted plan runs %d trials, over api.MaxTrials", plan.Total)
 		}
 		// Normalization must be a fixed point: compiling the normalized
 		// request reproduces it — and therefore the content address —

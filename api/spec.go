@@ -74,7 +74,7 @@ type EstimateSpec struct {
 	Budget   int        `json:"budget"`
 	Src      uint64     `json:"src"`
 	Dst      *uint64    `json:"dst"`
-	Trials   int        `json:"trials"`
+	Trials   int        `json:"trials"` // 1..MaxTrials
 	MaxTries int        `json:"maxTries"`
 	Seed     uint64     `json:"seed"`
 	Shard    *ShardSpec `json:"shard,omitempty"`
@@ -108,7 +108,7 @@ type ExperimentSpec struct {
 type PercolationSpec struct {
 	Graph    GraphSpec `json:"graph"`
 	Ps       []float64 `json:"ps"`
-	Trials   int       `json:"trials"`
+	Trials   int       `json:"trials"` // positive; len(Ps) × Trials ≤ MaxTrials
 	Seed     uint64    `json:"seed"`
 	Clusters bool      `json:"clusters"`
 	Fail     *FailSpec `json:"fail,omitempty"`

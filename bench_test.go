@@ -377,17 +377,35 @@ func BenchmarkExperimentQuickE9(b *testing.B) {
 
 // --- substrate micro-benchmarks ---
 
-// BenchmarkPercolationCoin measures the per-edge deterministic coin.
+// coinSink keeps BenchmarkPercolationCoin's coins from being optimized
+// away.
+var coinSink int
+
+// BenchmarkPercolationCoin measures the per-edge deterministic coin as
+// probes toss it, through Sample.OpenEdgeID: on a pure bond sample (the
+// bond coin alone) and on a site+bond sample (the bond coin, then both
+// endpoints' site coins after an open bond). Endpoints and IDs are
+// arbitrary; OpenEdgeID does not check them.
 func BenchmarkPercolationCoin(b *testing.B) {
 	g := graph.MustHypercube(20)
-	s := percolation.New(g, 0.5, 1)
-	open := 0
-	for i := 0; i < b.N; i++ {
-		if s.OpenID(uint64(i)) {
-			open++
-		}
+	for _, c := range []struct {
+		name string
+		s    percolation.Sample
+	}{
+		{"bond", percolation.New(g, 0.5, 1)},
+		{"site-bond", percolation.NewSiteBond(g, 0.5, 0.9, 1)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			open := 0
+			for i := 0; i < b.N; i++ {
+				u := graph.Vertex(i & (1<<20 - 1))
+				if c.s.OpenEdgeID(u, u^1, uint64(i)) {
+					open++
+				}
+			}
+			coinSink = open
+		})
 	}
-	_ = open
 }
 
 // BenchmarkConnected measures the conditioning search alone: one

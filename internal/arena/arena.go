@@ -234,8 +234,12 @@ func (m *VMap) Get(v graph.Vertex) (graph.Vertex, bool) {
 	}
 }
 
-// Has reports whether v has an entry.
+// Has reports whether v has an entry. Dense maps read only the stamp,
+// not the value Get would load.
 func (m *VMap) Has(v graph.Vertex) bool {
+	if m.dense {
+		return m.dstamp[v] == m.epoch
+	}
 	_, ok := m.Get(v)
 	return ok
 }
@@ -327,22 +331,36 @@ func (m *EdgeMemo) Lookup(id uint64) (open, seen bool) {
 	}
 }
 
-// Store memoizes the state of the edge with the given ID.
-func (m *EdgeMemo) Store(id uint64, isOpen bool) {
+// Find walks the probe chain of the edge with the given ID once. If
+// seen, open is its memoized state; if not, slot is where Insert
+// stores it. Find first grows the table if the next insert would pass
+// 3/4 load, so the slot it returns stays valid for that insert. It
+// needs a Reset memo, as every write does.
+func (m *EdgeMemo) Find(id uint64) (slot uint64, open, seen bool) {
 	if 4*(m.n+1) > 3*len(m.keys) {
 		m.grow()
 	}
 	mask := uint64(len(m.keys) - 1)
 	i := hashIdx(id, mask)
-	for m.stamp[i] == m.epoch && m.keys[i] != id {
+	for m.stamp[i] == m.epoch {
+		if m.keys[i] == id {
+			return i, m.open[i], true
+		}
 		i = (i + 1) & mask
 	}
-	if m.stamp[i] != m.epoch {
-		m.stamp[i] = m.epoch
-		m.keys[i] = id
-		m.n++
-	}
-	m.open[i] = isOpen
+	return i, false, false
+}
+
+// Insert memoizes the state of an edge Find reported unseen, in the
+// slot Find returned. No other call on the memo may come between the
+// two: a Reset or another insert can move or take the slot. A Find
+// that is not followed by an Insert leaves the memo's contents
+// unchanged.
+func (m *EdgeMemo) Insert(slot, id uint64, isOpen bool) {
+	m.stamp[slot] = m.epoch
+	m.keys[slot] = id
+	m.open[slot] = isOpen
+	m.n++
 }
 
 func (m *EdgeMemo) grow() {

@@ -151,12 +151,27 @@ func TestEpochWraparound(t *testing.T) {
 
 	var m EdgeMemo
 	m.Reset()
-	m.Store(42, true)
+	slot, _, _ := m.Find(42)
+	m.Insert(slot, 42, true)
 	m.epoch = ^uint32(0)
 	m.Reset()
 	if _, seen := m.Lookup(42); seen {
 		t.Fatal("memo entry survived epoch wraparound")
 	}
+	if _, _, seen := m.Find(42); seen {
+		t.Fatal("memo entry found after epoch wraparound")
+	}
+}
+
+// memoize is the probe layer's use of the memo: Find, then Insert when
+// the edge is new. It returns the state the memo holds afterwards.
+func memoize(m *EdgeMemo, id uint64, isOpen bool) (open, seen bool) {
+	slot, open, seen := m.Find(id)
+	if !seen {
+		m.Insert(slot, id, isOpen)
+		open = isOpen
+	}
+	return open, seen
 }
 
 func TestEdgeMemo(t *testing.T) {
@@ -165,9 +180,11 @@ func TestEdgeMemo(t *testing.T) {
 	if _, seen := m.Lookup(0); seen {
 		t.Fatal("empty memo knows edge 0")
 	}
-	m.Store(0, true) // edge ID 0 is a real ID (hypercube edge {0, 1})
-	m.Store(1, false)
-	m.Store(0, true)
+	memoize(&m, 0, true) // edge ID 0 is a real ID (hypercube edge {0, 1})
+	memoize(&m, 1, false)
+	if open, seen := memoize(&m, 0, false); !seen || !open {
+		t.Fatalf("repeat Find(0) = %v, %v; want the first state, seen", open, seen)
+	}
 	if m.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", m.Len())
 	}
@@ -179,12 +196,75 @@ func TestEdgeMemo(t *testing.T) {
 	}
 	// Growth keeps every entry.
 	for i := uint64(0); i < 4096; i++ {
-		m.Store(i*977, i%3 == 0)
+		memoize(&m, i*977, i%3 == 0)
 	}
 	for i := uint64(0); i < 4096; i++ {
 		if open, seen := m.Lookup(i * 977); !seen || open != (i%3 == 0) {
 			t.Fatalf("Lookup(%d) = %v, %v after growth", i*977, open, seen)
 		}
+	}
+}
+
+// TestEdgeMemoFindInsertMatchesMap runs random edge IDs, with repeats,
+// through Find and Insert against a map[uint64]bool: from the 64-slot
+// initial table through many doublings, and across Resets. A new ID
+// drawn at every third step is found but not inserted, which must leave
+// Len and Lookup unchanged.
+func TestEdgeMemoFindInsertMatchesMap(t *testing.T) {
+	var m EdgeMemo
+	x := uint64(1)
+	next := func() uint64 { // xorshift64: a fixed, repeatable sequence
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return x
+	}
+	for round, n := range []int{10, 100, 5000, 40, 20000} {
+		m.Reset()
+		ref := map[uint64]bool{}
+		for i := 0; i < n; i++ {
+			// IDs drawn from a range 1.5n wide repeat often.
+			id := next() % uint64(n+n/2+1)
+			isOpen := next()&1 == 1
+			slot, open, seen := m.Find(id)
+			want, ok := ref[id]
+			if seen != ok || (ok && open != want) {
+				t.Fatalf("round %d: Find(%d) = %v, %v; map has %v, %v", round, id, open, seen, want, ok)
+			}
+			if seen {
+				continue
+			}
+			if i%3 == 0 {
+				if m.Len() != len(ref) {
+					t.Fatalf("round %d: Len = %d after a bare Find, want %d", round, m.Len(), len(ref))
+				}
+				if _, seen := m.Lookup(id); seen {
+					t.Fatalf("round %d: bare Find(%d) made it known", round, id)
+				}
+				continue
+			}
+			m.Insert(slot, id, isOpen)
+			ref[id] = isOpen
+		}
+		if m.Len() != len(ref) {
+			t.Fatalf("round %d: Len = %d, want %d", round, m.Len(), len(ref))
+		}
+		for id, want := range ref {
+			if open, seen := m.Lookup(id); !seen || open != want {
+				t.Fatalf("round %d: Lookup(%d) = %v, %v; want %v", round, id, open, seen, want)
+			}
+		}
+		for id := uint64(0); id < uint64(n+n/2+1); id++ {
+			if _, ok := ref[id]; ok {
+				continue
+			}
+			if _, seen := m.Lookup(id); seen {
+				t.Fatalf("round %d: phantom edge %d", round, id)
+			}
+		}
+	}
+	if len(m.keys) <= minSparse {
+		t.Fatalf("table never grew past %d slots", len(m.keys))
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"faultroute/internal/arena"
 	"faultroute/internal/graph"
+	"faultroute/internal/rng"
 )
 
 // Connected reports exactly whether u and v lie in the same open
@@ -102,7 +103,8 @@ func ConnectedLazy(s Sample, u, v graph.Vertex, maxExpansions uint64) (connected
 				continue
 			}
 			if bond {
-				if !s.OpenID(id) {
+				// Called directly: rng.Coin inlines, OpenID does not.
+				if !rng.Coin(s.seed, id, s.p) {
 					continue
 				}
 			} else if !s.OpenEdgeID(x, w, id) {

@@ -122,8 +122,18 @@ func (s Sample) Open(u, v graph.Vertex) (bool, error) {
 
 // OpenEdgeID is Open for callers that already hold the canonical ID of
 // the edge {u, v}; it spares the EdgeID recomputation in hot loops.
+// It tosses the bond coin first and, on a pure bond sample with no
+// failure mask, answers from it alone: both endpoints are alive there,
+// so the liveness checks are skipped. Otherwise it checks Alive(u),
+// then Alive(v), after an open bond.
 func (s Sample) OpenEdgeID(u, v graph.Vertex, id uint64) bool {
-	return s.OpenID(id) && s.Alive(u) && s.Alive(v)
+	if !rng.Coin(s.seed, id, s.p) {
+		return false
+	}
+	if s.pSite >= 1 && s.dead == nil {
+		return true
+	}
+	return s.Alive(u) && s.Alive(v)
 }
 
 // OpenID reports whether the BOND with the given canonical ID survived.

@@ -117,6 +117,47 @@ func TestSampleMonotoneCoupling(t *testing.T) {
 	}
 }
 
+// deadMod is a test failure mask: every vertex divisible by it is dead.
+type deadMod uint64
+
+func (k deadMod) Dead(v graph.Vertex) bool { return uint64(v)%uint64(k) == 0 }
+
+// TestOpenEdgeIDMatchesDefinition checks OpenEdgeID, bond fast path
+// included, against the definition of an open edge: its bond coin
+// (OpenID) and both endpoints alive. It runs every edge of a hypercube,
+// a mesh and a complete graph (G(n, p) once percolated), for pure bond,
+// site+bond and dead-set samples.
+func TestOpenEdgeIDMatchesDefinition(t *testing.T) {
+	for _, g := range []graph.Graph{graph.MustHypercube(8), graph.MustMesh(2, 12), graph.MustComplete(40)} {
+		for _, c := range []struct {
+			name string
+			s    Sample
+		}{
+			{"bond", New(g, 0.5, 3)},
+			{"bond p=1", New(g, 1, 3)},
+			{"site-bond", NewSiteBond(g, 0.7, 0.8, 3)},
+			{"bond+dead", New(g, 0.6, 3).WithDead(deadMod(5))},
+			{"site-bond+dead", NewSiteBond(g, 0.7, 0.8, 3).WithDead(deadMod(7))},
+		} {
+			open, edges := 0, 0
+			graph.ForEachEdge(g, func(u, v graph.Vertex, id uint64) bool {
+				want := c.s.OpenID(id) && c.s.Alive(u) && c.s.Alive(v)
+				if got := c.s.OpenEdgeID(u, v, id); got != want {
+					t.Fatalf("%s, %s: OpenEdgeID(%d, %d, %d) = %v, want %v", g.Name(), c.name, u, v, id, got, want)
+				}
+				if want {
+					open++
+				}
+				edges++
+				return true
+			})
+			if c.name != "bond p=1" && (open == 0 || open == edges) {
+				t.Fatalf("%s, %s: %d of %d edges open; the check needs both states", g.Name(), c.name, open, edges)
+			}
+		}
+	}
+}
+
 func TestUnionFindBasics(t *testing.T) {
 	uf := NewUnionFind(10)
 	if uf.Sets() != 10 {

@@ -69,14 +69,15 @@ func newCounter(s percolation.Sample, budget int) counter {
 // site+bond percolation edge state depends on endpoint liveness.
 func (c *counter) probeEdge(u, v graph.Vertex, id uint64) (bool, error) {
 	c.calls++
-	if open, seen := c.known.Lookup(id); seen {
+	slot, open, seen := c.known.Find(id)
+	if seen {
 		return open, nil
 	}
 	if c.budget > 0 && c.known.Len() >= c.budget {
 		return false, ErrBudget
 	}
-	open := c.sample.OpenEdgeID(u, v, id)
-	c.known.Store(id, open)
+	open = c.sample.OpenEdgeID(u, v, id)
+	c.known.Insert(slot, id, open)
 	return open, nil
 }
 

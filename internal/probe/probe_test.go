@@ -34,20 +34,22 @@ func TestOracleRejectsNonEdge(t *testing.T) {
 }
 
 func TestRepeatProbesAreFree(t *testing.T) {
-	o := NewOracle(fullRing(10), 0)
-	for i := 0; i < 5; i++ {
-		if _, err := o.Probe(0, 1); err != nil {
-			t.Fatal(err)
+	for _, p := range []float64{1, 0} { // an open and a closed edge
+		o := NewOracle(percolation.New(graph.MustRing(10), p, 1), 0)
+		for i := 0; i < 5; i++ {
+			if open, err := o.Probe(0, 1); err != nil || open != (p == 1) {
+				t.Fatalf("p=%v: Probe = %v, %v", p, open, err)
+			}
+			if _, err := o.Probe(1, 0); err != nil { // reversed orientation
+				t.Fatal(err)
+			}
 		}
-		if _, err := o.Probe(1, 0); err != nil { // reversed orientation
-			t.Fatal(err)
+		if o.Count() != 1 {
+			t.Fatalf("p=%v: Count = %d, want 1 (repeats free)", p, o.Count())
 		}
-	}
-	if o.Count() != 1 {
-		t.Fatalf("Count = %d, want 1 (repeats free)", o.Count())
-	}
-	if o.Calls() != 10 {
-		t.Fatalf("Calls = %d, want 10", o.Calls())
+		if o.Calls() != 10 {
+			t.Fatalf("p=%v: Calls = %d, want 10", p, o.Calls())
+		}
 	}
 }
 
@@ -60,6 +62,11 @@ func TestBudgetExhaustion(t *testing.T) {
 	}
 	if _, err := o.Probe(5, 6); !errors.Is(err, ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)
+	}
+	// The refused probe memoized nothing.
+	id, _ := o.Graph().EdgeID(5, 6)
+	if _, seen := o.Known(id); seen || o.Count() != 3 {
+		t.Fatalf("refused probe memoized: seen %v, Count %d", seen, o.Count())
 	}
 	// Memoized edges stay free even at the budget.
 	if _, err := o.Probe(0, 1); err != nil {

@@ -28,13 +28,13 @@ func Float64(x uint64) float64 {
 // up true. It is deterministic: the same (seed, id, p) always yields the
 // same answer, and for fixed seed the coins for distinct ids are
 // (empirically) independent.
+//
+// Coin needs no guard for p outside (0, 1): Float64 lies in
+// [0, 1-2^-53], so p >= 1 (and +Inf) always gives true, p <= 0 (-0
+// and -Inf too) always gives false, and NaN gives false. Without a
+// guard Coin sits exactly at the inliner's budget, so every edge probe
+// hashes in place; CI fails if Coin stops inlining.
 func Coin(seed, id uint64, p float64) bool {
-	if p >= 1 {
-		return true
-	}
-	if p <= 0 {
-		return false
-	}
 	return Float64(Combine(seed, id)) < p
 }
 

@@ -82,6 +82,113 @@ func TestCoinEdgeCases(t *testing.T) {
 		if Coin(1, id, -0.5) {
 			t.Fatal("Coin with p<0 must be false")
 		}
+		if !Coin(1, id, math.Inf(1)) {
+			t.Fatal("Coin with p=+Inf must be true")
+		}
+		if Coin(1, id, math.Inf(-1)) {
+			t.Fatal("Coin with p=-Inf must be false")
+		}
+		if Coin(1, id, math.Copysign(0, -1)) {
+			t.Fatal("Coin with p=-0 must be false")
+		}
+		if Coin(1, id, math.NaN()) {
+			t.Fatal("Coin with p=NaN must be false")
+		}
+	}
+	// The extreme uniforms, reached by inverting Combine: 0 is below
+	// every positive p, and the largest value, 1-2^-53, is below 1 and
+	// nothing less.
+	lo, hi := seedFor(0, 5), seedFor(math.MaxUint64, 5)
+	if Float64(Combine(lo, 5)) != 0 || Float64(Combine(hi, 5)) != math.Nextafter(1, 0) {
+		t.Fatal("seedFor does not reach the extreme uniforms")
+	}
+	for _, c := range []struct {
+		seed uint64
+		p    float64
+		want bool
+	}{
+		{lo, math.SmallestNonzeroFloat64, true},
+		{lo, 0, false},
+		{lo, math.Copysign(0, -1), false},
+		{lo, math.NaN(), false},
+		{hi, math.Nextafter(1, 0), false},
+		{hi, 1, true},
+		{hi, math.Inf(1), true},
+		{hi, math.NaN(), false},
+	} {
+		if got := Coin(c.seed, 5, c.p); got != c.want {
+			t.Errorf("Coin(u=%v, p=%v) = %v, want %v", Float64(Combine(c.seed, 5)), c.p, got, c.want)
+		}
+	}
+}
+
+// coinPs are the p values whose coins must match the guarded definition:
+// both guards' edges, the special floats, and interior values.
+var coinPs = []float64{
+	math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 1,
+	math.Nextafter(1, 0), math.Nextafter(1, 2), math.SmallestNonzeroFloat64,
+	-math.SmallestNonzeroFloat64, 1e-300, 0.25, 0.5, 0.9, 1.5, -0.5,
+}
+
+// guardedCoin is Coin as first written, with explicit guards for p
+// outside (0, 1). It is the reference the unguarded Coin must equal.
+func guardedCoin(seed, id uint64, p float64) bool {
+	if p >= 1 {
+		return true
+	}
+	if p <= 0 {
+		return false
+	}
+	return Float64(Combine(seed, id)) < p
+}
+
+func TestCoinMatchesGuardedDefinition(t *testing.T) {
+	if err := quick.Check(func(seed, id uint64) bool {
+		for _, p := range coinPs {
+			if Coin(seed, id, p) != guardedCoin(seed, id, p) {
+				return false
+			}
+		}
+		return true
+	}, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range []uint64{0, 1 << 11, math.MaxUint64, math.MaxUint64 - 1<<11} {
+		for _, p := range coinPs {
+			if seed := seedFor(x, 9); Coin(seed, 9, p) != guardedCoin(seed, 9, p) {
+				t.Fatalf("Coin and the guarded definition differ at u=%v, p=%v", Float64(x), p)
+			}
+		}
+	}
+}
+
+// seedFor returns the seed with Combine(seed, id) == x, by inverting
+// Mix64 step by step.
+func seedFor(x, id uint64) uint64 {
+	x ^= x>>31 ^ x>>62
+	x *= mulInverse(0x94d049bb133111eb)
+	x ^= x>>27 ^ x>>54
+	x *= mulInverse(0xbf58476d1ce4e5b9)
+	x ^= x>>30 ^ x>>60
+	x -= 0x9e3779b97f4a7c15
+	return x ^ Mix64(id+0x632be59bd9b4e019)
+}
+
+// mulInverse returns the inverse of an odd a modulo 2^64 (Newton's
+// iteration; each step doubles the correct low bits).
+func mulInverse(a uint64) uint64 {
+	inv := a
+	for i := 0; i < 5; i++ {
+		inv *= 2 - a*inv
+	}
+	return inv
+}
+
+func TestSeedForInvertsCombine(t *testing.T) {
+	if err := quick.Check(func(x, id uint64) bool {
+		return Combine(seedFor(x, id), id) == x
+	}, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 

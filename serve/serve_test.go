@@ -389,6 +389,29 @@ func TestOversizedSubmitGets413(t *testing.T) {
 	wantLine(t, text, `faultroute_http_requests_total{route="POST /v1/jobs",code="413"} 1`)
 }
 
+// TestHugeTrialCountGets400 pins api.MaxTrials at the daemon: a
+// 100-byte submission asking for 2^40 trials once got 202 and then
+// killed the process when the engine allocated a slot per trial. It
+// must get 400, and the daemon must keep serving.
+func TestHugeTrialCountGets400(t *testing.T) {
+	ts := newTestServer(t, 1)
+	body := `{"kind":"estimate","estimate":{"graph":{"family":"hypercube","n":4},"p":0.5,"trials":1099511627776}}`
+	if len(body) > 100 {
+		t.Fatalf("body is %d bytes, want at most 100", len(body))
+	}
+	var e api.ErrorBody
+	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", body, &e); code != http.StatusBadRequest {
+		t.Fatalf("trials 1<<40: status %d, want 400", code)
+	}
+	if !strings.Contains(e.Error, "exceed the cap") {
+		t.Fatalf("trials 1<<40: error %q, want the trial cap", e.Error)
+	}
+	var h api.Health
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/healthz", "", &h); code != http.StatusOK || !h.OK {
+		t.Fatalf("healthz after the refused submit = %+v (status %d)", h, code)
+	}
+}
+
 func TestHealthz(t *testing.T) {
 	ts := newTestServer(t, 1)
 	var h api.Health
