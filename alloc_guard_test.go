@@ -20,6 +20,7 @@ import (
 	"faultroute"
 	"faultroute/internal/graph"
 	"faultroute/internal/percolation"
+	"faultroute/internal/sim"
 )
 
 // allocsPerEstimate measures steady-state allocations of one
@@ -118,5 +119,30 @@ func TestAllocCeilingConnected(t *testing.T) {
 		if got := testing.AllocsPerRun(50, run); got >= 1 {
 			t.Errorf("Connected on %s allocates %.3f/op, want < 1 — scratch escaped the arena?", c.name, got)
 		}
+	}
+}
+
+// TestAllocCeilingDistributedBFS pins the flood's steady-state
+// allocations on BenchmarkE13SimFidelity's 30x30 mesh at p = 0.6. The
+// event-engine flood made 3,946 per call, a closure per delivered
+// message and a path copy per visited vertex; the round-by-round flood
+// makes about three: the outcome, two message slices (which grow only
+// for rounds of more than 64 messages) and the path when it finds one.
+func TestAllocCeilingDistributedBFS(t *testing.T) {
+	g := graph.MustMesh(2, 30)
+	dst := graph.Vertex(g.Order() - 1)
+	seed := uint64(0)
+	run := func() {
+		seed++
+		if _, err := sim.DistributedBFS(percolation.New(g, 0.6, seed), 0, dst, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		run() // warm the arena pool
+	}
+	const ceiling = 32
+	if got := testing.AllocsPerRun(50, run); got > ceiling {
+		t.Fatalf("DistributedBFS allocates %.1f/op, ceiling %d — per-message closures or path copies are back?", got, ceiling)
 	}
 }

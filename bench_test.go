@@ -293,23 +293,38 @@ func BenchmarkE12OpenFamilies(b *testing.B) {
 	}
 }
 
-// BenchmarkE13SimFidelity runs the distributed flooding protocol on a
-// percolated 30x30 mesh per iteration.
+// BenchmarkE13SimFidelity runs the distributed flooding protocol once
+// per iteration on a fresh sample of each instance, reporting link
+// attempts (msgs/op), the protocol's message complexity. The mesh case
+// (30x30 at p = 0.6, corner to corner) is the row's original; the
+// hypercube and torus are E13's quick-scale instances with E13's pairs.
 func BenchmarkE13SimFidelity(b *testing.B) {
-	g, err := graph.NewMesh(2, 30)
-	if err != nil {
-		b.Fatal(err)
+	mesh := graph.MustMesh(2, 30)
+	cube := graph.MustHypercube(9)
+	tor := graph.MustTorus(2, 15)
+	for _, in := range []struct {
+		name     string
+		g        graph.Graph
+		p        float64
+		src, dst graph.Vertex
+	}{
+		{"mesh", mesh, 0.6, 0, graph.Vertex(mesh.Order() - 1)},
+		{"hypercube", cube, 0.5, 0, cube.Antipode(0)},
+		{"torus", tor, 0.55, 0, graph.Vertex(tor.Order()/2 + uint64(tor.Side())/2)},
+	} {
+		b.Run(in.name, func(b *testing.B) {
+			var attempts float64
+			for i := 0; i < b.N; i++ {
+				s := percolation.New(in.g, in.p, uint64(i))
+				out, err := sim.DistributedBFS(s, in.src, in.dst, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				attempts += float64(out.Attempts)
+			}
+			b.ReportMetric(attempts/float64(b.N), "msgs/op")
+		})
 	}
-	var attempts float64
-	for i := 0; i < b.N; i++ {
-		s := percolation.New(g, 0.6, uint64(i))
-		out, err := sim.DistributedBFS(s, 0, graph.Vertex(g.Order()-1), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		attempts += float64(out.Attempts)
-	}
-	b.ReportMetric(attempts/float64(b.N), "msgs/op")
 }
 
 // BenchmarkE14RouterAblation routes one conditioned pair with the

@@ -46,7 +46,16 @@ type Client struct {
 	backoff    time.Duration
 	sse        bool
 	jitterSalt uint64
+	maxBody    int64 // response body bound: maxResponseBytes outside tests
 }
+
+// maxResponseBytes bounds every response body the client reads, so a
+// broken or hostile endpoint cannot exhaust the caller's memory. The
+// largest body an accepted request can produce is a shard result of
+// api.MaxTrials trial rows, and a row encodes in at most 100 bytes
+// (every field set, each number at its longest); 128 bytes a row leaves
+// room for the submit response that can wrap those rows.
+const maxResponseBytes = 128 * api.MaxTrials
 
 // clientSeq makes each Client's jitter stream distinct within a
 // process; see backoffWait.
@@ -94,6 +103,7 @@ func New(base string, opts ...Option) *Client {
 		retries: 3,
 		backoff: 100 * time.Millisecond,
 		sse:     true,
+		maxBody: maxResponseBytes,
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -407,12 +417,15 @@ func (c *Client) once(ctx context.Context, method, path string, payload []byte, 
 		return ctx.Err() == nil, err // network failure: transient unless we were canceled
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := io.ReadAll(io.LimitReader(resp.Body, c.maxBody+1))
 	if err != nil {
 		// Mirror the transport-error path: a body cut off because the
 		// caller's context was canceled mid-read is final, not a
 		// transient daemon failure to retry against.
 		return ctx.Err() == nil, err
+	}
+	if int64(len(data)) > c.maxBody {
+		return false, fmt.Errorf("%s %s: response body exceeds %d bytes", method, path, c.maxBody)
 	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		var eb api.ErrorBody

@@ -19,6 +19,13 @@ import (
 	"faultroute/api"
 )
 
+// maxEventBytes caps the data of one server-sent event. An api.Event
+// encodes in under 100 bytes; a stream that sends more without the
+// blank line that ends an event is broken or hostile, and the client
+// polls instead. bufio.Scanner already caps a single line at 64 KiB, so
+// the data held never exceeds twice this.
+const maxEventBytes = 64 << 10
+
 // watchEvents consumes the job's SSE stream at path, delivering
 // deduplicated events to onEvent; sub is the job's status from the
 // submit response. It returns streamed=false when the caller should
@@ -68,7 +75,7 @@ func (c *Client) watchEvents(ctx context.Context, path string, sub api.JobStatus
 		}
 		data = nil
 	}
-	for final == "" && sc.Scan() {
+	for final == "" && len(data) <= maxEventBytes && sc.Scan() {
 		line := sc.Text()
 		switch {
 		case line == "": // blank line: dispatch the accumulated event
@@ -80,8 +87,8 @@ func (c *Client) watchEvents(ctx context.Context, path string, sub api.JobStatus
 	}
 	if final == "" {
 		// Disconnected mid-job (daemon restart, broken proxy, scanner
-		// error): hand the job back to the poll loop unless the caller
-		// itself is done.
+		// error) or sent an oversized event: hand the job back to the
+		// poll loop unless the caller itself is done.
 		if ctx.Err() != nil {
 			return api.JobStatus{}, false, ctx.Err()
 		}

@@ -345,7 +345,9 @@ func ExperimentByID(id string) (Experiment, error) { return exp.ByID(id) }
 // Distributed simulation and overlays.
 
 // SimulateDistributedBFS runs the flooding/echo protocol of the
-// message-passing simulator on a percolation sample.
+// message-passing simulator on a percolation sample: a synchronous
+// flood from src whose echo returns the path once it reaches dst.
+// maxEvents caps the delivered messages handled (0 = unlimited).
 func SimulateDistributedBFS(s Sample, src, dst Vertex, maxEvents int) (*FloodOutcome, error) {
 	return sim.DistributedBFS(s, src, dst, maxEvents)
 }

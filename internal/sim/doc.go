@@ -1,8 +1,8 @@
-// Package sim is a deterministic discrete-event simulator for
-// message-passing over faulty networks. It exists to substantiate the
-// paper's framing: Definition 1's "local routing algorithm" is exactly a
-// distributed protocol in which a message can only be forwarded across
-// links adjacent to nodes it has already visited, and a probe is a
+// Package sim simulates message passing over faulty networks,
+// deterministically. It exists to substantiate the paper's framing:
+// Definition 1's "local routing algorithm" is exactly a distributed
+// protocol in which a message can only be forwarded across links
+// adjacent to nodes it has already visited, and a probe is a
 // transmission attempt over a possibly-failed link.
 //
 // Experiment E13 runs a distributed flooding/echo protocol on the same
@@ -12,8 +12,11 @@
 // endpoints) — so every probe-model result in the paper transfers to
 // message counts in an actual network.
 //
-// Each simulation owns its event queue and network state, so the exp
-// harness can run E13/E16 trials concurrently, one simulator per trial.
+// The flood is synchronous: round t delivers, in send order, the
+// messages sent in round t-1, from two reused message slices, and each
+// node keeps one parent pointer in a pooled arena map. Each run owns
+// that state, so the exp harness can run E13/E16 trials concurrently,
+// one simulation per trial.
 //
 // The package also hosts the correlated failure models (Fault / Mask,
 // failure.go): per-trial vertex outage masks — i.i.d. kills, regional

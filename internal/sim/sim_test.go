@@ -10,130 +10,6 @@ import (
 	"faultroute/internal/route"
 )
 
-func TestEngineOrdersEventsByTime(t *testing.T) {
-	var order []int
-	e := &Engine{}
-	e.Schedule(3, func() { order = append(order, 3) })
-	e.Schedule(1, func() { order = append(order, 1) })
-	e.Schedule(2, func() { order = append(order, 2) })
-	if n := e.Run(0); n != 3 {
-		t.Fatalf("processed %d events", n)
-	}
-	for i, want := range []int{1, 2, 3} {
-		if order[i] != want {
-			t.Fatalf("order = %v", order)
-		}
-	}
-	if e.Now() != 3 {
-		t.Fatalf("Now = %v", e.Now())
-	}
-}
-
-func TestEngineFIFOAmongTies(t *testing.T) {
-	var order []int
-	e := &Engine{}
-	for i := 0; i < 10; i++ {
-		i := i
-		e.Schedule(1, func() { order = append(order, i) })
-	}
-	e.Run(0)
-	for i := range order {
-		if order[i] != i {
-			t.Fatalf("same-time events out of order: %v", order)
-		}
-	}
-}
-
-func TestEngineNestedScheduling(t *testing.T) {
-	e := &Engine{}
-	hits := 0
-	e.Schedule(1, func() {
-		hits++
-		e.Schedule(1, func() { hits++ })
-	})
-	e.Run(0)
-	if hits != 2 {
-		t.Fatalf("hits = %d", hits)
-	}
-	if e.Now() != 2 {
-		t.Fatalf("Now = %v", e.Now())
-	}
-}
-
-func TestEngineStopAndMaxEvents(t *testing.T) {
-	e := &Engine{}
-	hits := 0
-	for i := 0; i < 10; i++ {
-		e.Schedule(float64(i), func() { hits++ })
-	}
-	if n := e.Run(3); n != 3 || hits != 3 {
-		t.Fatalf("maxEvents run processed %d/%d", n, hits)
-	}
-	e2 := &Engine{}
-	e2.Schedule(0, func() { e2.Stop() })
-	e2.Schedule(1, func() { t.Fatal("ran past Stop") })
-	e2.Run(0)
-	if e2.Pending() != 1 {
-		t.Fatalf("pending = %d", e2.Pending())
-	}
-}
-
-func TestEngineNegativeDelayClamped(t *testing.T) {
-	e := &Engine{}
-	ran := false
-	e.Schedule(-5, func() { ran = true })
-	e.Run(0)
-	if !ran || e.Now() != 0 {
-		t.Fatalf("ran=%v now=%v", ran, e.Now())
-	}
-}
-
-func TestNetworkRejectsNonPositiveDelay(t *testing.T) {
-	s := percolation.New(graph.MustRing(4), 1, 1)
-	if _, err := NewNetwork(&Engine{}, s, 0); err == nil {
-		t.Fatal("zero delay accepted")
-	}
-}
-
-func TestNetworkSendOverOpenAndClosed(t *testing.T) {
-	g := graph.MustRing(4)
-	e := &Engine{}
-	nw, err := NewNetwork(e, percolation.New(g, 1, 1), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := 0
-	nw.SetHandler(1, func(m Message) { got++ })
-	if err := nw.Send(0, 1, "x", nil); err != nil {
-		t.Fatal(err)
-	}
-	e.Run(0)
-	if got != 1 || nw.Delivered != 1 || nw.Dropped != 0 {
-		t.Fatalf("delivery stats: got=%d delivered=%d dropped=%d", got, nw.Delivered, nw.Dropped)
-	}
-
-	closed, err := NewNetwork(&Engine{}, percolation.New(g, 0, 1), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := closed.Send(0, 1, "x", nil); err != nil {
-		t.Fatal(err)
-	}
-	if closed.Dropped != 1 || closed.Attempts != 1 {
-		t.Fatalf("drop stats: %+v", closed)
-	}
-}
-
-func TestNetworkSendNonAdjacentErrors(t *testing.T) {
-	nw, err := NewNetwork(&Engine{}, percolation.New(graph.MustRing(6), 1, 1), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := nw.Send(0, 3, "x", nil); err == nil {
-		t.Fatal("non-adjacent send accepted")
-	}
-}
-
 func TestDistributedBFSOnFullGraphFindsGeodesic(t *testing.T) {
 	g := graph.MustMesh(2, 6)
 	s := percolation.New(g, 1, 1)
@@ -177,6 +53,18 @@ func TestDistributedBFSUnreachable(t *testing.T) {
 	}
 	if out.Attempts != 2 || out.Dropped != 2 {
 		t.Fatalf("attempts = %d dropped = %d, want both 2", out.Attempts, out.Dropped)
+	}
+}
+
+// TestDistributedBFSRejectsOutOfRangeEndpoints pins that an endpoint
+// outside the graph is an error: the parent pointers are indexed by
+// vertex, and the graphs compute neighbors of any vertex number.
+func TestDistributedBFSRejectsOutOfRangeEndpoints(t *testing.T) {
+	s := percolation.New(graph.MustMesh(2, 5), 0.6, 1)
+	for _, c := range [][2]graph.Vertex{{30, 0}, {0, 25}, {25, 25}} {
+		if out, err := DistributedBFS(s, c[0], c[1], 0); err == nil {
+			t.Fatalf("src %d dst %d on 25 vertices: %+v, want an error", c[0], c[1], out)
+		}
 	}
 }
 
