@@ -68,7 +68,9 @@ type Cell struct {
 	Trials int
 	// Shard, when > 0, splits each op's estimate into trial-range shard
 	// sub-jobs of this size, fanned across the backends and merged
-	// locally — the wire shape of a dispatch.Pool run.
+	// locally — the wire shape of a dispatch.Pool run. It applies only
+	// to cells without Pool: a pool lays out shards by its own rule,
+	// from the trial count.
 	Shard int
 	// Graph is the topology template of the catalog specs.
 	Graph api.GraphSpec
@@ -88,17 +90,18 @@ type Cell struct {
 	// Options default).
 	Ops int
 	// Pool routes every op through a dispatch.Pool over the cell's
-	// backends instead of the per-client submit path: the pool plans the
-	// shard layout (Shard pins it; 0 = adaptive), selects backends by
-	// observed capacity, and — with Hedge — speculates on stragglers.
+	// backends instead of the per-client submit path: the pool shards
+	// each estimate by its trial count, places every sub-job on the
+	// backend that owns its content key, and — with Hedge — speculates
+	// on stragglers.
 	// Every pool result is verified byte-for-byte against an in-process
 	// faultroute.Local reference computed before the clock starts, so a
 	// pool cell is simultaneously a correctness check of the dispatch
 	// determinism contract.
 	Pool bool
 	// Hedge enables straggler speculation in the cell's pool (Pool cells
-	// only): sub-jobs that outlive HedgeAfter race a duplicate on an
-	// idle backend.
+	// only): sub-jobs that outlive HedgeAfter race a duplicate on their
+	// owner's successor, the next backend in their placement order.
 	Hedge bool
 	// HedgeAfter is the pool's hedge floor (0 = the pool default).
 	HedgeAfter time.Duration
@@ -418,9 +421,6 @@ func runCell(ctx context.Context, target *Target, cell Cell, opts Options, cellI
 				client.WithPollInterval(20*time.Millisecond),
 				client.WithRetry(6, 50*time.Millisecond)),
 			dispatch.WithHedging(cell.Hedge),
-		}
-		if cell.Shard > 0 {
-			poolOpts = append(poolOpts, dispatch.WithShardTrials(cell.Shard))
 		}
 		if cell.HedgeAfter > 0 {
 			poolOpts = append(poolOpts, dispatch.WithHedgeAfter(cell.HedgeAfter))

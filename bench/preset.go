@@ -99,10 +99,10 @@ func Presets() []Preset {
 			Description: "heterogeneous 3-daemon fleet with one 5x-slowed backend, driven through a dispatch pool; " +
 				"asserts straggler hedging cuts wall time under 0.6x of the unhedged run, with byte-identical results",
 			Cells: []Cell{
-				{Clients: 1, Ops: 1, Trials: 96, Shard: 8, Catalog: 1,
+				{Clients: 1, Ops: 1, Trials: 96, Catalog: 1,
 					Graph: api.GraphSpec{Family: "hypercube", N: 7},
 					Pool:  true, Hedge: false},
-				{Clients: 1, Ops: 1, Trials: 96, Shard: 8, Catalog: 1,
+				{Clients: 1, Ops: 1, Trials: 96, Catalog: 1,
 					Graph: api.GraphSpec{Family: "hypercube", N: 7},
 					Pool:  true, Hedge: true, HedgeAfter: 50 * time.Millisecond},
 			},

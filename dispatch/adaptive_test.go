@@ -22,13 +22,11 @@ func TestPoolHedgingByteIdenticalToLocal(t *testing.T) {
 	// every shard stuck behind the straggler is speculatively re-run on a
 	// fast sibling; whatever mixture of primaries and hedges wins, the
 	// merged bytes must equal the in-process run. The straggler owns
-	// shard [0, 4), so at least one shard is submitted to it first.
+	// the first shard, so at least one shard is submitted to it first.
 	req := estimateReq(40)
 	srvs, urls := reserve(t, 3)
-	startRoles(t, srvs, urls, ownerOf(t, urls, shardOf(req, 0, 4)), 300*time.Millisecond, nil)
-	pool := newPool(t, urls,
-		dispatch.WithShardTrials(4),
-		dispatch.WithHedgeAfter(30*time.Millisecond))
+	startRoles(t, srvs, urls, ownerOf(t, urls, shardOf(req, 0)), 300*time.Millisecond, nil)
+	pool := newPool(t, urls, dispatch.WithHedgeAfter(30*time.Millisecond))
 	ctx := context.Background()
 
 	want, err := faultroute.NewLocal().Do(ctx, req)
@@ -68,13 +66,13 @@ func TestPoolResolverAdmitsJoinerMidSweep(t *testing.T) {
 	//
 	// A different spec for the second job: the first job's results are
 	// stored at the first backend, and a repeat would be answered from
-	// there without dispatching anything. The joiner owns shard [0, 4) of
-	// the second job, so that job must send the joiner work.
+	// there without dispatching anything. The joiner owns the first shard
+	// of the second job, so that job must send the joiner work.
 	req2 := estimateReq(24)
 	req2.Estimate.Seed = 11
 	var joinerSubmits atomic.Int64
 	srvs, addrs := reserve(t, 2)
-	b2, others := startRoles(t, srvs, addrs, ownerOf(t, addrs, shardOf(req2, 0, 4)), 0, countSubmits(&joinerSubmits))
+	b2, others := startRoles(t, srvs, addrs, ownerOf(t, addrs, shardOf(req2, 0)), 0, countSubmits(&joinerSubmits))
 	b1 := others[0]
 
 	var (
@@ -86,9 +84,7 @@ func TestPoolResolverAdmitsJoinerMidSweep(t *testing.T) {
 		defer mu.Unlock()
 		return append([]string(nil), urls...)
 	}
-	pool, err := dispatch.New(nil, fastOpts(
-		dispatch.WithResolver(resolve),
-		dispatch.WithShardTrials(4))...)
+	pool, err := dispatch.New(nil, fastOpts(dispatch.WithResolver(resolve))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,12 +130,12 @@ func TestPoolResolverAdmitsJoinerMidSweep(t *testing.T) {
 }
 
 func TestPoolResolverDrainsRemovedBackend(t *testing.T) {
-	// Backend 2 owns shard [0, 4) of the first job, so it gets work while
-	// it is a member.
+	// Backend 2 owns the first shard of the first job, so it gets work
+	// while it is a member.
 	req := estimateReq(24)
 	var removedSubmits atomic.Int64
 	srvs, addrs := reserve(t, 2)
-	b2, others := startRoles(t, srvs, addrs, ownerOf(t, addrs, shardOf(req, 0, 4)), 0, countSubmits(&removedSubmits))
+	b2, others := startRoles(t, srvs, addrs, ownerOf(t, addrs, shardOf(req, 0)), 0, countSubmits(&removedSubmits))
 	b1 := others[0]
 
 	var (
@@ -151,9 +147,7 @@ func TestPoolResolverDrainsRemovedBackend(t *testing.T) {
 		defer mu.Unlock()
 		return append([]string(nil), urls...)
 	}
-	pool, err := dispatch.New(nil, fastOpts(
-		dispatch.WithResolver(resolve),
-		dispatch.WithShardTrials(4))...)
+	pool, err := dispatch.New(nil, fastOpts(dispatch.WithResolver(resolve))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,19 +189,17 @@ func TestPoolResolverDrainsRemovedBackend(t *testing.T) {
 func TestPoolHealthRecoversCooldownBackend(t *testing.T) {
 	// A backend that failed a sub-job sits in cooldown; a successful
 	// Health probe must lift the cooldown immediately instead of letting
-	// the mark expire on its own. The flaky backend owns shard [0, 4) of
-	// the request, so the first run submits to it (and marks it down),
+	// the mark expire on its own. The flaky backend owns the first shard
+	// of the request, so the first run submits to it (and marks it down),
 	// and the survivor computes and stores that shard instead.
 	req := estimateReq(24)
 	flaky := newHealable() // fails every submission until healed
 	var b1Submits atomic.Int64
 	srvs, urls := reserve(t, 2)
-	b1, _ := startRoles(t, srvs, urls, ownerOf(t, urls, shardOf(req, 0, 4)), 0, func(next http.Handler) http.Handler {
+	b1, _ := startRoles(t, srvs, urls, ownerOf(t, urls, shardOf(req, 0)), 0, func(next http.Handler) http.Handler {
 		return countSubmits(&b1Submits)(flaky.wrap(next))
 	})
-	pool := newPool(t, urls,
-		dispatch.WithShardTrials(4),
-		dispatch.WithCooldown(time.Hour)) // the probe, not the clock, must recover it
+	pool := newPool(t, urls, dispatch.WithCooldown(time.Hour)) // the probe, not the clock, must recover it
 	ctx := context.Background()
 
 	if _, err := pool.Do(ctx, req); err != nil {
@@ -230,7 +222,7 @@ func TestPoolHealthRecoversCooldownBackend(t *testing.T) {
 
 	// The recovered backend must take sub-jobs again within the next job
 	// — an hour-long cooldown would have parked it otherwise. The next job
-	// is a fresh spec whose shard [0, 4) the recovered backend owns, so
+	// is a fresh spec whose first shard the recovered backend owns, so
 	// that shard is submitted there unless the backend still cools down.
 	// (A repeat of the first job would prove nothing: the survivor, the
 	// owner's successor, holds its shards and answers them.)

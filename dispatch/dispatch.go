@@ -11,25 +11,28 @@
 // re-dispatches, returns exactly the bytes faultroute.Local computes
 // for the same request.
 //
-// Internally the Pool is four layers, each small enough to test in
+// An estimate's shard layout follows from its trial count alone: an
+// estimate of at most 16 trials dispatches whole, and a larger one
+// splits into at most eight shards of max(16, ceil(trials/8)) trials.
+// Every Pool, whatever its fleet or history, therefore gives an
+// estimate the same shard keys, and a repeat from a fresh Pool is read
+// back from the backends' stores. Shard layout never changes bytes:
+// api.MergeShards folds per-trial rows in trial order.
+//
+// Internally the Pool is three layers, each small enough to test in
 // isolation:
 //
-//   - The planner (planner.go) sizes an estimate's trial shards. By
-//     default it is latency-adaptive: completed sub-jobs feed a
-//     fleet-wide per-trial EWMA back between jobs, and shards are sized
-//     toward a fixed wall-time target (WithShardTarget); WithShardTrials
-//     pins a fixed size instead. Shard layout never changes bytes —
-//     api.MergeShards folds per-trial rows in trial order.
 //   - Placement (placement.go) names each sub-job's owner: the live
 //     members are ranked by a rendezvous hash of the sub-job's content
-//     key, and no member owns more than its even share of one
-//     estimate's shards. The Pool reads the owner's stored result with
-//     one GET /v1/results/{key} (and, on a miss, its successor's: the
-//     next member in placement order, where hedges and failovers put
-//     their results), submits the sub-job to the owner on a miss, and
-//     fails over down the order. A repeated request therefore lands
-//     where its results already sit, and the requests a cached shard
-//     costs do not grow with the fleet.
+//     key, and every member owns an even share of one estimate's
+//     shards (of S shards over n members, floor(S/n) or ceil(S/n)).
+//     The Pool reads the owner's stored result with one GET
+//     /v1/results/{key} (and, on a miss, its successor's: the next
+//     member in placement order, where hedges and failovers put their
+//     results), submits the sub-job to the owner on a miss, and fails
+//     over down the order. A repeated request therefore lands where its
+//     results already sit, and the requests a cached shard costs do not
+//     grow with the fleet.
 //   - The hedger (hedger.go) watches for stragglers: an attempt that
 //     outlives twice what the fleet's median backend would take is
 //     speculatively re-dispatched to the next-ranked backend, the first
@@ -110,7 +113,6 @@ var (
 // backend set is fixed unless WithResolver makes membership live.
 type Pool struct {
 	members *memberSet
-	planner planner
 	hedge   hedger
 	sem     chan struct{} // bounds in-flight sub-jobs, pool-wide
 
@@ -164,8 +166,6 @@ type Option func(*settings)
 type settings struct {
 	clientOpts  []client.Option
 	resolver    func() []string
-	shardTrials int
-	shardTarget time.Duration
 	maxInFlight int
 	attempts    int
 	cooldown    time.Duration
@@ -191,21 +191,6 @@ func WithClientOptions(opts ...client.Option) Option {
 func WithResolver(resolve func() []string) Option {
 	return func(s *settings) { s.resolver = resolve }
 }
-
-// WithShardTrials pins how many trials each estimate sub-job carries,
-// disabling adaptive sizing (<= 0 restores the default: adaptive
-// shard sizing, see WithShardTarget). The shard layout never affects
-// result bytes — only how the work spreads.
-func WithShardTrials(n int) Option { return func(s *settings) { s.shardTrials = n } }
-
-// WithShardTarget sets the wall time the adaptive planner aims each
-// shard at (<= 0 restores the default of 1s). Completed sub-jobs feed
-// a fleet-wide per-trial latency EWMA back into the planner between
-// jobs; shard size is target/EWMA, clamped between two and eight
-// shards per backend. Before the first observation the planner splits
-// about four shards per backend. Ignored when WithShardTrials pins a
-// fixed size.
-func WithShardTarget(d time.Duration) Option { return func(s *settings) { s.shardTarget = d } }
 
 // WithMaxInFlight bounds how many sub-jobs the Pool keeps outstanding
 // across all concurrent calls (<= 0 restores the default of four per
@@ -287,16 +272,8 @@ func New(targets []string, opts ...Option) (*Pool, error) {
 	if s.hedgeAfter <= 0 {
 		s.hedgeAfter = 400 * time.Millisecond
 	}
-	if s.shardTarget <= 0 {
-		s.shardTarget = time.Second
-	}
-	var pl planner = &adaptivePlanner{target: s.shardTarget}
-	if s.shardTrials > 0 {
-		pl = fixedPlanner{size: s.shardTrials}
-	}
 	return &Pool{
 		members:  newMemberSet(targets, s.resolver, s.clientOpts),
-		planner:  pl,
 		hedge:    hedger{enabled: s.hedging, floor: s.hedgeAfter, factor: hedgeFactor},
 		sem:      make(chan struct{}, s.maxInFlight),
 		attempts: s.attempts,
@@ -434,7 +411,7 @@ func (p *Pool) run(ctx context.Context, req api.Request, onEvent func(api.Event)
 	agg := newAggregator(onEvent, plan.Total)
 	agg.start()
 	var res api.Result
-	if ranges := shardRanges(p.planner, norm, len(members)); len(ranges) > 1 {
+	if ranges := shardRanges(norm); ranges != nil {
 		res, err = p.runSharded(ctx, norm, plan.Key, ranges, members, agg)
 	} else {
 		res, err = p.dispatch(ctx, plan, rank(members, plan.Key), 0, agg, func(r api.Result) error { return verify(r, norm) })
@@ -444,6 +421,39 @@ func (p *Pool) run(ctx context.Context, req api.Request, onEvent func(api.Event)
 	}
 	agg.finish()
 	return res, nil
+}
+
+// The shard layout rule: an estimate of more than minShardTrials trials
+// splits into at most maxShards shards of at least minShardTrials
+// trials each. 64 trials give 4 × 16, 96 give 6 × 16, and 1,200 give
+// 8 × 150. Every shard costs a sub-job round trip when fresh and a
+// stored read when repeated, so the cap keeps both few, and the floor
+// keeps a shard's trials worth its round trip.
+const (
+	minShardTrials = 16
+	maxShards      = 8
+)
+
+// shardRanges returns the trial ranges an estimate splits into, or nil
+// when the request dispatches whole: non-estimates, sub-jobs already
+// carrying a shard, and estimates of at most minShardTrials trials. The
+// layout depends on the trial count alone, never on the fleet or on
+// observed latency, so every Pool gives an estimate the same shard
+// keys and a repeat finds them stored.
+func shardRanges(norm api.Request) []api.ShardSpec {
+	if norm.Kind != api.KindEstimate || norm.Estimate == nil || norm.Estimate.Shard != nil {
+		return nil
+	}
+	trials := norm.Estimate.Trials
+	if trials <= minShardTrials {
+		return nil
+	}
+	size := max(minShardTrials, (trials+maxShards-1)/maxShards)
+	ranges := make([]api.ShardSpec, 0, (trials+size-1)/size)
+	for off := 0; off < trials; off += size {
+		ranges = append(ranges, api.ShardSpec{Offset: off, Count: min(size, trials-off)})
+	}
+	return ranges
 }
 
 // runSharded fans the estimate's trial ranges out as concurrent

@@ -92,10 +92,10 @@ func TestNewRejectsEmptyBackendList(t *testing.T) {
 
 func TestPoolShardedEstimateByteIdenticalToLocal(t *testing.T) {
 	b1, b2 := newBackend(t, nil), newBackend(t, nil)
-	pool := newPool(t, []string{b1.srv.URL, b2.srv.URL}, dispatch.WithShardTrials(4))
+	pool := newPool(t, []string{b1.srv.URL, b2.srv.URL})
 	ctx := context.Background()
 
-	req := estimateReq(30)
+	req := estimateReq(100)
 	want, err := faultroute.NewLocal().Do(ctx, req)
 	if err != nil {
 		t.Fatal(err)
@@ -186,10 +186,10 @@ func TestPoolFailoverAfterBackendDiesMidRun(t *testing.T) {
 	// still be byte-identical to Local.
 	healthy := newBackend(t, nil)
 	dying := newBackend(t, failAfter(3))
-	pool := newPool(t, []string{dying.srv.URL, healthy.srv.URL}, dispatch.WithShardTrials(4))
+	pool := newPool(t, []string{dying.srv.URL, healthy.srv.URL})
 	ctx := context.Background()
 
-	req := estimateReq(40)
+	req := estimateReq(64)
 	want, err := faultroute.NewLocal().Do(ctx, req)
 	if err != nil {
 		t.Fatal(err)
@@ -255,12 +255,12 @@ func TestPoolRejectsInvalidRequestLocally(t *testing.T) {
 
 func TestPoolWatchAggregatesMonotoneProgress(t *testing.T) {
 	b1, b2 := newBackend(t, nil), newBackend(t, nil)
-	pool := newPool(t, []string{b1.srv.URL, b2.srv.URL}, dispatch.WithShardTrials(5))
+	pool := newPool(t, []string{b1.srv.URL, b2.srv.URL})
 	var (
 		mu     sync.Mutex
 		events []api.Event
 	)
-	req := estimateReq(20)
+	req := estimateReq(64)
 	res, err := pool.Watch(context.Background(), req, func(ev api.Event) {
 		mu.Lock()
 		events = append(events, ev)
@@ -281,8 +281,8 @@ func TestPoolWatchAggregatesMonotoneProgress(t *testing.T) {
 	if first.State != api.JobRunning || first.Done != 0 {
 		t.Fatalf("leading event = %+v, want running/0", first)
 	}
-	if last.State != api.JobDone || last.Done != 20 || last.Total != 20 {
-		t.Fatalf("trailing event = %+v, want done 20/20", last)
+	if trials := int64(req.Estimate.Trials); last.State != api.JobDone || last.Done != trials || last.Total != trials {
+		t.Fatalf("trailing event = %+v, want done %d/%d", last, trials, trials)
 	}
 	var prev int64 = -1
 	for _, ev := range events {
@@ -295,9 +295,9 @@ func TestPoolWatchAggregatesMonotoneProgress(t *testing.T) {
 
 func TestPoolDoBatchMatchesIndividualDo(t *testing.T) {
 	b1, b2 := newBackend(t, nil), newBackend(t, nil)
-	pool := newPool(t, []string{b1.srv.URL, b2.srv.URL}, dispatch.WithShardTrials(3))
+	pool := newPool(t, []string{b1.srv.URL, b2.srv.URL})
 	ctx := context.Background()
-	reqs := []api.Request{estimateReq(9), estimateReq(12), estimateReq(15)}
+	reqs := []api.Request{estimateReq(40), estimateReq(56), estimateReq(72)}
 	got, err := pool.DoBatch(ctx, reqs)
 	if err != nil {
 		t.Fatal(err)

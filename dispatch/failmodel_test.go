@@ -54,7 +54,7 @@ func TestPoolShardedFailureEstimateByteIdenticalToLocal(t *testing.T) {
 	// every shard must draw the SAME per-trial outage masks the
 	// in-process run draws, so the merged counts are byte-identical.
 	b1, b2 := newBackend(t, nil), newBackend(t, nil)
-	pool := newPool(t, []string{b1.srv.URL, b2.srv.URL}, dispatch.WithShardTrials(4))
+	pool := newPool(t, []string{b1.srv.URL, b2.srv.URL})
 	ctx := context.Background()
 
 	for _, fail := range []*api.FailSpec{
@@ -67,7 +67,7 @@ func TestPoolShardedFailureEstimateByteIdenticalToLocal(t *testing.T) {
 			Estimate: &api.EstimateSpec{
 				Graph:  api.GraphSpec{Family: "hypercube", N: 7},
 				P:      0.7,
-				Trials: 20,
+				Trials: 40,
 				Seed:   3,
 				Fail:   fail,
 			},
@@ -92,7 +92,7 @@ func TestPoolShardedFailureEstimateByteIdenticalToLocal(t *testing.T) {
 
 func TestPoolShardedKleinbergEstimateByteIdenticalToLocal(t *testing.T) {
 	b1, b2 := newBackend(t, nil), newBackend(t, nil)
-	pool := newPool(t, []string{b1.srv.URL, b2.srv.URL}, dispatch.WithShardTrials(4))
+	pool := newPool(t, []string{b1.srv.URL, b2.srv.URL})
 	ctx := context.Background()
 
 	req := api.Request{
@@ -100,7 +100,7 @@ func TestPoolShardedKleinbergEstimateByteIdenticalToLocal(t *testing.T) {
 		Estimate: &api.EstimateSpec{
 			Graph:  api.GraphSpec{Family: "kleinberg", D: 2, Side: 8, Seed: 3},
 			P:      0.85,
-			Trials: 16,
+			Trials: 64,
 			Seed:   6,
 		},
 	}

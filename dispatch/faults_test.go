@@ -1,9 +1,9 @@
 package dispatch_test
 
 // Fault injection under the pool's clients. Whatever a deterministic
-// schedule of transport errors, 5xx answers, truncated bodies and
-// swapped bodies does to the wire, Pool.Do returns Local's exact bytes
-// or an error, never other bytes.
+// schedule of transport errors, 5xx answers, truncated bodies, swapped
+// bodies, delays and duplicate deliveries does to the wire, Pool.Do
+// returns Local's exact bytes or an error, never other bytes.
 
 import (
 	"bytes"
@@ -18,6 +18,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"faultroute"
 	"faultroute/api"
@@ -30,32 +31,35 @@ import (
 type fault int
 
 const (
-	pass      fault = iota
-	dropped         // the round trip fails with a transport error
-	status500       // a 500 answers, the backend never sees the request
-	status503       // a 503 answers, the backend never sees the request
-	truncated       // a 200 GET /v1/results or POST /v1/jobs body is cut in half, Content-Length dropped
-	swapped         // GET /v1/results/{key} is answered with another key's stored body
+	pass       fault = iota
+	dropped          // the round trip fails with a transport error
+	status500        // a 500 answers, the backend never sees the request
+	status503        // a 503 answers, the backend never sees the request
+	truncated        // a 200 GET /v1/results or POST /v1/jobs body is cut in half, Content-Length dropped
+	swapped          // GET /v1/results/{key} is answered with another key's stored body
+	delayed          // the request waits its scheduled delay, or until its context ends, before it is forwarded
+	duplicated       // the request is forwarded twice, its body re-read through GetBody; the second answer returns
 	numFaults
 )
 
 // faultyTransport is a deterministic fault injector: schedule picks the
-// fault for each request from its method, path and occurrence count
-// alone, never from a clock or a shared random stream. truncated
-// applies to the two responses that can carry a result, GET
-// /v1/results and a 200 POST /v1/jobs (a cached submit carries its
-// bytes inline); swapped applies only to GET /v1/results. Anywhere else
-// they pass.
+// fault for each request, and the delay a delayed request waits, from
+// its method, path and occurrence count alone, never from a clock or a
+// shared random stream. truncated applies to the two responses that can
+// carry a result, GET /v1/results and a 200 POST /v1/jobs (a cached
+// submit carries its bytes inline); swapped applies only to GET
+// /v1/results. Anywhere else they pass.
 type faultyTransport struct {
-	schedule func(id string, n int) fault
+	schedule func(id string, n int) (fault, time.Duration)
 	foreign  map[string][]byte // stored bodies by key, the swapped answers
 
 	mu       sync.Mutex
 	seen     map[string]int
 	injected [numFaults]atomic.Int64
+	cut      atomic.Int64 // delayed requests whose context ended first
 }
 
-func newFaultyTransport(schedule func(id string, n int) fault, foreign map[string][]byte) *faultyTransport {
+func newFaultyTransport(schedule func(id string, n int) (fault, time.Duration), foreign map[string][]byte) *faultyTransport {
 	return &faultyTransport{schedule: schedule, foreign: foreign, seen: map[string]int{}}
 }
 
@@ -69,7 +73,8 @@ func (f *faultyTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 	isResult = isResult && r.Method == http.MethodGet
 	isSubmit := r.Method == http.MethodPost && r.URL.Path == api.BasePath+"/jobs"
 
-	switch ft := f.schedule(id, n); {
+	ft, wait := f.schedule(id, n)
+	switch {
 	case ft == dropped:
 		f.injected[ft].Add(1)
 		return nil, errors.New("injected: connection reset")
@@ -105,6 +110,30 @@ func (f *faultyTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 		resp.ContentLength = -1
 		resp.Header.Del("Content-Length")
 		return resp, nil
+	case ft == delayed:
+		f.injected[ft].Add(1)
+		timer := time.NewTimer(wait)
+		defer timer.Stop()
+		select {
+		case <-timer.C:
+		case <-r.Context().Done():
+			f.cut.Add(1)
+			return nil, r.Context().Err()
+		}
+	case ft == duplicated:
+		resp, err := http.DefaultTransport.RoundTrip(r)
+		if err != nil {
+			return nil, err
+		}
+		resp.Body.Close()
+		again := r.Clone(r.Context())
+		if r.GetBody != nil {
+			if again.Body, err = r.GetBody(); err != nil {
+				return nil, err
+			}
+		}
+		f.injected[ft].Add(1)
+		return http.DefaultTransport.RoundTrip(again)
 	}
 	return http.DefaultTransport.RoundTrip(r)
 }
@@ -125,26 +154,27 @@ func reply(r *http.Request, code int, body []byte) *http.Response {
 }
 
 // seeded returns schedule number seed: about one request in four is
-// faulted, with the five faults equally likely.
-func seeded(seed uint64) func(id string, n int) fault {
-	return func(id string, n int) fault {
+// faulted, with the seven faults equally likely, and a delayed request
+// waits 0–300 ms, so some stored reads outlive their deadline.
+func seeded(seed uint64) func(id string, n int) (fault, time.Duration) {
+	return func(id string, n int) (fault, time.Duration) {
 		fh := fnv.New64a()
 		io.WriteString(fh, id)
 		h := rng.Combine(seed, rng.Combine(fh.Sum64(), uint64(n)))
 		if h%4 != 0 {
-			return pass
+			return pass, 0
 		}
-		return dropped + fault((h>>8)%uint64(numFaults-dropped))
+		return dropped + fault((h>>8)%uint64(numFaults-dropped)), time.Duration((h>>24)%301) * time.Millisecond
 	}
 }
 
-// shardBodies returns Local's stored body of every 4-trial shard of the
+// shardBodies returns Local's stored body of every shard of the
 // estimate req, by content key.
 func shardBodies(t *testing.T, req api.Request) map[string][]byte {
 	t.Helper()
 	out := map[string][]byte{}
-	for off := 0; off < req.Estimate.Trials; off += 4 {
-		res, err := faultroute.NewLocal().Do(context.Background(), shardOf(req, off, min(4, req.Estimate.Trials-off)))
+	for i := range dispatch.ShardRanges(req.Estimate.Trials) {
+		res, err := faultroute.NewLocal().Do(context.Background(), shardOf(req, i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +184,7 @@ func shardBodies(t *testing.T, req api.Request) map[string][]byte {
 }
 
 func TestPoolUnderInjectedFaultsReturnsLocalBytesOrError(t *testing.T) {
-	estimate := estimateReq(20)
+	estimate := estimateReq(64)
 	experiment := api.Request{
 		Kind:       api.KindExperiment,
 		Experiment: &api.ExperimentSpec{ID: "E1", Seed: 1, Scale: "quick"},
@@ -162,7 +192,10 @@ func TestPoolUnderInjectedFaultsReturnsLocalBytesOrError(t *testing.T) {
 	// Both swap from the estimate's shard bodies: a shard answered with
 	// another shard's rows, and an experiment answered with a shard.
 	foreign := shardBodies(t, estimate)
-	var total [numFaults]int64
+	var (
+		total [numFaults]int64
+		cut   int64
+	)
 	for _, tc := range []struct {
 		name     string
 		req      api.Request
@@ -187,12 +220,12 @@ func TestPoolUnderInjectedFaultsReturnsLocalBytesOrError(t *testing.T) {
 			var ok, failed int
 			for seed := uint64(1); seed <= 20; seed++ {
 				ft := newFaultyTransport(seeded(seed), foreign)
-				pool := newPool(t, urls, dispatch.WithShardTrials(4),
-					dispatch.WithClientOptions(client.WithHTTPClient(&http.Client{Transport: ft})))
+				pool := newPool(t, urls, dispatch.WithClientOptions(client.WithHTTPClient(&http.Client{Transport: ft})))
 				got, err := pool.Do(ctx, tc.req)
 				for k := range total {
 					total[k] += ft.injected[k].Load()
 				}
+				cut += ft.cut.Load()
 				if err != nil {
 					failed++
 					continue
@@ -213,7 +246,10 @@ func TestPoolUnderInjectedFaultsReturnsLocalBytesOrError(t *testing.T) {
 			t.Errorf("fault %d was never injected", k)
 		}
 	}
-	t.Logf("faults injected (dropped, 500, 503, truncated, swapped): %v", total[dropped:])
+	if cut == 0 {
+		t.Error("no delayed request outlived its deadline, so no stored read timed out")
+	}
+	t.Logf("faults injected (dropped, 500, 503, truncated, swapped, delayed, duplicated): %v; %d delayed requests outlived their deadline", total[dropped:], cut)
 }
 
 func TestPoolRejectsTruncatedResultBody(t *testing.T) {
@@ -221,7 +257,7 @@ func TestPoolRejectsTruncatedResultBody(t *testing.T) {
 	// half, with no Content-Length and no error: a one-backend pool must
 	// fail, never return the prefix as E1's result.
 	b := newBackend(t, nil)
-	ft := newFaultyTransport(func(string, int) fault { return truncated }, nil)
+	ft := newFaultyTransport(func(string, int) (fault, time.Duration) { return truncated, 0 }, nil)
 	pool := newPool(t, []string{b.srv.URL},
 		dispatch.WithClientOptions(client.WithHTTPClient(&http.Client{Transport: ft})))
 	req := api.Request{
@@ -233,5 +269,41 @@ func TestPoolRejectsTruncatedResultBody(t *testing.T) {
 	}
 	if ft.injected[truncated].Load() == 0 {
 		t.Fatal("no body was truncated, so nothing was checked")
+	}
+}
+
+func TestPoolDuplicatedSubmitCoalesces(t *testing.T) {
+	// Every POST /v1/jobs reaches the backend twice. The second copy of a
+	// submit finds the first one's job in flight or stored and attaches
+	// to it, so each shard is enqueued once, and the pool returns Local's
+	// bytes.
+	b := newBackend(t, nil)
+	ft := newFaultyTransport(func(id string, _ int) (fault, time.Duration) {
+		if id == http.MethodPost+" "+api.BasePath+"/jobs" {
+			return duplicated, 0
+		}
+		return pass, 0
+	}, nil)
+	pool := newPool(t, []string{b.srv.URL},
+		dispatch.WithClientOptions(client.WithHTTPClient(&http.Client{Transport: ft})))
+	ctx := context.Background()
+	req := estimateReq(64)
+	want, err := faultroute.NewLocal().Do(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := pool.Do(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Body, want.Body) {
+		t.Fatalf("pool bytes differ from local:\n got %s\nwant %s", got.Body, want.Body)
+	}
+	shards := len(dispatch.ShardRanges(req.Estimate.Trials))
+	if n := ft.injected[duplicated].Load(); n < int64(shards) {
+		t.Fatalf("%d submits were doubled, want at least one per shard (%d)", n, shards)
+	}
+	if fresh := scrapeCounter(t, b.srv.URL, `faultroute_jobs_submitted_total{outcome="fresh"}`); fresh != float64(shards) {
+		t.Fatalf("the backend enqueued %v jobs for %d shards, want one each", fresh, shards)
 	}
 }

@@ -141,7 +141,9 @@ func (p *Pool) runAttempt(ctx context.Context, primary *member, req api.Request,
 					mHedgeWins.Inc()
 					p.stats.hedgeWins.Add(1)
 				}
-				p.observeSuccess(out.at.m, req, out.elapsed)
+				if trials := requestTrials(req); trials > 0 && out.elapsed > 0 {
+					out.at.m.observe(out.elapsed / time.Duration(trials))
+				}
 				p.cancelLosers(attempts, out.at)
 				return out.res, nil
 			}
@@ -230,16 +232,4 @@ func pickHedge(order []*member, tried map[*member]bool, primary *member) *member
 		}
 	}
 	return nil
-}
-
-// observeSuccess feeds one successful sub-job back into the adaptive
-// layers: the member's per-trial EWMA (the fleet median that times
-// hedges) and the planner's fleet-wide estimate (next job's shard size).
-func (p *Pool) observeSuccess(m *member, req api.Request, elapsed time.Duration) {
-	trials := requestTrials(req)
-	if trials <= 0 || elapsed <= 0 {
-		return
-	}
-	m.observe(elapsed / time.Duration(trials))
-	p.planner.observe(trials, elapsed)
 }

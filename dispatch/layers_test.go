@@ -1,7 +1,7 @@
 package dispatch
 
-// White-box tests of the layer policies in isolation: planner sizing
-// math, rendezvous placement and its per-request spread, hedge timing,
+// White-box tests of the layer policies in isolation: the shard layout
+// rule, rendezvous placement and its per-request spread, hedge timing,
 // and cooldown/EWMA recovery.
 
 import (
@@ -14,48 +14,44 @@ import (
 	"faultroute/api"
 )
 
-func TestAdaptivePlannerColdStartMatchesHeuristic(t *testing.T) {
-	p := &adaptivePlanner{target: time.Second}
-	if got, want := p.shardSize(100, 3), heuristicShardSize(100, 3); got != want {
-		t.Fatalf("cold shardSize = %d, want heuristic %d", got, want)
-	}
-}
-
-func TestAdaptivePlannerTracksObservedLatency(t *testing.T) {
-	p := &adaptivePlanner{target: time.Second}
-	// 10ms per trial observed: the target fits 100 trials per shard, but
-	// the upper clamp (two shards per backend) must cap it for a small
-	// job first.
-	p.observe(10, 100*time.Millisecond)
-	if got := p.shardSize(1000, 4); got != 100 {
-		t.Fatalf("shardSize(1000 trials, 4 backends) = %d, want 100 (target/perTrial)", got)
-	}
-	if got, max := p.shardSize(100, 4), (100+7)/8; got != max {
-		t.Fatalf("shardSize(100 trials, 4 backends) = %d, want clamp %d (2 shards per backend)", got, max)
-	}
-	// Very slow trials: the lower clamp (8 shards per backend) keeps the
-	// job from shattering into per-trial jobs.
-	slow := &adaptivePlanner{target: time.Second}
-	slow.observe(1, 10*time.Second)
-	if got, min := slow.shardSize(640, 4), 640/32; got != min {
-		t.Fatalf("shardSize under slow trials = %d, want clamp %d (8 shards per backend)", got, min)
-	}
-}
-
 func TestShardRangesCoverTrialsExactly(t *testing.T) {
-	pl := fixedPlanner{size: 7}
-	ranges := shardRanges(pl, estimateRequest(40), 3)
-	var total int
-	next := 0
-	for _, r := range ranges {
-		if r.Offset != next {
-			t.Fatalf("range offset %d, want %d (contiguous from 0)", r.Offset, next)
+	// The layout is a rule of the trial count alone: at most 16 trials
+	// dispatch whole, and a larger estimate splits into shards of
+	// max(16, ceil(trials/8)) trials, all full but the last, contiguous
+	// from trial 0 and covering every trial once.
+	for _, tc := range []struct{ trials, shards, size int }{
+		{1, 0, 0},
+		{16, 0, 0},
+		{17, 2, 16},
+		{64, 4, 16},
+		{96, 6, 16},
+		{400, 8, 50},
+		{1200, 8, 150},
+		{api.MaxTrials, 8, api.MaxTrials / 8},
+	} {
+		ranges := shardRanges(estimateRequest(tc.trials))
+		if len(ranges) != tc.shards {
+			t.Fatalf("%d trials: %d shards, want %d", tc.trials, len(ranges), tc.shards)
 		}
-		next = r.Offset + r.Count
-		total += r.Count
+		next := 0
+		for i, r := range ranges {
+			if r.Offset != next {
+				t.Fatalf("%d trials: shard %d starts at %d, want %d (contiguous from 0)", tc.trials, i, r.Offset, next)
+			}
+			if r.Count > tc.size || r.Count < 1 || (r.Count != tc.size && i < len(ranges)-1) {
+				t.Fatalf("%d trials: shard %d holds %d trials, want %d (the last one at most %d)", tc.trials, i, r.Count, tc.size, tc.size)
+			}
+			next += r.Count
+		}
+		if tc.shards > 0 && next != tc.trials {
+			t.Fatalf("%d trials: shards cover %d", tc.trials, next)
+		}
 	}
-	if total != 40 {
-		t.Fatalf("ranges cover %d trials, want 40", total)
+	// A sub-job that already carries a shard dispatches whole.
+	sub := estimateRequest(64)
+	sub.Estimate.Shard = &api.ShardSpec{Offset: 0, Count: 64}
+	if ranges := shardRanges(sub); ranges != nil {
+		t.Fatalf("a shard sub-job split again into %v", ranges)
 	}
 }
 
@@ -114,11 +110,10 @@ func TestRankIsRendezvous(t *testing.T) {
 }
 
 func TestAssignSpreadsShardsEvenly(t *testing.T) {
-	// Each of a request's keys is owned by its highest-ranked member that
-	// owns fewer than ceil(S/n) of them: no member owns more than its even
-	// share, the first key gets its top-ranked member, the owner leads
-	// the placement order and the others follow in rank order, and the
-	// assignment depends on the keys and URLs alone.
+	// Of a request's S keys over n members, every member owns floor(S/n)
+	// or ceil(S/n), the first key gets its top-ranked member, the owner
+	// leads the placement order and the others follow in rank order, and
+	// the assignment depends on the keys and URLs alone.
 	urls := []string{"http://10.0.0.1:8080", "http://10.0.0.2:8080", "http://10.0.0.3:8080", "http://10.0.0.4:8080"}
 	ms := make([]*member, len(urls))
 	for i, u := range urls {
@@ -136,7 +131,6 @@ func TestAssignSpreadsShardsEvenly(t *testing.T) {
 					next++
 				}
 				orders := assign(members, keys)
-				limit := (shards + n - 1) / n
 				owned := map[*member]int{}
 				for i, order := range orders {
 					owner := order[0]
@@ -150,9 +144,9 @@ func TestAssignSpreadsShardsEvenly(t *testing.T) {
 						t.Fatalf("n=%d key %d: placement order %v, want the owner then rank order %v", n, i, urlsOf(order), urlsOf(rest))
 					}
 				}
-				for m, c := range owned {
-					if c > limit {
-						t.Fatalf("n=%d, %d keys: %s owns %d, want at most %d", n, shards, m.url, c, limit)
+				for _, m := range members {
+					if c, lo, hi := owned[m], shards/n, (shards+n-1)/n; c < lo || c > hi {
+						t.Fatalf("n=%d, %d keys: %s owns %d, want %d or %d", n, shards, m.url, c, lo, hi)
 					}
 				}
 				reversed := slices.Clone(members)
@@ -304,8 +298,8 @@ func TestHedgerDelayFloorsAndScales(t *testing.T) {
 	}
 }
 
-// estimateRequest builds a minimal normalized estimate for planner
-// tests (white-box: no wire validation needed).
+// estimateRequest builds a minimal normalized estimate for layout and
+// hedge tests (white-box: no wire validation needed).
 func estimateRequest(trials int) api.Request {
 	return api.Request{Kind: api.KindEstimate, Estimate: &api.EstimateSpec{Trials: trials}}
 }

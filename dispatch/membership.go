@@ -67,7 +67,7 @@ func (m *member) trialEWMA() time.Duration {
 	return m.ewma
 }
 
-// ewmaAlpha is the smoothing factor of every latency EWMA in the pool:
+// ewmaAlpha is the smoothing factor of each member's latency EWMA:
 // heavy enough that one slow shard moves the estimate, light enough
 // that one cache hit does not erase a backend's history.
 const ewmaAlpha = 0.3

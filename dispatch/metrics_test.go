@@ -45,11 +45,11 @@ func scrapeCounter(t *testing.T, base, name string) float64 {
 }
 
 func TestPoolFailoverCountersOnMetricsEndpoint(t *testing.T) {
-	// The dying backend owns shard [0, 4), so at least one shard is read
-	// from and submitted to it before it dies.
-	req := estimateReq(40)
+	// The dying backend owns the first shard, so at least one shard is
+	// read from and submitted to it before it dies.
+	req := estimateReq(64)
 	srvs, urls := reserve(t, 2)
-	dying, others := startRoles(t, srvs, urls, ownerOf(t, urls, shardOf(req, 0, 4)), 0, failAfter(3))
+	dying, others := startRoles(t, srvs, urls, ownerOf(t, urls, shardOf(req, 0)), 0, failAfter(3))
 	healthy := others[0]
 
 	// The counters are cumulative across the process (other tests may
@@ -58,7 +58,7 @@ func TestPoolFailoverCountersOnMetricsEndpoint(t *testing.T) {
 	failBefore := scrapeCounter(t, healthy.srv.URL, "faultroute_dispatch_failovers_total")
 	downBefore := scrapeCounter(t, healthy.srv.URL, "faultroute_dispatch_backends_down_total")
 
-	pool := newPool(t, []string{dying.srv.URL, healthy.srv.URL}, dispatch.WithShardTrials(4))
+	pool := newPool(t, []string{dying.srv.URL, healthy.srv.URL})
 	ctx := context.Background()
 	want, err := faultroute.NewLocal().Do(ctx, req)
 	if err != nil {
@@ -72,10 +72,11 @@ func TestPoolFailoverCountersOnMetricsEndpoint(t *testing.T) {
 		t.Fatalf("post-failover bytes differ from local")
 	}
 
-	// 40 trials in shards of 4 is ten sub-jobs minimum; the dying
-	// backend forces at least one re-dispatch and one down-marking.
-	if delta := scrapeCounter(t, healthy.srv.URL, "faultroute_dispatch_subjobs_total") - subBefore; delta < 10 {
-		t.Errorf("dispatch recorded %v sub-jobs, want >= 10", delta)
+	// Every shard is fresh, so each is submitted at least once; the
+	// dying backend forces at least one re-dispatch and one down-marking.
+	shards := len(dispatch.ShardRanges(req.Estimate.Trials))
+	if delta := scrapeCounter(t, healthy.srv.URL, "faultroute_dispatch_subjobs_total") - subBefore; delta < float64(shards) {
+		t.Errorf("dispatch recorded %v sub-jobs, want >= %d", delta, shards)
 	}
 	if delta := scrapeCounter(t, healthy.srv.URL, "faultroute_dispatch_failovers_total") - failBefore; delta < 1 {
 		t.Errorf("dispatch recorded %v failovers, want >= 1", delta)

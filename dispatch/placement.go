@@ -4,21 +4,22 @@ package dispatch
 // content-addressed, so its key names the same result on every backend.
 // Placement ranks the live members by a rendezvous (highest random
 // weight) score of that key — Thaler & Ravishankar, "Using name-based
-// mappings to increase hit rates", IEEE/ACM ToN 1998 — and assign caps
-// how many of one request's sub-jobs a member owns, so an estimate's
-// shards spread evenly; a lone sub-job is owned by its top-ranked
-// member. The owner comes first in the sub-job's placement order and
-// the next member is its successor: the Pool reads the stored result at
-// the owner, then at the successor (where hedges and failovers leave
-// the results the owner lost), submits to the owner on two misses, and
-// fails over down the order. Placement depends only on the keys and the
-// member URLs, so a repeated request lands where its results already
-// sit, and a join or a leave moves a lone sub-job only if the changed
-// member wins or owned it: about 1/n of them. A joiner that wins a key
-// ranks the old owner second, so the key stays readable. Capacity skew
-// is deliberately not folded into the score (an EWMA-weighted score
-// would move a key's owner whenever a latency estimate moved, turning
-// the next repeat into a miss); the hedger absorbs slow owners instead.
+// mappings to increase hit rates", IEEE/ACM ToN 1998 — and assign
+// bounds how many of one request's sub-jobs a member owns, so an
+// estimate's shards spread evenly; a lone sub-job is owned by its
+// top-ranked member. The owner comes first in the sub-job's placement
+// order and the next member is its successor: the Pool reads the stored
+// result at the owner, then at the successor (where hedges and
+// failovers leave the results the owner lost), submits to the owner on
+// two misses, and fails over down the order. Placement depends only on
+// the keys and the member URLs, so a repeated request lands where its
+// results already sit, and a join or a leave moves a lone sub-job only
+// if the changed member wins or owned it: about 1/n of them. A joiner
+// that wins a key ranks the old owner second, so the key stays
+// readable. Capacity skew is deliberately not folded into the score (an
+// EWMA-weighted score would move a key's owner whenever a latency
+// estimate moved, turning the next repeat into a miss); the hedger
+// absorbs slow owners instead.
 
 import (
 	"cmp"
@@ -55,24 +56,33 @@ func rank(members []*member, key string) []*member {
 
 // assign places the sub-jobs of one request, given their keys in
 // order: for each key it returns the members in placement order, the
-// key's owner first and the others after it in rank order. Each key is
-// owned by its highest-ranked member that owns fewer than
-// ceil(len(keys)/n) of the request's keys, so the shards of an estimate
-// spread evenly over the fleet however their keys hash (consistent
-// hashing with bounded loads: Mirrokni, Thorup & Zadimoghaddam, SODA
-// 2018), and a request of one sub-job goes to the top-ranked member.
-// The first key always gets its top-ranked member. Placement depends
-// only on the keys, their order and the member URLs, never on health,
-// so a repeated request puts every shard where its result already sits.
+// key's owner first and the others after it in rank order. Of S keys
+// over n members, every member owns floor(S/n) or ceil(S/n): a key is
+// owned by its highest-ranked member below ceil(S/n) while fewer than
+// S mod n members have reached that, and below floor(S/n) after. So
+// the shards of an estimate spread evenly over the fleet however their
+// keys hash (consistent hashing with bounded loads: Mirrokni, Thorup &
+// Zadimoghaddam, SODA 2018), and a request of one sub-job goes to the
+// top-ranked member. The first key always gets its top-ranked member.
+// Placement depends only on the keys, their order and the member URLs,
+// never on health, so a repeated request puts every shard where its
+// result already sits.
 func assign(members []*member, keys []string) [][]*member {
-	limit := (len(keys) + len(members) - 1) / len(members)
+	even, extra := len(keys)/len(members), len(keys)%len(members)
 	owned := make(map[*member]int, len(members))
 	orders := make([][]*member, len(keys))
 	for i, key := range keys {
+		limit := even
+		if extra > 0 {
+			limit++
+		}
 		order := rank(members, key)
 		j := slices.IndexFunc(order, func(m *member) bool { return owned[m] < limit })
 		owner := order[j]
 		owned[owner]++
+		if owned[owner] > even {
+			extra-- // owner has reached ceil(S/n)
+		}
 		orders[i] = slices.Insert(slices.Delete(order, j, j+1), 0, owner)
 	}
 	return orders

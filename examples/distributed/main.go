@@ -79,7 +79,6 @@ func main() {
 	}
 
 	pool, err := dispatch.New(urls,
-		dispatch.WithShardTrials(50), // ~trials-per-sub-job; layout never changes bytes
 		dispatch.WithClientOptions(client.WithPollInterval(10*time.Millisecond)),
 	)
 	if err != nil {
@@ -101,8 +100,10 @@ func main() {
 		},
 	}
 
-	fmt.Printf("\ndispatching %d trials as ~%d-trial shards across %d backends\n",
-		req.Estimate.Trials, 50, len(urls))
+	// The pool splits an estimate by its trial count alone (400 trials
+	// are 8 shards of 50); the layout never changes bytes.
+	fmt.Printf("\ndispatching %d trials as shard sub-jobs across %d backends\n",
+		req.Estimate.Trials, len(urls))
 	var last api.Event
 	start := time.Now()
 	res, err := pool.Watch(ctx, req, func(ev api.Event) { last = ev })
