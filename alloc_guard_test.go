@@ -19,6 +19,7 @@ import (
 
 	"faultroute"
 	"faultroute/internal/graph"
+	"faultroute/internal/overlay"
 	"faultroute/internal/percolation"
 	"faultroute/internal/sim"
 )
@@ -144,5 +145,53 @@ func TestAllocCeilingDistributedBFS(t *testing.T) {
 	const ceiling = 32
 	if got := testing.AllocsPerRun(50, run); got > ceiling {
 		t.Fatalf("DistributedBFS allocates %.1f/op, ceiling %d — per-message closures or path copies are back?", got, ceiling)
+	}
+}
+
+// TestAllocCeilingGossip pins push gossip's steady-state allocations on
+// BenchmarkE16Gossip's instance (H_10, p = 0.4, source 0 to its
+// antipode). On a Go map with a fresh newly-informed slice per round it
+// made 68 per call; with its informed set and both buffers borrowed
+// from the pooled arena it makes one, the outcome.
+func TestAllocCeilingGossip(t *testing.T) {
+	g := graph.MustHypercube(10)
+	seed := uint64(0)
+	run := func() {
+		seed++
+		if _, err := sim.Gossip(percolation.New(g, 0.4, seed), 0, g.Antipode(0), true, 1<<20, seed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		run() // warm the arena pool
+	}
+	const ceiling = 8
+	if got := testing.AllocsPerRun(50, run); got > ceiling {
+		t.Fatalf("Gossip allocates %.1f/op, ceiling %d — the informed set is back on a map?", got, ceiling)
+	}
+}
+
+// TestAllocCeilingFloodLookup pins the overlay flood's steady-state
+// allocations on BenchmarkE11OverlayLookup's instance (a 1,024-node
+// overlay at p = 0.25, TTL 200). With a parent map and a fresh frontier
+// per depth a call, overlay construction included, made 69; with an
+// arena parent table and two reused frontiers it makes 3: the overlay,
+// its hypercube, and the path it returns or the error.
+func TestAllocCeilingFloodLookup(t *testing.T) {
+	seed := uint64(0)
+	run := func() {
+		seed++
+		o, err := overlay.New(10, 0.25, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.FloodLookup(0, seed*7919, 200) // a failed lookup is an outcome too
+	}
+	for i := 0; i < 5; i++ {
+		run() // warm the arena pool
+	}
+	const ceiling = 12
+	if got := testing.AllocsPerRun(50, run); got > ceiling {
+		t.Fatalf("FloodLookup allocates %.1f/op, ceiling %d — the parent table is back on a map?", got, ceiling)
 	}
 }

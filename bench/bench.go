@@ -234,7 +234,12 @@ func SelfHost(opts serve.Options) (*Target, error) {
 	}
 	srv := &http.Server{Handler: svc.Handler()}
 	go srv.Serve(ln)
+	hc := newLoadHTTPClient()
 	closer := func() error {
+		// The transport's dial race can leave an idle connection that
+		// never carried a request. Shutdown waits for such a connection
+		// until it is 5 s old, so the client closes its idle ones first.
+		hc.CloseIdleConnections()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		err := srv.Shutdown(ctx)
@@ -243,7 +248,7 @@ func SelfHost(opts serve.Options) (*Target, error) {
 	}
 	return &Target{
 		URLs:   []string{"http://" + ln.Addr().String()},
-		hc:     newLoadHTTPClient(),
+		hc:     hc,
 		closer: closer,
 	}, nil
 }
@@ -259,7 +264,9 @@ func SelfHostFleet(n int, opts serve.Options, delays []time.Duration) (*Target, 
 	}
 	urls := make([]string, 0, n)
 	closers := make([]func() error, 0, n)
+	hc := newLoadHTTPClient()
 	closeAll := func() error {
+		hc.CloseIdleConnections() // see SelfHost
 		var first error
 		for _, c := range closers {
 			if err := c(); err != nil && first == nil {
@@ -282,7 +289,7 @@ func SelfHostFleet(n int, opts serve.Options, delays []time.Duration) (*Target, 
 		urls = append(urls, t.URLs...)
 		closers = append(closers, t.Close)
 	}
-	return &Target{URLs: urls, hc: newLoadHTTPClient(), closer: closeAll}, nil
+	return &Target{URLs: urls, hc: hc, closer: closeAll}, nil
 }
 
 // Close tears down whatever SelfHost booted; it is a no-op for Connect

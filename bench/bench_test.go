@@ -141,6 +141,40 @@ func TestSmokePresetBoundedStoreEvicts(t *testing.T) {
 	}
 }
 
+// TestSelfHostFleetClosesPromptly runs a pool cell, hedged, on a
+// three-daemon fleet with one slowed daemon, five times over, and
+// requires each Close to return within 1 s. Concurrent shard requests
+// can leave the load client holding a dialed connection that never
+// carried a request; unless the client closes it first, Shutdown waits
+// until it is 5 s old.
+func TestSelfHostFleetClosesPromptly(t *testing.T) {
+	cell := Cell{Clients: 1, Ops: 1, Trials: 96, Catalog: 1,
+		Graph: api.GraphSpec{Family: "hypercube", N: 6},
+		Pool:  true, Hedge: true, HedgeAfter: 10 * time.Millisecond}
+	for i := 0; i < 5; i++ {
+		target, err := SelfHostFleet(3, serve.Options{Executors: 2, QueueDepth: 64},
+			[]time.Duration{20 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		_, err = Run(ctx, target, []Cell{cell}, Options{Seed: uint64(i + 1)})
+		cancel()
+		start := time.Now()
+		closeErr := target.Close()
+		took := time.Since(start)
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if closeErr != nil {
+			t.Fatalf("run %d: Close: %v", i, closeErr)
+		}
+		if took > time.Second {
+			t.Fatalf("run %d: Close took %v, want at most 1s", i, took)
+		}
+	}
+}
+
 // TestRunAssertsMinAbsorbed pins the preset assertion path: a cold,
 // all-distinct workload (catalog == ops) cannot meet a high absorbed
 // floor and must fail the run with a diagnostic.

@@ -14,6 +14,8 @@
 //     DenseLimit vertices a table is a flat array indexed by vertex,
 //     with a uint32 generation stamp per slot. Clearing is one epoch
 //     increment; a slot is live iff its stamp equals the current epoch.
+//     A dense VMap packs stamp and value into one uint64 per vertex:
+//     the stamp in the low 32 bits, the value in the high 32.
 //   - sparse: graphs too large to materialize Order()-sized arrays
 //     (implicit topologies with 2^n vertices) fall back to an
 //     open-addressed table sized to the visited set, with the same
@@ -21,8 +23,13 @@
 //     probing needs no tombstones: a stale stamp terminates lookups
 //     exactly like an empty slot.
 //
-// The probe memo (EdgeMemo) is always open-addressed: canonical edge
-// IDs are unique but not dense.
+// The probe memo (EdgeMemo) is dense too when the graph declares an
+// exclusive bound on its edge IDs (graph.EdgeSpace) of at most
+// DenseEdgeLimit: one uint64 then covers 16 consecutive IDs, a uint32
+// stamp in its low half and a seen/open bit pair per ID above it, so
+// K_400's 160,000 IDs take 78 KiB whatever fraction a route probes.
+// Without a bound, or above the limit (H_17 and larger), the memo is
+// open-addressed and grows by doubling with the probed set.
 //
 // An Arena bundles free lists of these structures plus reusable vertex
 // and int buffers. Arenas are recycled through a package-level
@@ -30,6 +37,13 @@
 // each worker of the internal/runner pool its own warm arena without
 // threading any state through the scheduler (sync.Pool caches per-P),
 // keeping runner dependency-free and scheduling-independent.
+//
+// Pooled tables keep the largest size any borrower grew them to, until
+// a GC empties the pool. So the tables must stay small: less garbage
+// means fewer collections, and every table then lives for longer at its
+// largest size. That is why the hot tables are compact: 8 bytes per
+// vertex for a dense VMap (not 12) and 1 bit pair per edge ID for a
+// dense memo (not a doubling hash table of 13-byte slots).
 //
 // Nothing here affects results: the structures answer exactly the
 // queries the maps answered, in the same iteration-free access
@@ -48,11 +62,17 @@ import (
 
 const (
 	// DenseLimit is the largest graph order for which per-vertex
-	// tables are materialized as Order()-sized flat arrays (at most a
-	// few tens of MB per table). Larger graphs use open-addressed
-	// tables sized to the visited set, which is what bounds memory for
-	// implicit graphs with 2^n vertices.
+	// tables are materialized as Order()-sized flat arrays (at most
+	// 32 MiB per VMap). Larger graphs use open-addressed tables sized
+	// to the visited set, which is what bounds memory for implicit
+	// graphs with 2^n vertices. Every value a dense VMap stores is
+	// below 2^32: vertices and indices of graphs this small.
 	DenseLimit = 1 << 22
+
+	// DenseEdgeLimit is the largest edge-ID bound for which an
+	// EdgeMemo is a flat bit table (at most 512 KiB). Above it, or
+	// with no bound, the memo is open-addressed.
+	DenseEdgeLimit = 1 << 20
 
 	// minSparse is the initial open-addressed table size (power of
 	// two).
@@ -71,17 +91,17 @@ func hashIdx(key, mask uint64) uint64 {
 	return key & mask
 }
 
-// bumpEpoch advances an epoch counter, hard-clearing the given stamp
-// slices on uint32 wraparound so stale stamps can never alias a live
-// epoch. Epoch 0 is reserved for "never stamped".
-func bumpEpoch(epoch *uint32, stamps ...[]uint32) {
+// bumpEpoch advances an epoch counter. It reports true on uint32
+// wraparound, after which the caller must hard-clear every stamp it
+// keeps so stale stamps can never alias a live epoch. Epoch 0 is
+// reserved for "never stamped".
+func bumpEpoch(epoch *uint32) (wrapped bool) {
 	*epoch++
-	if *epoch == 0 {
-		for _, s := range stamps {
-			clear(s)
-		}
-		*epoch = 1
+	if *epoch != 0 {
+		return false
 	}
+	*epoch = 1
+	return true
 }
 
 // VSet is a reusable set of vertices with O(1) clearing.
@@ -109,7 +129,10 @@ func (s *VSet) Reset(order uint64) {
 		s.skeys = make([]graph.Vertex, minSparse)
 		s.sstamp = make([]uint32, minSparse)
 	}
-	bumpEpoch(&s.epoch, s.dstamp, s.sstamp)
+	if bumpEpoch(&s.epoch) {
+		clear(s.dstamp)
+		clear(s.sstamp)
+	}
 }
 
 // Len returns the number of members.
@@ -177,14 +200,17 @@ func (s *VSet) grow() {
 
 // VMap is a reusable vertex-keyed map with O(1) clearing. Values are
 // graph.Vertex; callers storing small integers (waypoint indices, BFS
-// distances) cast through graph.Vertex.
+// distances, side tags) cast through graph.Vertex. A dense map holds
+// values below 2^32 only, which covers every vertex and index of a
+// graph of at most DenseLimit vertices; Set panics on a larger one.
 type VMap struct {
 	epoch uint32
 	n     int
 	dense bool
 
-	dstamp []uint32 // dense: stamp per vertex
-	dval   []graph.Vertex
+	// dense: one word per vertex, the stamp in the low 32 bits and
+	// the value in the high 32.
+	dword []uint64
 
 	skeys  []graph.Vertex // sparse: open-addressed keys
 	sstamp []uint32
@@ -196,16 +222,18 @@ type VMap struct {
 func (m *VMap) Reset(order uint64) {
 	m.n = 0
 	m.dense = order <= DenseLimit
-	if m.dense && uint64(len(m.dstamp)) < order {
-		m.dstamp = make([]uint32, order)
-		m.dval = make([]graph.Vertex, order)
+	if m.dense && uint64(len(m.dword)) < order {
+		m.dword = make([]uint64, order)
 	}
 	if !m.dense && m.skeys == nil {
 		m.skeys = make([]graph.Vertex, minSparse)
 		m.sstamp = make([]uint32, minSparse)
 		m.sval = make([]graph.Vertex, minSparse)
 	}
-	bumpEpoch(&m.epoch, m.dstamp, m.sstamp)
+	if bumpEpoch(&m.epoch) {
+		clear(m.dword)
+		clear(m.sstamp)
+	}
 }
 
 // Len returns the number of entries.
@@ -215,10 +243,11 @@ func (m *VMap) Len() int { return m.n }
 // nothing (reads are safe; writes require Reset first).
 func (m *VMap) Get(v graph.Vertex) (graph.Vertex, bool) {
 	if m.dense {
-		if m.dstamp[v] != m.epoch {
+		w := m.dword[v]
+		if uint32(w) != m.epoch {
 			return 0, false
 		}
-		return m.dval[v], true
+		return graph.Vertex(w >> 32), true
 	}
 	if len(m.skeys) == 0 {
 		return 0, false
@@ -234,24 +263,26 @@ func (m *VMap) Get(v graph.Vertex) (graph.Vertex, bool) {
 	}
 }
 
-// Has reports whether v has an entry. Dense maps read only the stamp,
-// not the value Get would load.
+// Has reports whether v has an entry.
 func (m *VMap) Has(v graph.Vertex) bool {
 	if m.dense {
-		return m.dstamp[v] == m.epoch
+		return uint32(m.dword[v]) == m.epoch
 	}
 	_, ok := m.Get(v)
 	return ok
 }
 
-// Set stores val under v, overwriting any previous value.
+// Set stores val under v, overwriting any previous value. On a dense
+// map it panics if val does not fit in 32 bits.
 func (m *VMap) Set(v, val graph.Vertex) {
 	if m.dense {
-		if m.dstamp[v] != m.epoch {
-			m.dstamp[v] = m.epoch
+		if val>>32 != 0 {
+			panic("arena: dense VMap value does not fit in 32 bits")
+		}
+		if uint32(m.dword[v]) != m.epoch {
 			m.n++
 		}
-		m.dval[v] = val
+		m.dword[v] = uint64(val)<<32 | uint64(m.epoch)
 		return
 	}
 	if 4*(m.n+1) > 3*len(m.skeys) {
@@ -289,26 +320,41 @@ func (m *VMap) grow() {
 }
 
 // EdgeMemo is a reusable edge-ID-keyed memo (the probe layer's
-// "already revealed?" table) with O(1) clearing. Always
-// open-addressed: canonical edge IDs are unique per graph but not
-// dense.
+// "already revealed?" table) with O(1) clearing. Reset with an
+// exclusive bound on the edge IDs, 0 < bound <= DenseEdgeLimit, makes
+// it a flat table of one word per 16 IDs: a uint32 stamp in the low
+// half and, for ID 16k+j, a seen bit at 32+2j and an open bit at
+// 33+2j. Reset with any other bound makes it open-addressed.
 type EdgeMemo struct {
 	epoch uint32
 	n     int
-	keys  []uint64
+	dense bool
+
+	words []uint64 // dense: stamp and 16 seen/open bit pairs per word
+
+	keys  []uint64 // sparse: open-addressed keys
 	stamp []uint32
 	open  []bool
 }
 
-// Reset empties the memo.
-func (m *EdgeMemo) Reset() {
+// Reset empties the memo and sizes it for edge IDs below bound (0 for
+// no known bound). It is O(1) except when the backing arrays need to
+// grow (or once per 2^32 resets).
+func (m *EdgeMemo) Reset(bound uint64) {
 	m.n = 0
-	if m.keys == nil {
+	m.dense = bound > 0 && bound <= DenseEdgeLimit
+	if m.dense && uint64(len(m.words)) < (bound+15)/16 {
+		m.words = make([]uint64, (bound+15)/16)
+	}
+	if !m.dense && m.keys == nil {
 		m.keys = make([]uint64, minSparse)
 		m.stamp = make([]uint32, minSparse)
 		m.open = make([]bool, minSparse)
 	}
-	bumpEpoch(&m.epoch, m.stamp)
+	if bumpEpoch(&m.epoch) {
+		clear(m.words)
+		clear(m.stamp)
+	}
 }
 
 // Len returns the number of memoized edges.
@@ -317,6 +363,14 @@ func (m *EdgeMemo) Len() int { return m.n }
 // Lookup returns the memoized state of the edge with the given ID. A
 // never-reset zero value knows nothing.
 func (m *EdgeMemo) Lookup(id uint64) (open, seen bool) {
+	if m.dense {
+		w := m.words[id>>4]
+		if uint32(w) != m.epoch {
+			return false, false
+		}
+		pair := w >> (32 + 2*(id&15))
+		return pair&2 != 0, pair&1 != 0
+	}
 	if len(m.keys) == 0 {
 		return false, false
 	}
@@ -331,12 +385,23 @@ func (m *EdgeMemo) Lookup(id uint64) (open, seen bool) {
 	}
 }
 
-// Find walks the probe chain of the edge with the given ID once. If
-// seen, open is its memoized state; if not, slot is where Insert
-// stores it. Find first grows the table if the next insert would pass
-// 3/4 load, so the slot it returns stays valid for that insert. It
-// needs a Reset memo, as every write does.
+// Find looks the edge with the given ID up once. If seen, open is its
+// memoized state; if not, slot is where Insert stores it. A hash memo
+// first grows if the next insert would pass 3/4 load, so the slot it
+// returns stays valid for that insert; a dense memo stamps the ID's
+// word as live, which changes no answer. Find needs a Reset memo, as
+// every write does.
 func (m *EdgeMemo) Find(id uint64) (slot uint64, open, seen bool) {
+	if m.dense {
+		slot = id >> 4
+		w := m.words[slot]
+		if uint32(w) != m.epoch {
+			m.words[slot] = uint64(m.epoch)
+			return slot, false, false
+		}
+		pair := w >> (32 + 2*(id&15))
+		return slot, pair&2 != 0, pair&1 != 0
+	}
 	if 4*(m.n+1) > 3*len(m.keys) {
 		m.grow()
 	}
@@ -357,10 +422,18 @@ func (m *EdgeMemo) Find(id uint64) (slot uint64, open, seen bool) {
 // that is not followed by an Insert leaves the memo's contents
 // unchanged.
 func (m *EdgeMemo) Insert(slot, id uint64, isOpen bool) {
+	m.n++
+	if m.dense {
+		bit := uint64(1) << (32 + 2*(id&15))
+		if isOpen {
+			bit *= 3
+		}
+		m.words[slot] |= bit
+		return
+	}
 	m.stamp[slot] = m.epoch
 	m.keys[slot] = id
 	m.open[slot] = isOpen
-	m.n++
 }
 
 func (m *EdgeMemo) grow() {
@@ -446,8 +519,9 @@ func (a *Arena) PutMap(m *VMap) {
 	}
 }
 
-// Memo borrows an empty edge memo.
-func (a *Arena) Memo() *EdgeMemo {
+// Memo borrows an empty edge memo for edge IDs below bound (0 for no
+// known bound; see EdgeMemo.Reset).
+func (a *Arena) Memo(bound uint64) *EdgeMemo {
 	var m *EdgeMemo
 	if k := len(a.memos); k > 0 {
 		m = a.memos[k-1]
@@ -455,7 +529,7 @@ func (a *Arena) Memo() *EdgeMemo {
 	} else {
 		m = new(EdgeMemo)
 	}
-	m.Reset()
+	m.Reset(bound)
 	return m
 }
 

@@ -149,17 +149,88 @@ func TestEpochWraparound(t *testing.T) {
 		t.Fatal("set corrupt after wraparound")
 	}
 
-	var m EdgeMemo
-	m.Reset()
-	slot, _, _ := m.Find(42)
-	m.Insert(slot, 42, true)
-	m.epoch = ^uint32(0)
-	m.Reset()
-	if _, seen := m.Lookup(42); seen {
-		t.Fatal("memo entry survived epoch wraparound")
+	// A dense map's stamp shares a word with its value: a live entry
+	// stamped with epoch 1 just before the wrap must not read back
+	// once the epoch wraps around to 1 again.
+	var vm VMap
+	vm.Reset(64)
+	vm.epoch = 0 // the next Reset stamps epoch 1
+	vm.Reset(64)
+	vm.Set(5, 6)
+	vm.epoch = ^uint32(0)
+	vm.Reset(64)
+	if vm.epoch != 1 {
+		t.Fatalf("epoch %d after wraparound, want 1", vm.epoch)
 	}
-	if _, _, seen := m.Find(42); seen {
-		t.Fatal("memo entry found after epoch wraparound")
+	if vm.Has(5) || vm.Len() != 0 {
+		t.Fatal("dense map entry survived epoch wraparound")
+	}
+	if v, ok := vm.Get(5); ok {
+		t.Fatalf("Get(5) = %d after epoch wraparound", v)
+	}
+	vm.Set(8, 3)
+	if v, ok := vm.Get(8); !ok || v != 3 || vm.Has(5) {
+		t.Fatal("dense map corrupt after wraparound")
+	}
+
+	for _, bound := range []uint64{0, 64} { // hash, then dense
+		var m EdgeMemo
+		m.Reset(bound)
+		m.epoch = 0 // the next Reset stamps epoch 1
+		m.Reset(bound)
+		slot, _, _ := m.Find(42)
+		m.Insert(slot, 42, true)
+		m.epoch = ^uint32(0)
+		m.Reset(bound)
+		if m.epoch != 1 {
+			t.Fatalf("bound %d: epoch %d after wraparound, want 1", bound, m.epoch)
+		}
+		if _, seen := m.Lookup(42); seen {
+			t.Fatalf("bound %d: memo entry survived epoch wraparound", bound)
+		}
+		if _, _, seen := m.Find(42); seen {
+			t.Fatalf("bound %d: memo entry found after epoch wraparound", bound)
+		}
+		if _, seen := m.Lookup(43); seen {
+			t.Fatalf("bound %d: memo knows edge 43 after wraparound", bound)
+		}
+	}
+}
+
+func TestVMapDenseValueWidth(t *testing.T) {
+	var m VMap
+	m.Reset(16)
+	if !m.dense {
+		t.Fatal("order 16 map is not dense")
+	}
+	const widest = graph.Vertex(1<<32 - 1)
+	m.Set(3, widest)
+	if v, ok := m.Get(3); !ok || v != widest {
+		t.Fatalf("Get(3) = %d, %v; want %d", v, ok, widest)
+	}
+	if !m.Has(3) || m.Has(4) {
+		t.Fatal("widest value broke the stamp")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Set of 2^32 on a dense map did not panic")
+		}
+		if v, ok := m.Get(3); !ok || v != widest || m.Len() != 1 {
+			t.Fatalf("failed Set changed the map: Get(3) = %d, %v, Len %d", v, ok, m.Len())
+		}
+	}()
+	m.Set(3, 1<<32)
+}
+
+func TestVMapSparseKeepsWideValues(t *testing.T) {
+	// Sparse maps serve graphs beyond DenseLimit, whose vertices can
+	// exceed 32 bits.
+	var m VMap
+	m.Reset(DenseLimit + 1)
+	const wide = graph.Vertex(1<<40 + 7)
+	m.Set(3, wide)
+	if v, ok := m.Get(3); !ok || v != wide {
+		t.Fatalf("Get(3) = %d, %v; want %d", v, ok, wide)
 	}
 }
 
@@ -176,7 +247,7 @@ func memoize(m *EdgeMemo, id uint64, isOpen bool) (open, seen bool) {
 
 func TestEdgeMemo(t *testing.T) {
 	var m EdgeMemo
-	m.Reset()
+	m.Reset(0)
 	if _, seen := m.Lookup(0); seen {
 		t.Fatal("empty memo knows edge 0")
 	}
@@ -206,10 +277,12 @@ func TestEdgeMemo(t *testing.T) {
 }
 
 // TestEdgeMemoFindInsertMatchesMap runs random edge IDs, with repeats,
-// through Find and Insert against a map[uint64]bool: from the 64-slot
-// initial table through many doublings, and across Resets. A new ID
-// drawn at every third step is found but not inserted, which must leave
-// Len and Lookup unchanged.
+// through Find and Insert against a map[uint64]bool, in both modes of
+// one memo: hash rounds go from the 64-slot initial table through many
+// doublings, dense rounds size the bit table by their ID range (exactly,
+// or with room to spare), and the rounds switch modes back and forth
+// across Resets. A new ID drawn at every third step is found but not
+// inserted, which must leave Len and Lookup unchanged.
 func TestEdgeMemoFindInsertMatchesMap(t *testing.T) {
 	var m EdgeMemo
 	x := uint64(1)
@@ -219,12 +292,27 @@ func TestEdgeMemoFindInsertMatchesMap(t *testing.T) {
 		x ^= x << 17
 		return x
 	}
-	for round, n := range []int{10, 100, 5000, 40, 20000} {
-		m.Reset()
+	const (
+		hash  = iota // bound 0: no known bound
+		exact        // bound = the ID range
+		roomy        // bound = twice the ID range
+		above        // bound DenseEdgeLimit+1: too large, so hash
+	)
+	grew := false
+	for round, c := range []struct{ n, mode int }{
+		{10, hash}, {100, exact}, {5000, hash}, {40, roomy}, {20000, exact},
+		{20000, hash}, {7, exact}, {3000, above}, {300, roomy}, {1, exact},
+	} {
+		span := uint64(c.n + c.n/2 + 1) // IDs drawn from a range 1.5n wide repeat often
+		bound := map[int]uint64{hash: 0, exact: span, roomy: 2 * span, above: DenseEdgeLimit + 1}[c.mode]
+		m.Reset(bound)
+		if wantDense := c.mode == exact || c.mode == roomy; m.dense != wantDense {
+			t.Fatalf("round %d: bound %d gives dense %v", round, bound, m.dense)
+		}
+		n := c.n
 		ref := map[uint64]bool{}
 		for i := 0; i < n; i++ {
-			// IDs drawn from a range 1.5n wide repeat often.
-			id := next() % uint64(n+n/2+1)
+			id := next() % span
 			isOpen := next()&1 == 1
 			slot, open, seen := m.Find(id)
 			want, ok := ref[id]
@@ -254,7 +342,7 @@ func TestEdgeMemoFindInsertMatchesMap(t *testing.T) {
 				t.Fatalf("round %d: Lookup(%d) = %v, %v; want %v", round, id, open, seen, want)
 			}
 		}
-		for id := uint64(0); id < uint64(n+n/2+1); id++ {
+		for id := uint64(0); id < span; id++ {
 			if _, ok := ref[id]; ok {
 				continue
 			}
@@ -262,9 +350,36 @@ func TestEdgeMemoFindInsertMatchesMap(t *testing.T) {
 				t.Fatalf("round %d: phantom edge %d", round, id)
 			}
 		}
+		grew = grew || len(m.keys) > minSparse
 	}
-	if len(m.keys) <= minSparse {
-		t.Fatalf("table never grew past %d slots", len(m.keys))
+	if !grew {
+		t.Fatalf("hash table never grew past %d slots", minSparse)
+	}
+}
+
+func TestEdgeMemoDenseBounds(t *testing.T) {
+	// The dense table covers exactly [0, bound): the last ID of the
+	// largest dense bound, and IDs sharing a word with it, keep their
+	// own states.
+	var m EdgeMemo
+	m.Reset(DenseEdgeLimit)
+	if !m.dense || len(m.words) != DenseEdgeLimit/16 {
+		t.Fatalf("dense %v with %d words at the limit", m.dense, len(m.words))
+	}
+	last := uint64(DenseEdgeLimit - 1)
+	memoize(&m, last, true)
+	memoize(&m, last-1, false)
+	memoize(&m, last-15, true)
+	for id, want := range map[uint64]bool{last: true, last - 1: false, last - 15: true} {
+		if open, seen := m.Lookup(id); !seen || open != want {
+			t.Fatalf("Lookup(%d) = %v, %v; want %v, true", id, open, seen, want)
+		}
+	}
+	if _, seen := m.Lookup(last - 2); seen {
+		t.Fatal("a word neighbour became known")
+	}
+	if m.Len() != 3 {
+		t.Fatalf("Len = %d, want 3", m.Len())
 	}
 }
 

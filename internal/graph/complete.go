@@ -53,6 +53,9 @@ func (g *Complete) EdgeID(u, v Vertex) (uint64, bool) {
 	return pairID(g.n, u, v), true
 }
 
+// EdgeIDBound implements EdgeSpace: pair IDs are below n^2.
+func (g *Complete) EdgeIDBound() uint64 { return g.n * g.n }
+
 // Dist is 1 for distinct vertices.
 func (g *Complete) Dist(u, v Vertex) int {
 	if u == v {

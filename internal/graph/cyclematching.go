@@ -113,6 +113,9 @@ func (g *Ring) EdgeID(u, v Vertex) (uint64, bool) {
 	}
 }
 
+// EdgeIDBound implements EdgeSpace: edge {k, k+1 mod n} has ID k < n.
+func (g *Ring) EdgeIDBound() uint64 { return g.n }
+
 // Dist returns the cyclic distance.
 func (g *Ring) Dist(u, v Vertex) int {
 	a, b := uint64(u), uint64(v)

@@ -195,6 +195,10 @@ func (g *DoubleTree) EdgeID(u, v Vertex) (uint64, bool) {
 	return 0, false
 }
 
+// EdgeIDBound implements EdgeSpace: child heap indices are below
+// 2*leaves, and B-edges add 2*leaves.
+func (g *DoubleTree) EdgeIDBound() uint64 { return 4 * g.leaves }
+
 // MirrorEdgeID returns the ID of the corresponding edge in the other
 // tree: the edge with the same child heap index. The Theorem 9 oracle
 // router probes edges in such pairs.

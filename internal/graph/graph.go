@@ -51,6 +51,18 @@ type Graph interface {
 	Name() string
 }
 
+// EdgeSpace is implemented by graphs that bound their edge IDs: every
+// ID EdgeID returns is below EdgeIDBound(). The probe layer sizes its
+// edge memo by the bound, so a bound near the edge count keeps that
+// memo a flat table a few bits per edge wide. Every family in this
+// package implements it; the shared property tests check the bound on
+// every edge.
+type EdgeSpace interface {
+	// EdgeIDBound returns an exclusive upper bound on the graph's edge
+	// IDs.
+	EdgeIDBound() uint64
+}
+
 // Metric is implemented by graphs with a closed-form shortest-path
 // distance (in the un-percolated graph).
 type Metric interface {

@@ -68,6 +68,9 @@ func (g *Hypercube) EdgeID(u, v Vertex) (uint64, bool) {
 	return uint64(lo)*uint64(g.n) + dim, true
 }
 
+// EdgeIDBound implements EdgeSpace: IDs are min(u,v)*n + dim < n*2^n.
+func (g *Hypercube) EdgeIDBound() uint64 { return uint64(g.n) << uint(g.n) }
+
 // Dist returns the Hamming distance between u and v.
 func (g *Hypercube) Dist(u, v Vertex) int {
 	return bits.OnesCount64(uint64(u ^ v))

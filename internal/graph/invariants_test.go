@@ -241,6 +241,39 @@ func TestEdgeIDUnique(t *testing.T) {
 	}
 }
 
+// TestEdgeIDBelowBound checks graph.EdgeSpace on every family: each
+// must declare a bound, and every edge's ID must lie below it. The
+// probe memo indexes a flat table by ID up to that bound, so an ID at
+// or past it would index out of range. Kleinberg runs at r = 0 and
+// r = 2 on top of its samples (long-range IDs follow the grid's), and
+// each constant-degree family built on the shared small adjacency runs
+// through its samples.
+func TestEdgeIDBelowBound(t *testing.T) {
+	graphs := append(allTestGraphs(t),
+		graph.MustKleinberg(9, 0, 3), graph.MustKleinberg(9, 2, 3))
+	for _, g := range graphs {
+		g := g
+		t.Run(g.Name(), func(t *testing.T) {
+			es, ok := g.(graph.EdgeSpace)
+			if !ok {
+				t.Fatalf("%T does not implement graph.EdgeSpace", g)
+			}
+			bound := es.EdgeIDBound()
+			edges := 0
+			graph.ForEachEdge(g, func(u, v graph.Vertex, id uint64) bool {
+				if id >= bound {
+					t.Fatalf("edge {%d,%d} has ID %d, not below the bound %d", u, v, id, bound)
+				}
+				edges++
+				return true
+			})
+			if edges == 0 {
+				t.Fatal("graph has no edges to check")
+			}
+		})
+	}
+}
+
 func TestForEachEdgeCountsHandshake(t *testing.T) {
 	// Sum of degrees must equal twice the edge count (handshake lemma),
 	// confirming ForEachEdge visits each edge exactly once.

@@ -277,6 +277,10 @@ func (g *Kleinberg) EdgeID(u, v Vertex) (uint64, bool) {
 	return 0, false
 }
 
+// EdgeIDBound implements EdgeSpace: grid IDs are below 2*order, and
+// the at most order long-range edges (one draw per vertex) follow.
+func (g *Kleinberg) EdgeIDBound() uint64 { return 3 * g.order }
+
 // Name implements Graph.
 func (g *Kleinberg) Name() string {
 	return fmt.Sprintf("K_%d(r=%d)", g.side, g.r)

@@ -171,6 +171,10 @@ func (g *Mesh) EdgeID(u, v Vertex) (uint64, bool) {
 	return 0, false
 }
 
+// EdgeIDBound implements EdgeSpace: IDs are axis*order + vertex, below
+// d*order.
+func (g *Mesh) EdgeIDBound() uint64 { return uint64(g.d) * g.order }
+
 // Dist returns the L1 (Manhattan) distance between u and v.
 func (g *Mesh) Dist(u, v Vertex) int {
 	du, dv := uint64(u), uint64(v)

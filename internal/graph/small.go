@@ -89,6 +89,9 @@ func (s *small) EdgeID(u, v Vertex) (uint64, bool) {
 	return pairID(s.order, u, v), true
 }
 
+// EdgeIDBound implements EdgeSpace: pair IDs are below order^2.
+func (s *small) EdgeIDBound() uint64 { return s.order * s.order }
+
 func errRange(family string, n, lo, hi int) error {
 	return fmt.Errorf("graph: %s parameter %d out of range [%d, %d]", family, n, lo, hi)
 }

@@ -130,6 +130,10 @@ func (g *Torus) EdgeID(u, v Vertex) (uint64, bool) {
 	}
 }
 
+// EdgeIDBound implements EdgeSpace: IDs are axis*order + vertex, below
+// d*order.
+func (g *Torus) EdgeIDBound() uint64 { return uint64(g.d) * g.order }
+
 // Dist returns the L1 distance with per-axis wrap-around.
 func (g *Torus) Dist(u, v Vertex) int {
 	du, dv := uint64(u), uint64(v)

@@ -3,6 +3,7 @@ package overlay
 import (
 	"fmt"
 
+	"faultroute/internal/arena"
 	"faultroute/internal/graph"
 )
 
@@ -27,6 +28,9 @@ func (o *Overlay) BacktrackLookup(from graph.Vertex, key uint64, budget int, all
 	if budget <= 0 {
 		return res, fmt.Errorf("overlay: backtrack lookup: non-positive budget %d", budget)
 	}
+	if err := o.checkNode(from); err != nil {
+		return res, fmt.Errorf("overlay: backtrack lookup: %w", err)
+	}
 	if from == owner {
 		res.Found = true
 		res.Path = []graph.Vertex{from}
@@ -40,7 +44,11 @@ func (o *Overlay) BacktrackLookup(from graph.Vertex, key uint64, budget int, all
 		cands []graph.Vertex
 		next  int
 	}
-	visited := map[graph.Vertex]bool{from: true}
+	a := arena.Acquire()
+	defer a.Release()
+	visited := a.Set(o.cube.Order())
+	defer a.PutSet(visited)
+	visited.Add(from)
 	candidates := func(v graph.Vertex) []graph.Vertex {
 		var improving, detours []graph.Vertex
 		for dim := 0; dim < o.cube.Dim(); dim++ {
@@ -62,7 +70,7 @@ func (o *Overlay) BacktrackLookup(from graph.Vertex, key uint64, budget int, all
 		}
 		w := f.cands[f.next]
 		f.next++
-		if visited[w] {
+		if visited.Has(w) {
 			continue
 		}
 		if res.Messages >= budget {
@@ -77,7 +85,7 @@ func (o *Overlay) BacktrackLookup(from graph.Vertex, key uint64, budget int, all
 		if !open {
 			continue
 		}
-		visited[w] = true
+		visited.Add(w)
 		if w == owner {
 			res.Found = true
 			path := make([]graph.Vertex, 0, len(stack)+1)
@@ -91,5 +99,5 @@ func (o *Overlay) BacktrackLookup(from graph.Vertex, key uint64, budget int, all
 		stack = append(stack, frame{v: w, cands: candidates(w)})
 	}
 	return res, fmt.Errorf("%w: search space exhausted (visited %d nodes)",
-		ErrLookupFailed, len(visited))
+		ErrLookupFailed, visited.Len())
 }

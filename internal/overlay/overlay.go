@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 
+	"faultroute/internal/arena"
 	"faultroute/internal/graph"
 	"faultroute/internal/percolation"
 	"faultroute/internal/rng"
@@ -123,19 +124,31 @@ func (o *Overlay) FloodLookup(from graph.Vertex, key uint64, ttl int) (LookupRes
 	if ttl <= 0 {
 		return res, fmt.Errorf("overlay: flood lookup: non-positive ttl %d", ttl)
 	}
+	if err := o.checkNode(from); err != nil {
+		return res, fmt.Errorf("overlay: flood lookup: %w", err)
+	}
 	if from == owner {
 		res.Found = true
 		res.Path = []graph.Vertex{from}
 		return res, nil
 	}
-	parent := map[graph.Vertex]graph.Vertex{from: from}
-	frontier := []graph.Vertex{from}
+	a := arena.Acquire()
+	defer a.Release()
+	parent := a.Map(o.cube.Order())
+	defer a.PutMap(parent)
+	parent.Set(from, from)
+	frontier := append(a.Vertices(), from)
+	next := a.Vertices()
+	defer func() {
+		a.PutVertices(frontier)
+		a.PutVertices(next)
+	}()
 	for depth := 1; depth <= ttl && len(frontier) > 0; depth++ {
-		var next []graph.Vertex
+		next = next[:0]
 		for _, v := range frontier {
 			for dim := 0; dim < o.cube.Dim(); dim++ {
 				w := v ^ graph.Vertex(1<<uint(dim))
-				if _, seen := parent[w]; seen {
+				if parent.Has(w) {
 					continue
 				}
 				res.Messages++
@@ -146,33 +159,39 @@ func (o *Overlay) FloodLookup(from graph.Vertex, key uint64, ttl int) (LookupRes
 				if !open {
 					continue
 				}
-				parent[w] = v
+				parent.Set(w, v)
 				if w == owner {
 					res.Found = true
 					res.Hops = depth
-					res.Path = chain(parent, from, owner)
+					res.Path = chain(parent, from, owner, depth)
 					return res, nil
 				}
 				next = append(next, w)
 			}
 		}
-		frontier = next
+		frontier, next = next, frontier
 	}
 	return res, fmt.Errorf("%w: owner of key %d not reached within ttl %d",
 		ErrLookupFailed, key, ttl)
 }
 
-// chain reconstructs from..dst from parent pointers.
-func chain(parent map[graph.Vertex]graph.Vertex, from, dst graph.Vertex) []graph.Vertex {
-	var rev []graph.Vertex
-	for v := dst; ; v = parent[v] {
-		rev = append(rev, v)
-		if v == from {
-			break
-		}
+// checkNode rejects a vertex that is not a node of the overlay.
+func (o *Overlay) checkNode(v graph.Vertex) error {
+	if n := o.cube.Order(); uint64(v) >= n {
+		return fmt.Errorf("node %d out of range [0, %d)", v, n)
 	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
+	return nil
+}
+
+// chain rebuilds the path from..dst, hops links long, from parent
+// pointers.
+func chain(parent *arena.VMap, from, dst graph.Vertex, hops int) []graph.Vertex {
+	path := make([]graph.Vertex, hops+1)
+	v := dst
+	for i := hops; i > 0; i-- {
+		path[i] = v
+		v, _ = parent.Get(v)
 	}
-	return rev
+	path[0] = from
+	return path
 }

@@ -21,4 +21,12 @@
 // (internal/arena) rather than maps; Release recycles them through the
 // shared pool so steady-state trial loops allocate nothing, and routers
 // borrow their search tables from the same arena via ArenaProvider.
+//
+// The memo is sized by the graph's edge-ID bound when the graph
+// declares one (graph.EdgeSpace, which every family implements): up to
+// arena.DenseEdgeLimit IDs it is a flat table of two bits per ID, so
+// one memo for K_400's 160,000 IDs takes 78 KiB however much of K_400
+// a G(n, p) route probes. Graphs without a bound, and hypercubes of
+// dimension 17 and up, get an open-addressed memo that grows with the
+// probed set. Either way a probe answers the same and counts the same.
 package probe

@@ -59,9 +59,16 @@ type counter struct {
 	calls  int // raw Probe invocations, repeats included
 }
 
+// newCounter borrows a memo sized by the graph's edge-ID bound, when it
+// declares one: a flat bit table for bounds up to
+// arena.DenseEdgeLimit, an open-addressed table otherwise.
 func newCounter(s percolation.Sample, budget int) counter {
 	a := arena.Acquire()
-	return counter{sample: s, known: a.Memo(), arena: a, budget: budget}
+	var bound uint64
+	if es, ok := s.Graph().(graph.EdgeSpace); ok {
+		bound = es.EdgeIDBound()
+	}
+	return counter{sample: s, known: a.Memo(bound), arena: a, budget: budget}
 }
 
 // probeEdge reveals the edge {u, v} with canonical id, charging the

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"faultroute/internal/arena"
 	"faultroute/internal/graph"
 	"faultroute/internal/percolation"
 	"faultroute/internal/rng"
@@ -34,6 +35,10 @@ type GossipOutcome struct {
 // round makes no progress and every open neighbor of the informed set is
 // already informed.
 //
+// src must be a vertex of the sample's graph. The informed set and the
+// round buffers are borrowed from a pooled arena, so a run allocates
+// only its outcome in steady state.
+//
 // Section 1.3 names gossip alongside flooding as the data-location
 // fallback that keeps working past the routing transition: it needs no
 // routing tables, only liveness of *some* open path, at the price of
@@ -44,9 +49,10 @@ func Gossip(s percolation.Sample, src graph.Vertex, target graph.Vertex, hasTarg
 		return nil, fmt.Errorf("sim: gossip: non-positive maxRounds %d", maxRounds)
 	}
 	g := s.Graph()
+	if n := g.Order(); uint64(src) >= n {
+		return nil, fmt.Errorf("sim: gossip: source %d out of range [0, %d)", src, n)
+	}
 	str := rng.NewStream(rng.Combine(seed, 0x90551b))
-	informed := map[graph.Vertex]bool{src: true}
-	order := []graph.Vertex{src} // deterministic iteration order
 	out := &GossipOutcome{Informed: 1, TargetRound: -1}
 	if hasTarget && src == target {
 		out.ReachedTarget = true
@@ -54,8 +60,20 @@ func Gossip(s percolation.Sample, src graph.Vertex, target graph.Vertex, hasTarg
 		return out, nil
 	}
 
+	a := arena.Acquire()
+	defer a.Release()
+	informed := a.Set(g.Order())
+	defer a.PutSet(informed)
+	informed.Add(src)
+	order := append(a.Vertices(), src) // deterministic iteration order
+	fresh := a.Vertices()              // informed this round
+	defer func() {
+		a.PutVertices(order)
+		a.PutVertices(fresh)
+	}()
+
 	for round := 1; round <= maxRounds; round++ {
-		newlyInformed := make([]graph.Vertex, 0, len(order))
+		fresh = fresh[:0]
 		for _, v := range order {
 			deg := g.Degree(v)
 			if deg == 0 {
@@ -67,39 +85,39 @@ func Gossip(s percolation.Sample, src graph.Vertex, target graph.Vertex, hasTarg
 			if err != nil {
 				return nil, fmt.Errorf("sim: gossip: %w", err)
 			}
-			if !open || informed[w] {
+			if !open || informed.Has(w) {
 				continue
 			}
-			informed[w] = true
-			newlyInformed = append(newlyInformed, w)
+			informed.Add(w)
+			fresh = append(fresh, w)
 			if hasTarget && w == target {
 				out.Rounds = round
-				out.Informed = len(informed)
+				out.Informed = informed.Len()
 				out.ReachedTarget = true
 				out.TargetRound = round
 				return out, nil
 			}
 		}
-		order = append(order, newlyInformed...)
+		order = append(order, fresh...)
 		out.Rounds = round
-		if len(newlyInformed) == 0 && saturated(s, order, informed) {
+		if len(fresh) == 0 && saturated(s, order, informed) {
 			break
 		}
 	}
-	out.Informed = len(informed)
+	out.Informed = informed.Len()
 	return out, nil
 }
 
 // saturated reports whether every open neighbor of the informed set is
 // already informed — gossip can make no further progress, so the run may
 // stop early rather than spin for maxRounds.
-func saturated(s percolation.Sample, order []graph.Vertex, informed map[graph.Vertex]bool) bool {
+func saturated(s percolation.Sample, order []graph.Vertex, informed *arena.VSet) bool {
 	g := s.Graph()
 	for _, v := range order {
 		deg := g.Degree(v)
 		for i := 0; i < deg; i++ {
 			w := g.Neighbor(v, i)
-			if informed[w] {
+			if informed.Has(w) {
 				continue
 			}
 			open, err := s.Open(v, w)
