@@ -195,3 +195,31 @@ func TestAllocCeilingFloodLookup(t *testing.T) {
 		t.Fatalf("FloodLookup allocates %.1f/op, ceiling %d — the parent table is back on a map?", got, ceiling)
 	}
 }
+
+// TestAllocCeilingBacktrackLookup pins the overlay DFS's steady-state
+// allocations on E16's instance (H_10, p = 0.4, budget 2^22), with and
+// without detours. With two fresh candidate slices per frame and an
+// appended frame stack a call, overlay construction included, made 27
+// without detours and 116 with; with a per-frame dimension cursor and
+// the stack in arena slices it makes 3: the overlay, its hypercube,
+// and the path it returns or the error.
+func TestAllocCeilingBacktrackLookup(t *testing.T) {
+	for _, detours := range []bool{false, true} {
+		seed := uint64(0)
+		run := func() {
+			seed++
+			o, err := overlay.New(10, 0.4, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.BacktrackLookup(0, seed*7919, 1<<22, detours) // a failed lookup is an outcome too
+		}
+		for i := 0; i < 5; i++ {
+			run() // warm the arena pool
+		}
+		const ceiling = 12
+		if got := testing.AllocsPerRun(50, run); got > ceiling {
+			t.Fatalf("BacktrackLookup (detours %v) allocates %.1f/op, ceiling %d — candidate slices are back per frame?", detours, got, ceiling)
+		}
+	}
+}

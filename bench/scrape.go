@@ -1,3 +1,9 @@
+// Package bench reads a faultrouted daemon's /v1/metrics exposition:
+// ScrapeURL fetches and parses it into a Scrape, whose Sub, Sum and
+// Label turn two scrapes into the counter deltas of the work between
+// them. cmd/frbench brackets each serving workload with a scrape per
+// backend this way, so the service reports on itself next to what the
+// benchmark measures from outside.
 package bench
 
 import (
@@ -14,17 +20,13 @@ import (
 
 // Scrape is one parsed /v1/metrics exposition: every sample keyed by
 // its full series string (family name plus its sorted label set,
-// exactly as rendered), so byte-stable scrapes diff cleanly. The
-// harness brackets every cell with a scrape per backend and reports
-// the counter deltas next to its own client-side measurements —
-// the rancher/fleet methodology: the system under load testifies about
-// itself, the driver only corroborates.
+// exactly as rendered), so byte-stable scrapes diff cleanly.
 type Scrape map[string]float64
 
-// ParseMetrics parses a Prometheus text-format exposition. Comment and
-// blank lines are skipped; a malformed sample line is an error (the
-// harness must never silently drop the series it asserts on).
-func ParseMetrics(r io.Reader) (Scrape, error) {
+// parseMetrics parses a Prometheus text-format exposition. Comment and
+// blank lines are skipped; a malformed sample line is an error (a
+// reader must never silently drop the series it asserts on).
+func parseMetrics(r io.Reader) (Scrape, error) {
 	s := make(Scrape)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
@@ -63,7 +65,7 @@ func ScrapeURL(ctx context.Context, hc *http.Client, base string) (Scrape, error
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("bench: scraping %s: status %d", base, resp.StatusCode)
 	}
-	return ParseMetrics(resp.Body)
+	return parseMetrics(resp.Body)
 }
 
 // family returns the series' family name (the part before the label
@@ -117,12 +119,4 @@ func (s Scrape) Sub(before Scrape) Scrape {
 		out[series] = v - before[series]
 	}
 	return out
-}
-
-// Merge adds every sample of other into s (summing shared series) —
-// how the harness folds per-backend scrapes into one cluster view.
-func (s Scrape) Merge(other Scrape) {
-	for series, v := range other {
-		s[series] += v
-	}
 }

@@ -1,8 +1,17 @@
 package bench
 
 import (
+	"context"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
+
+	"faultroute/api"
+	"faultroute/client"
+	"faultroute/serve"
 )
 
 const exampleScrape = `# HELP faultroute_cache_hits_total Result-cache lookups that found the stored bytes.
@@ -24,7 +33,7 @@ faultroute_job_duration_seconds_count{kind="estimate"} 4
 
 func parse(t *testing.T, text string) Scrape {
 	t.Helper()
-	s, err := ParseMetrics(strings.NewReader(text))
+	s, err := parseMetrics(strings.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,13 +64,13 @@ func TestParseMetrics(t *testing.T) {
 
 func TestParseMetricsRejectsMalformed(t *testing.T) {
 	for _, bad := range []string{"justaname\n", "name notanumber\n"} {
-		if _, err := ParseMetrics(strings.NewReader(bad)); err == nil {
-			t.Errorf("ParseMetrics(%q) accepted malformed input", bad)
+		if _, err := parseMetrics(strings.NewReader(bad)); err == nil {
+			t.Errorf("parseMetrics(%q) accepted malformed input", bad)
 		}
 	}
 }
 
-func TestScrapeSubAndMerge(t *testing.T) {
+func TestScrapeSub(t *testing.T) {
 	before := parse(t, exampleScrape)
 	after := parse(t, strings.ReplaceAll(exampleScrape, "41", "141"))
 	d := after.Sub(before)
@@ -76,10 +85,71 @@ func TestScrapeSubAndMerge(t *testing.T) {
 	if got := d2.Sum("faultroute_cache_hits_total"); got != 141 {
 		t.Errorf("delta vs empty = %v, want 141", got)
 	}
-	// Merge folds two backends' scrapes by summing shared series.
-	m := parse(t, exampleScrape)
-	m.Merge(before)
-	if got := m.Label("faultroute_jobs_submitted_total", "outcome", "coalesced"); got != 60 {
-		t.Errorf("merged coalesced = %v, want 60", got)
+}
+
+// TestScrapeURLAgainstService scrapes a live service after one
+// estimate: every sample line the service wrote must parse to its
+// value, the fresh submission must show, and a non-200 answer must be
+// an error.
+func TestScrapeURLAgainstService(t *testing.T) {
+	svc := serve.New(serve.Options{})
+	defer svc.Close()
+	var (
+		mu     sync.Mutex
+		served []byte // the last exposition the service wrote
+	)
+	h := svc.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/down" + api.BasePath + "/metrics":
+			// An empty body parses, so only the status can reject it.
+			w.WriteHeader(http.StatusServiceUnavailable)
+		case api.BasePath + "/metrics":
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, r)
+			mu.Lock()
+			served = rec.Body.Bytes()
+			mu.Unlock()
+			w.WriteHeader(rec.Code)
+			w.Write(rec.Body.Bytes())
+		default:
+			h.ServeHTTP(w, r)
+		}
+	}))
+	defer ts.Close()
+	ctx := context.Background()
+	req := api.Request{Kind: api.KindEstimate, Estimate: &api.EstimateSpec{
+		Graph: api.GraphSpec{Family: "hypercube", N: 6}, P: 0.7, Trials: 8, Seed: 1}}
+	if _, err := client.New(ts.URL).Do(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := ScrapeURL(ctx, http.DefaultClient, ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	exposition := string(served)
+	mu.Unlock()
+	samples := 0
+	for _, line := range strings.Split(exposition, "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		samples++
+		cut := strings.LastIndexByte(line, ' ')
+		if v, err := strconv.ParseFloat(line[cut+1:], 64); err != nil || s[line[:cut]] != v {
+			t.Errorf("line %q: scrape holds %v", line, s[line[:cut]])
+		}
+	}
+	if samples == 0 || len(s) != samples {
+		t.Errorf("scrape holds %d series, the exposition %d sample lines", len(s), samples)
+	}
+	if got := s.Label("faultroute_jobs_submitted_total", "outcome", "fresh"); got != 1 {
+		t.Errorf("fresh submissions = %v, want 1", got)
+	}
+
+	if _, err := ScrapeURL(ctx, http.DefaultClient, ts.URL+"/down"); err == nil {
+		t.Error("ScrapeURL accepted a 503 answer")
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"faultroute"
+	"faultroute/api"
 	"faultroute/dispatch"
 )
 
@@ -21,24 +22,42 @@ func TestPoolHedgingByteIdenticalToLocal(t *testing.T) {
 	// Three backends, one pathologically slow. With a tight hedge floor
 	// every shard stuck behind the straggler is speculatively re-run on a
 	// fast sibling; whatever mixture of primaries and hedges wins, the
-	// merged bytes must equal the in-process run. The straggler owns
-	// the first shard, so at least one shard is submitted to it first.
+	// merged bytes must equal the in-process run, in under 0.6x the wall
+	// time of an unhedged twin. The straggler owns the first shard of
+	// both, so at least one shard of each is submitted to it first, and
+	// the twin's other seed means no stored result answers it. The twin
+	// runs first: the hedged run's losers are canceled in the background
+	// after Do returns, and one still asleep on the straggler would
+	// delay the twin and inflate the baseline.
 	req := estimateReq(40)
 	srvs, urls := reserve(t, 3)
-	startRoles(t, srvs, urls, ownerOf(t, urls, shardOf(req, 0)), 300*time.Millisecond, nil)
+	slow := ownerOf(t, urls, shardOf(req, 0))
+	startRoles(t, srvs, urls, slow, 300*time.Millisecond, nil)
+	twin := ownedBy(t, urls, slow, req, req.Estimate.Seed+1)
 	pool := newPool(t, urls, dispatch.WithHedgeAfter(30*time.Millisecond))
 	ctx := context.Background()
 
-	want, err := faultroute.NewLocal().Do(ctx, req)
-	if err != nil {
-		t.Fatal(err)
+	run := func(p *dispatch.Pool, r api.Request) time.Duration {
+		t.Helper()
+		want, err := faultroute.NewLocal().Do(ctx, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		got, err := p.Do(ctx, r)
+		took := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Body, want.Body) {
+			t.Fatalf("pool bytes differ from local:\n got %s\nwant %s", got.Body, want.Body)
+		}
+		return took
 	}
-	got, err := pool.Do(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Body, want.Body) {
-		t.Fatalf("hedged pool bytes differ from local:\n got %s\nwant %s", got.Body, want.Body)
+	unhedged := run(newPool(t, urls, dispatch.WithHedging(false)), twin)
+	hedged := run(pool, req)
+	if hedged.Seconds() >= 0.6*unhedged.Seconds() {
+		t.Errorf("hedged run took %v, its unhedged twin %v: want under 0.6x — hedging is not absorbing the straggler", hedged, unhedged)
 	}
 
 	st := pool.Stats()

@@ -37,48 +37,53 @@ func (o *Overlay) BacktrackLookup(from graph.Vertex, key uint64, budget int, all
 		return res, nil
 	}
 
-	// Iterative DFS with per-node alive-neighbor iterators, improving
-	// links first.
-	type frame struct {
-		v     graph.Vertex
-		cands []graph.Vertex
-		next  int
-	}
+	// Iterative DFS over the walk verts; cursors[i] counts the links of
+	// verts[i] already passed over. The links are tried in two passes
+	// over the dimensions, each in ascending order: first the improving
+	// ones, where the vertex and the owner differ, then, with detours
+	// on, the rest. Cursor c < dim is dimension c of the first pass and
+	// dim <= c < 2*dim dimension c-dim of the second.
 	a := arena.Acquire()
 	defer a.Release()
 	visited := a.Set(o.cube.Order())
 	defer a.PutSet(visited)
 	visited.Add(from)
-	candidates := func(v graph.Vertex) []graph.Vertex {
-		var improving, detours []graph.Vertex
-		for dim := 0; dim < o.cube.Dim(); dim++ {
-			w := v ^ graph.Vertex(1<<uint(dim))
-			if o.cube.Dist(w, owner) < o.cube.Dist(v, owner) {
-				improving = append(improving, w)
-			} else if allowDetours {
-				detours = append(detours, w)
+	verts := append(a.Vertices(), from)
+	cursors := append(a.Ints(), 0)
+	defer func() {
+		a.PutVertices(verts)
+		a.PutInts(cursors)
+	}()
+	dim := o.cube.Dim()
+	end := dim
+	if allowDetours {
+		end = 2 * dim
+	}
+	for len(verts) > 0 {
+		top := len(verts) - 1
+		v, c := verts[top], cursors[top]
+		diff := v ^ owner
+		for ; c < end; c++ {
+			differs := diff>>uint(c%dim)&1 == 1
+			if firstPass := c < dim; differs == firstPass {
+				break // the link along c%dim belongs to c's pass
 			}
 		}
-		return append(improving, detours...)
-	}
-	stack := []frame{{v: from, cands: candidates(from)}}
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		if f.next >= len(f.cands) {
-			stack = stack[:len(stack)-1] // backtrack
+		if c == end {
+			verts, cursors = verts[:top], cursors[:top] // backtrack
 			continue
 		}
-		w := f.cands[f.next]
-		f.next++
+		cursors[top] = c + 1
+		w := v ^ graph.Vertex(1)<<uint(c%dim)
 		if visited.Has(w) {
 			continue
 		}
 		if res.Messages >= budget {
 			return res, fmt.Errorf("%w: budget %d exhausted %d hops from owner",
-				ErrLookupFailed, budget, o.cube.Dist(f.v, owner))
+				ErrLookupFailed, budget, o.cube.Dist(v, owner))
 		}
 		res.Messages++
-		open, err := o.s.Open(f.v, w)
+		open, err := o.s.Open(v, w)
 		if err != nil {
 			return res, fmt.Errorf("overlay: backtrack lookup: %w", err)
 		}
@@ -88,15 +93,12 @@ func (o *Overlay) BacktrackLookup(from graph.Vertex, key uint64, budget int, all
 		visited.Add(w)
 		if w == owner {
 			res.Found = true
-			path := make([]graph.Vertex, 0, len(stack)+1)
-			for i := range stack {
-				path = append(path, stack[i].v)
-			}
-			res.Path = append(path, w)
+			res.Path = append(append(make([]graph.Vertex, 0, len(verts)+1), verts...), w)
 			res.Hops = len(res.Path) - 1
 			return res, nil
 		}
-		stack = append(stack, frame{v: w, cands: candidates(w)})
+		verts = append(verts, w)
+		cursors = append(cursors, 0)
 	}
 	return res, fmt.Errorf("%w: search space exhausted (visited %d nodes)",
 		ErrLookupFailed, visited.Len())

@@ -8,9 +8,10 @@ import (
 
 // Zipf samples ranks from a Zipf(skew) distribution over [0, n):
 // P(rank = k) ∝ 1/(k+1)^skew, so rank 0 is the most popular. It is the
-// popularity model of the load harness (faultroute/bench): a handful of
-// hot specs dominate a long tail, which is the regime where duplicate
-// coalescing and the content-addressed cache must absorb the traffic.
+// popularity model of frbench's serving workloads and of the serve
+// package's load test: a handful of hot specs dominate a long tail,
+// which is the regime where duplicate coalescing and the
+// content-addressed cache must absorb the traffic.
 //
 // Sampling is deterministic: the distribution is materialized as an
 // exact cumulative table at construction and draws consume exactly one

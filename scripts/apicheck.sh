@@ -3,7 +3,7 @@
 #
 # The exported surface of the six public packages (the faultroute
 # facade, the api wire types, the remote client, the embeddable serve
-# layer, the distributed dispatch pool, the bench load harness) is
+# layer, the distributed dispatch pool, the bench metrics reader) is
 # frozen by a golden `go doc` snapshot in docs/api-surface.txt:
 # cache keys, wire JSON and downstream callers all depend on those
 # signatures, so accidental churn must fail CI rather than slip through

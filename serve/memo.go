@@ -1,22 +1,22 @@
 package serve
 
 // The submit memo is the hot-path complement to the engine's
-// coalescing: at saturation (the millions-of-users regime) nearly
-// every POST /v1/jobs is a duplicate of one of a few popular specs,
-// and profiling shows the handler then spends its time not computing —
-// the engine absorbs that — but reflectively JSON-decoding the same
-// request body and re-marshaling the same cache-hit response, over and
-// over. Duplicate submissions are byte-identical on the wire (clients
-// marshal the same spec the same way), so the raw body is a perfect
-// memo key: a hit skips decode + normalization + content addressing
-// entirely, reads the result bytes with one store Get, and serves the
-// frozen, pre-encoded response of the done job with those bytes
-// spliced in as its "result" (see writeCached). The frozen response
-// never holds the result itself, so result bytes live only in the
-// store, under its byte budget. Distinct-body submissions that
-// normalize to the same spec miss the memo and pay the full decode —
-// correctness never depends on a memo hit, only the per-request CPU
-// does.
+// coalescing: at saturation (many clients over a Zipf-popular catalog,
+// see TestZipfLoadAbsorbedAndBounded) nearly every POST /v1/jobs is a
+// duplicate of one of a few popular specs, and profiling shows the
+// handler then spends its time not computing — the engine absorbs
+// that — but reflectively JSON-decoding the same request body and
+// re-marshaling the same cache-hit response, over and over. Duplicate
+// submissions are byte-identical on the wire (clients marshal the same
+// spec the same way), so the raw body is a perfect memo key: a hit
+// skips decode + normalization + content addressing entirely, reads
+// the result bytes with one store Get, and serves the frozen,
+// pre-encoded response of the done job with those bytes spliced in as
+// its "result" (see writeCached). The frozen response never holds the
+// result itself, so result bytes live only in the store, under its
+// byte budget. Distinct-body submissions that normalize to the same
+// spec miss the memo and pay the full decode — correctness never
+// depends on a memo hit, only the per-request CPU does.
 
 import (
 	"net/http"
