@@ -15,13 +15,19 @@ package faultroute_test
 import (
 	"context"
 	"math"
+	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"faultroute"
+	"faultroute/api"
+	"faultroute/client"
+	"faultroute/internal/cache"
 	"faultroute/internal/graph"
 	"faultroute/internal/overlay"
 	"faultroute/internal/percolation"
 	"faultroute/internal/sim"
+	"faultroute/serve"
 )
 
 // allocsPerEstimate measures steady-state allocations of one
@@ -221,5 +227,45 @@ func TestAllocCeilingBacktrackLookup(t *testing.T) {
 		if got := testing.AllocsPerRun(50, run); got > ceiling {
 			t.Fatalf("BacktrackLookup (detours %v) allocates %.1f/op, ceiling %d — candidate slices are back per frame?", detours, got, ceiling)
 		}
+	}
+}
+
+// TestAllocCeilingJobRetention pins what a finished job costs a daemon:
+// its status record, in a history of bounded length, plus its result
+// bytes under the store's budget. 20,000 distinct one-trial estimates
+// go through client.Do against a service over a 64 KiB bounded store,
+// and the live heap after a GC may grow by less than 2 MiB between job
+// 10,000 and job 20,000. When every finished job stayed indexed with
+// its context and its compiled task, it grew by 9.4 MiB there.
+func TestAllocCeilingJobRetention(t *testing.T) {
+	svc := serve.New(serve.Options{Store: cache.NewBounded(64 << 10)})
+	defer svc.Close()
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	c := client.New(ts.URL)
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	const jobs, ceiling = 20000, 2 << 20
+	var mid uint64
+	for i := 1; i <= jobs; i++ {
+		req := api.Request{Kind: api.KindEstimate, Estimate: &api.EstimateSpec{
+			Graph: api.GraphSpec{Family: "hypercube", N: 4}, P: 0.7, Trials: 1, Seed: uint64(i),
+		}}
+		if _, err := c.Do(context.Background(), req); err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		if i == jobs/2 {
+			mid = liveHeap()
+		}
+	}
+	grown := int64(liveHeap()) - int64(mid)
+	t.Logf("live heap grew %.2f MiB from job %d to job %d", float64(grown)/(1<<20), jobs/2, jobs)
+	if grown >= ceiling {
+		t.Fatalf("live heap grew %.1f MiB from job %d to job %d, ceiling %.0f MiB — finished jobs are retained again?",
+			float64(grown)/(1<<20), jobs/2, jobs, float64(ceiling)/(1<<20))
 	}
 }

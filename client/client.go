@@ -159,15 +159,42 @@ func (c *Client) Watch(ctx context.Context, req api.Request, onEvent func(api.Ev
 }
 
 func (c *Client) run(ctx context.Context, req api.Request, onEvent func(api.Event)) (api.Result, error) {
-	sub, err := c.Submit(ctx, req)
-	if err != nil {
-		return api.Result{}, err
+	var last api.Event
+	for resubmits := 0; ; resubmits++ {
+		sub, err := c.Submit(ctx, req)
+		if err != nil {
+			return api.Result{}, err
+		}
+		// The first submission's event is always delivered; a
+		// resubmission's continues the one deduplicated sequence.
+		ev := api.Event{State: sub.Job.State, Done: sub.Job.Done, Total: sub.Job.Total}
+		if resubmits == 0 || ev != last {
+			last = ev
+			if onEvent != nil {
+				onEvent(ev)
+			}
+		}
+		res, err := c.follow(ctx, req, sub, &last, onEvent)
+		var ae *APIError
+		if resubmits < c.retries && errors.As(err, &ae) && ae.StatusCode == http.StatusNotFound {
+			// The daemon acknowledged the job and has since forgotten it
+			// or its bytes: its bounded history dropped the finished
+			// job's record, or its bounded store evicted the result.
+			// Submissions are content-addressed, so resubmitting
+			// coalesces onto the same work or recomputes the same bytes.
+			continue
+		}
+		return res, err
 	}
+}
+
+// follow watches a submitted job to a terminal state and returns its
+// result. last is the shared dedup state of the events delivered so
+// far. A 404 *APIError from the job's status or its result means the
+// daemon forgot the job; run resubmits then.
+func (c *Client) follow(ctx context.Context, req api.Request, sub api.SubmitResponse, last *api.Event, onEvent func(api.Event)) (api.Result, error) {
 	st := sub.Job
-	last := api.Event{State: st.State, Done: st.Done, Total: st.Total}
-	if onEvent != nil {
-		onEvent(last)
-	}
+	var err error
 	if !st.State.Terminal() {
 		// Transport upgrade: subscribe to the daemon's SSE progress
 		// stream when it advertises one, falling back to polling if the
@@ -177,7 +204,7 @@ func (c *Client) run(ctx context.Context, req api.Request, onEvent func(api.Even
 		streamed := false
 		if c.sse && sub.Events != "" {
 			var fin api.JobStatus
-			fin, streamed, err = c.watchEvents(ctx, sub.Events, st, &last, onEvent)
+			fin, streamed, err = c.watchEvents(ctx, sub.Events, st, last, onEvent)
 			if err != nil {
 				return api.Result{}, err
 			}
@@ -186,7 +213,7 @@ func (c *Client) run(ctx context.Context, req api.Request, onEvent func(api.Even
 			}
 		}
 		if !streamed {
-			if st, err = c.await(ctx, st, &last, onEvent); err != nil {
+			if st, err = c.await(ctx, st, last, onEvent); err != nil {
 				return api.Result{}, err
 			}
 		}

@@ -44,6 +44,11 @@ type transportCounts struct {
 	// taskDelay is the service's serve.Options.TaskDelay: it keeps a
 	// fresh job running after its submit response.
 	taskDelay time.Duration
+	// forgets, when set, picks the one request answered 404 in the
+	// service's place, the way a daemon answers for a job or result it
+	// no longer holds; forgot records that it happened.
+	forgets func(r *http.Request) bool
+	forgot  atomic.Bool
 }
 
 func (tc *transportCounts) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -61,6 +66,10 @@ func (tc *transportCounts) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		} else {
 			tc.status.Add(1)
 		}
+	}
+	if tc.forgets != nil && tc.forgets(r) && tc.forgot.CompareAndSwap(false, true) {
+		http.Error(w, `{"error":"forgotten"}`, http.StatusNotFound)
+		return
 	}
 	tc.next.ServeHTTP(w, r)
 }

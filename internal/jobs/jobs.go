@@ -8,10 +8,15 @@
 // function of its normalized spec, two submissions with the same key
 // would compute byte-identical results, so the engine attaches the
 // second submission to the first's job instead of queueing it — whether
-// that job is still queued, already running, or long finished. The
-// effect the HTTP API advertises: N clients asking for the same
-// experiment cost one computation, and repeat queries are O(1) against
-// the cache.
+// that job is still queued, already running, or finished. The effect the
+// HTTP API advertises: N clients asking for the same experiment cost one
+// computation, and repeat queries are O(1) against the cache.
+//
+// A finished job costs only its status record: it drops its task and
+// context when it finishes, and the engine remembers the last
+// maxTerminalHistory finished jobs of any outcome. A submission whose
+// done job has been forgotten is answered from the result store with a
+// new done record, exactly as after a restart.
 package jobs
 
 import (
@@ -68,8 +73,11 @@ type Job struct {
 	id    string
 	key   string
 	total int64
-	task  Task
 
+	// The execution state: set for a submission that enqueues work, and
+	// dropped by finish, so a terminal job keeps only its status. A record
+	// born done from a store hit never has any.
+	task   Task
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -109,18 +117,11 @@ func (j *Job) Wait(ctx context.Context) error {
 // type the HTTP layer serves verbatim.
 type Status = api.JobStatus
 
-// Status returns a snapshot of the job. A job canceled while still
-// queued reports StateCanceled even though no executor has touched it
-// yet.
+// Status returns a snapshot of the job.
 func (j *Job) Status() Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	state := j.state
-	errMsg := j.errMsg
-	if state == StateQueued && j.ctx.Err() != nil {
-		state = StateCanceled
-		errMsg = j.ctx.Err().Error()
-	}
+	state, errMsg := j.stateLocked()
 	return Status{
 		ID:       j.id,
 		Key:      j.key,
@@ -132,6 +133,17 @@ func (j *Job) Status() Status {
 		Started:  j.started,
 		Finished: j.finished,
 	}
+}
+
+// stateLocked returns the job's state and error message; j.mu must be
+// held. A job canceled while still queued reports StateCanceled even
+// though no executor has touched it yet. Only a queued job reads its
+// context: a terminal one has dropped it.
+func (j *Job) stateLocked() (State, string) {
+	if j.state == StateQueued && j.ctx.Err() != nil {
+		return StateCanceled, j.ctx.Err().Error()
+	}
+	return j.state, j.errMsg
 }
 
 // Engine owns the queue, the executor pool, and the job index.
@@ -150,8 +162,9 @@ type Engine struct {
 	nextID    int
 	byID      map[string]*Job
 	inflight  map[string]*Job // queued or running, by cache key
-	doneByKey map[string]*Job // succeeded, by cache key
-	deadLog   []string        // failed/canceled job IDs, oldest first (bounded)
+	doneByKey map[string]*Job // succeeded and still in history, by cache key
+	history   []*Job          // terminal jobs, a ring of at most maxTerminalHistory
+	oldest    int             // history index of the oldest job once the ring is full
 }
 
 // NewEngine starts an engine with `executors` concurrent job executors
@@ -214,18 +227,21 @@ func (e *Engine) Submit(key string, total int64, task Task) (job *Job, fresh boo
 		delete(e.doneByKey, key)
 	}
 	if _, ok := e.store.Get(key); ok {
-		// Result present but no job remembers computing it (e.g. a store
-		// warmed before this engine started): synthesize a done job so
-		// the API has something to point at.
+		// Result present but no job remembers computing it (a store warmed
+		// before this engine started, or a done job the history has
+		// forgotten): synthesize a done job so the API has something to
+		// point at. It has nothing to run, so it gets no context.
 		j := e.newJobLocked(key, total)
 		j.state = StateDone
 		j.done.Store(total)
 		j.finished = j.created
 		close(j.doneCh)
 		e.doneByKey[key] = j
+		e.retireLocked(j)
 		return j, false, nil
 	}
 	j := e.newJobLocked(key, total)
+	j.ctx, j.cancel = context.WithCancel(e.baseCtx)
 	j.task = task
 	select {
 	case e.queue <- j:
@@ -238,16 +254,14 @@ func (e *Engine) Submit(key string, total int64, task Task) (job *Job, fresh boo
 	return j, true, nil
 }
 
-// newJobLocked allocates and indexes a job; e.mu must be held.
+// newJobLocked allocates and indexes a queued job with no execution
+// state; e.mu must be held.
 func (e *Engine) newJobLocked(key string, total int64) *Job {
 	e.nextID++
-	ctx, cancel := context.WithCancel(e.baseCtx)
 	j := &Job{
 		id:      fmt.Sprintf("j%d", e.nextID),
 		key:     key,
 		total:   total,
-		ctx:     ctx,
-		cancel:  cancel,
 		doneCh:  make(chan struct{}),
 		state:   StateQueued,
 		created: time.Now(),
@@ -295,10 +309,7 @@ func (e *Engine) Cancel(id string) error {
 		return fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
 	j.mu.Lock()
-	state := j.state
-	if state == StateQueued && j.ctx.Err() != nil {
-		state = StateCanceled // canceled while queued, not yet dequeued
-	}
+	state, _ := j.stateLocked()
 	j.mu.Unlock()
 	if state.Terminal() {
 		e.mu.Unlock()
@@ -366,17 +377,22 @@ func (e *Engine) execute(j *Job) {
 	e.finish(j, data, err)
 }
 
-// maxTerminalHistory bounds how many failed/canceled jobs stay
-// queryable by ID: unlike done jobs (whose count is that of the result
-// cache, by design), dead jobs have no reuse value, so the oldest are
-// evicted once the history is full — without this a long-running daemon
-// fed failing submissions would grow without bound.
+// maxTerminalHistory bounds how many terminal jobs — done, failed or
+// canceled — stay queryable by ID. Once the history is full, the oldest
+// leaves the index and its ID answers ErrNotFound. Without the bound a
+// long-running daemon would keep a record for every job it ever ran.
+// Forgetting a done job loses nothing: its bytes stay in the result
+// store under that store's own budget, and a later submission of its
+// key is answered from there with a new done record (or recomputed,
+// byte-identically, if the store has evicted them too).
 const maxTerminalHistory = 1024
 
 // finish records a job's terminal state, publishes a successful result
 // to the store, and releases the submission's coalescing slot. A failed
 // or canceled job leaves no trace under its key, so the same spec can be
-// resubmitted and retried from scratch.
+// resubmitted and retried from scratch. The job then drops its execution
+// state, so the compiled task and whatever its closure captured are
+// freed with it, and joins the bounded history.
 func (e *Engine) finish(j *Job, data []byte, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -399,15 +415,26 @@ func (e *Engine) finish(j *Job, data []byte, err error) {
 		j.state = StateFailed
 		j.errMsg = err.Error()
 	}
-	terminal := j.state
-	j.mu.Unlock()
-	if terminal != StateDone {
-		e.deadLog = append(e.deadLog, j.id)
-		if len(e.deadLog) > maxTerminalHistory {
-			delete(e.byID, e.deadLog[0])
-			e.deadLog = e.deadLog[1:]
-		}
-	}
 	j.cancel() // release the context's resources
+	j.task, j.ctx, j.cancel = nil, nil, nil
+	j.mu.Unlock()
+	e.retireLocked(j)
 	close(j.doneCh)
+}
+
+// retireLocked adds a terminal job to the history; e.mu must be held.
+// When the history is full it forgets the oldest job: the job leaves
+// byID and, if it is still its key's done record, doneByKey.
+func (e *Engine) retireLocked(j *Job) {
+	if len(e.history) < maxTerminalHistory {
+		e.history = append(e.history, j)
+		return
+	}
+	old := e.history[e.oldest]
+	delete(e.byID, old.id)
+	if e.doneByKey[old.key] == old {
+		delete(e.doneByKey, old.key)
+	}
+	e.history[e.oldest] = j
+	e.oldest = (e.oldest + 1) % maxTerminalHistory
 }

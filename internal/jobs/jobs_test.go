@@ -298,6 +298,15 @@ func TestWarmStoreShortCircuits(t *testing.T) {
 	if st.State != StateDone || st.Done != 5 {
 		t.Fatalf("status = %+v, want synthetic done job", st)
 	}
+	// The synthetic record has nothing to run, so it never gets a
+	// context: one derived from the engine's would stay registered on
+	// it until Close.
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.task != nil || j.ctx != nil || j.cancel != nil {
+		t.Fatalf("store-hit job %s holds task %v, context %v, cancel func %v",
+			j.ID(), j.task != nil, j.ctx != nil, j.cancel != nil)
+	}
 }
 
 func TestSubmitAfterClose(t *testing.T) {
@@ -385,10 +394,51 @@ func TestCloseUnblocksQueuedWaiters(t *testing.T) {
 	}
 }
 
+// checkIndex checks the engine's job index under its lock: byID holds
+// at most maxTerminalHistory terminal jobs besides the live ones, and
+// doneByKey names no job that byID has dropped.
+func checkIndex(t *testing.T, e *Engine) {
+	t.Helper()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	live := 0
+	for _, j := range e.byID {
+		j.mu.Lock()
+		if !j.state.Terminal() {
+			live++
+		}
+		j.mu.Unlock()
+	}
+	if len(e.byID) > maxTerminalHistory+live {
+		t.Fatalf("byID holds %d jobs, want <= %d terminal + %d live", len(e.byID), maxTerminalHistory, live)
+	}
+	for key, j := range e.doneByKey {
+		if e.byID[j.id] != j {
+			t.Fatalf("doneByKey[%q] names job %s, which byID has dropped", key, j.id)
+		}
+	}
+}
+
+// TestDeadJobHistoryBounded pins the one bounded history of terminal
+// jobs: failed, done and store-hit records all leave the index once
+// maxTerminalHistory later jobs have finished, while a live job stays.
 func TestDeadJobHistoryBounded(t *testing.T) {
 	store := cache.NewStore()
 	e := NewEngine(store, 2, 8)
 	defer e.Close()
+
+	release := make(chan struct{})
+	defer close(release)
+	live, _, err := e.Submit("live", 0, func(ctx context.Context, progress func(int)) ([]byte, error) {
+		select {
+		case <-release:
+		case <-ctx.Done():
+		}
+		return []byte("live"), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var firstID string
 	for i := 0; i < maxTerminalHistory+10; i++ {
@@ -406,11 +456,126 @@ func TestDeadJobHistoryBounded(t *testing.T) {
 	if _, ok := e.Get(firstID); ok {
 		t.Fatalf("oldest failed job %s still indexed after %d failures", firstID, maxTerminalHistory+10)
 	}
-	e.mu.Lock()
-	n := len(e.byID)
-	e.mu.Unlock()
-	if n > maxTerminalHistory+2 {
-		t.Fatalf("byID holds %d jobs, want <= %d", n, maxTerminalHistory)
+	checkIndex(t, e)
+
+	// Done jobs share the history: after 3 × maxTerminalHistory of them
+	// the first is forgotten, by ID and by key.
+	var firstDone *Job
+	for i := 0; i < 3*maxTerminalHistory; i++ {
+		key := fmt.Sprintf("done-%d", i)
+		j, _, err := e.Submit(key, 1, func(ctx context.Context, progress func(int)) ([]byte, error) {
+			return []byte("bytes of " + key), nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			firstDone = j
+		}
+		waitJob(t, j)
+		if i%maxTerminalHistory == 0 {
+			checkIndex(t, e)
+		}
+	}
+	checkIndex(t, e)
+	if _, ok := e.Get(firstDone.ID()); ok {
+		t.Fatalf("oldest done job %s still indexed after %d later jobs finished", firstDone.ID(), 3*maxTerminalHistory)
+	}
+	if _, ok := e.Get(live.ID()); !ok {
+		t.Fatalf("live job %s left the index", live.ID())
+	}
+
+	// A forgotten done job's key is answered from the store with a new
+	// done record, and store-hit records join the same history. Four
+	// submitters run at once, so records are retired and forgotten
+	// while others read their status.
+	const submitters = 4
+	var wg sync.WaitGroup
+	for w := 0; w < submitters; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < 3*maxTerminalHistory; i += submitters {
+				key := fmt.Sprintf("done-%d", i)
+				j, fresh, err := e.Submit(key, 1, func(ctx context.Context, progress func(int)) ([]byte, error) {
+					t.Errorf("task for %s ran despite its stored bytes", key)
+					return nil, nil
+				})
+				if err != nil || fresh {
+					t.Errorf("resubmit %s = (fresh=%v, err=%v), want a store hit", key, fresh, err)
+					return
+				}
+				if j == firstDone {
+					t.Errorf("resubmit of forgotten key %s returned the forgotten job %s", key, j.ID())
+				}
+				if st := j.Status(); st.State != StateDone {
+					t.Errorf("resubmit %s: state %s, want done", key, st.State)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	checkIndex(t, e)
+	if st := live.Status(); st.State != StateRunning {
+		t.Fatalf("live job state %s, want running", st.State)
+	}
+}
+
+// TestFinishedJobDropsExecutionState pins what a terminal job keeps:
+// its status, but no task, context or cancel func, whichever way it
+// ended.
+func TestFinishedJobDropsExecutionState(t *testing.T) {
+	e := NewEngine(cache.NewStore(), 1, 8)
+	defer e.Close()
+
+	started := make(chan struct{})
+	running, _, err := e.Submit("running", 0, func(ctx context.Context, progress func(int)) ([]byte, error) {
+		close(started)
+		<-ctx.Done()
+		return nil, ctx.Err()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	queued, _, err := e.Submit("queued", 0, func(ctx context.Context, progress func(int)) ([]byte, error) {
+		return []byte("never runs"), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Cancel(queued.ID()); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Cancel(running.ID()); err != nil {
+		t.Fatal(err)
+	}
+	done, _, err := e.Submit("done", 0, func(ctx context.Context, progress func(int)) ([]byte, error) {
+		return []byte("ok"), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed, _, err := e.Submit("failed", 0, func(ctx context.Context, progress func(int)) ([]byte, error) {
+		return nil, errors.New("boom")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		job  *Job
+		want State
+	}{{running, StateCanceled}, {queued, StateCanceled}, {done, StateDone}, {failed, StateFailed}} {
+		if st := waitJob(t, c.job); st.State != c.want {
+			t.Fatalf("job %s: state %s, want %s", c.job.ID(), st.State, c.want)
+		}
+		c.job.mu.Lock()
+		task, ctx, cancel := c.job.task, c.job.ctx, c.job.cancel
+		c.job.mu.Unlock()
+		if task != nil || ctx != nil || cancel != nil {
+			t.Errorf("%s job %s still holds task %v, context %v, cancel func %v",
+				c.want, c.job.ID(), task != nil, ctx != nil, cancel != nil)
+		}
 	}
 }
 

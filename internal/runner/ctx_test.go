@@ -83,6 +83,30 @@ func TestMapCtxDeadline(t *testing.T) {
 	}
 }
 
+// pastDeadline is a context whose deadline has passed but whose timer
+// has not fired: Done never closes and Err stays nil, which is how a
+// context.WithTimeout looks to CPU-bound workers until the runtime runs
+// its timer.
+type pastDeadline struct{ context.Context }
+
+func (pastDeadline) Deadline() (time.Time, bool) { return time.Now().Add(-time.Millisecond), true }
+
+func TestMapCtxPassedDeadlineByTheClock(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		var calls atomic.Int64
+		_, err := MapCtx(pastDeadline{context.Background()}, New(workers), 500, nil, func(i int) (int, error) {
+			calls.Add(1)
+			return i, nil
+		})
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("workers=%d: err = %v, want context.DeadlineExceeded", workers, err)
+		}
+		if got := calls.Load(); got != 0 {
+			t.Fatalf("workers=%d: fn ran %d times past the deadline, want 0", workers, got)
+		}
+	}
+}
+
 func TestMapCtxShardErrorBeatsCancellation(t *testing.T) {
 	// A shard failure followed by cancellation must still surface the
 	// shard's error: cancellation only truncates, it never masks.

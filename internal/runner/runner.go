@@ -25,6 +25,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Progress observes completed work: the pool invokes it once per
@@ -75,11 +76,15 @@ func (p *Pool) Workers() int { return p.workers }
 //
 // Cancellation contract: workers stop claiming shards once ctx is done
 // and MapCtx returns ctx.Err() — unless some shard had already failed,
-// in which case the lowest-index shard error wins as above. A nil ctx
-// means context.Background(); a nil progress installs no hook.
-// Cancellation only ever truncates a run, it never alters what any
-// completed shard computed, so a run that finishes without tripping the
-// context is bit-identical to an uncancellable one.
+// in which case the lowest-index shard error wins as above. A context
+// whose deadline has passed by the clock counts as done, and MapCtx
+// returns context.DeadlineExceeded, even before the runtime fires the
+// deadline's timer: CPU-bound workers can otherwise finish a whole run
+// past its deadline. A nil ctx means context.Background(); a nil
+// progress installs no hook. Cancellation only ever truncates a run, it
+// never alters what any completed shard computed, so a run that
+// finishes without tripping the context is bit-identical to an
+// uncancellable one.
 func MapCtx[T any](ctx context.Context, p *Pool, n int, progress Progress, fn func(i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
@@ -87,6 +92,7 @@ func MapCtx[T any](ctx context.Context, p *Pool, n int, progress Progress, fn fu
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	deadline, timed := ctx.Deadline()
 	workers := p.workers
 	if workers > n {
 		workers = n
@@ -96,7 +102,7 @@ func MapCtx[T any](ctx context.Context, p *Pool, n int, progress Progress, fn fu
 		// Sequential path: a plain loop, stopping at the first error or
 		// at cancellation.
 		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
+			if err := ctxErr(ctx, deadline, timed); err != nil {
 				return nil, err
 			}
 			v, err := fn(i)
@@ -127,6 +133,9 @@ func MapCtx[T any](ctx context.Context, p *Pool, n int, progress Progress, fn fu
 					return
 				default:
 				}
+				if expired(deadline, timed) {
+					return
+				}
 				i := int(next.Add(1)) - 1
 				if i >= n || failed.Load() {
 					return
@@ -152,8 +161,26 @@ func MapCtx[T any](ctx context.Context, p *Pool, n int, progress Progress, fn fu
 			}
 		}
 	}
-	if err := ctx.Err(); err != nil {
+	if err := ctxErr(ctx, deadline, timed); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// expired reports whether a context's deadline, as ctx.Deadline returns
+// it, has passed by the clock.
+func expired(deadline time.Time, timed bool) bool {
+	return timed && !time.Now().Before(deadline)
+}
+
+// ctxErr is ctx.Err(), except that a deadline passed by the clock is
+// context.DeadlineExceeded before its timer has fired.
+func ctxErr(ctx context.Context, deadline time.Time, timed bool) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if expired(deadline, timed) {
+		return context.DeadlineExceeded
+	}
+	return nil
 }

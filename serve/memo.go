@@ -52,7 +52,10 @@ type memoEntry struct {
 	// without touching the decoder or the engine's lock. The fast path
 	// is taken only when the store Get hits: under a bounded store the
 	// result bytes can be evicted after the freeze, and the duplicate
-	// must then recompute instead of being pointed at a 404.
+	// must then recompute instead of being pointed at a 404. The frozen
+	// job ID can outlive the engine's record of the job, whose history
+	// is bounded: GET /v1/jobs/{id} then answers 404, but the response
+	// carries the result, so no caller needs the record.
 	resp atomic.Pointer[memoResp]
 }
 

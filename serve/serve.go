@@ -180,7 +180,10 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // handleSubmit compiles the submitted request (normalization + content
 // address + task) and either coalesces onto existing work or enqueues a
 // fresh job. The compiled task is wrapped so every executed job feeds
-// the per-kind latency histogram and terminal-state counters.
+// the per-kind latency histogram and terminal-state counters. The engine
+// drops the wrapper, and with it the compiled plan, when the job
+// finishes; only the memo keeps the plan, for at most memoMaxEntries
+// bodies.
 //
 // A submission whose job is already done is answered with the stored
 // result bytes inline (api.SubmitResponse.Result), read with one store
@@ -304,7 +307,10 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, resp)
 }
 
-// handleJobStatus reports one job's state and progress counters.
+// handleJobStatus reports one job's state and progress counters. A
+// finished job stays queryable until 1,024 later jobs have finished
+// (the engine's bounded history); after that its ID answers 404, like an
+// ID never issued, and resubmitting the spec is always safe.
 func (s *Service) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	job, ok := s.engine.Get(id)
