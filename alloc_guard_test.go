@@ -26,6 +26,7 @@ import (
 	"faultroute/internal/graph"
 	"faultroute/internal/overlay"
 	"faultroute/internal/percolation"
+	"faultroute/internal/route"
 	"faultroute/internal/sim"
 	"faultroute/serve"
 )
@@ -227,6 +228,28 @@ func TestAllocCeilingBacktrackLookup(t *testing.T) {
 		if got := testing.AllocsPerRun(50, run); got > ceiling {
 			t.Fatalf("BacktrackLookup (detours %v) allocates %.1f/op, ceiling %d — candidate slices are back per frame?", detours, got, ceiling)
 		}
+	}
+}
+
+// TestAllocCeilingDoubleTreeRootsLinked pins E5's trial at zero
+// allocations: the mirrored-branch search on TT_8 at p = 1/sqrt(2),
+// E5's deepest quick cell at its threshold. Its DFS stack grew by
+// append, two allocations per call and 12% of
+// BenchmarkE5DoubleTreeThreshold's CPU in growslice; a fixed frame
+// array sized for NewDoubleTree's largest depth makes every call
+// allocation-free.
+func TestAllocCeilingDoubleTreeRootsLinked(t *testing.T) {
+	g := graph.MustDoubleTree(8)
+	seed := uint64(0)
+	run := func() {
+		seed++
+		if _, err := route.DoubleTreeRootsLinked(percolation.New(g, 0.7071, seed), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const ceiling = 0
+	if got := testing.AllocsPerRun(100, run); got > ceiling {
+		t.Fatalf("DoubleTreeRootsLinked allocates %.2f/op, ceiling %d — the frame stack is growing on the heap again?", got, ceiling)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"faultroute"
+	"faultroute/api"
 	"faultroute/internal/core"
 	"faultroute/internal/exp"
 	"faultroute/internal/graph"
@@ -386,6 +387,33 @@ func BenchmarkExperimentQuickE9(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := e.Run(exp.Config{Seed: uint64(i), Scale: exp.ScaleQuick}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkExperimentSuite runs all 21 quick tables at seed 1 per op,
+// each as one experiment request through faultroute.Local at the
+// default worker count, which is GOMAXPROCS. Run with -cpu 1,2 (or
+// 1,N), the ratio of its rows' ns/op is the suite's parallel speedup:
+//
+//	go test -run '^$' -bench ExperimentSuite -cpu 1,2 .
+//
+// frbench's experiment-suite workload is the end-to-end path over the
+// same tables.
+func BenchmarkExperimentSuite(b *testing.B) {
+	local := faultroute.NewLocal()
+	all := exp.All()
+	reqs := make([]api.Request, len(all))
+	for i, e := range all {
+		reqs[i] = api.Request{Kind: api.KindExperiment, Experiment: &api.ExperimentSpec{ID: e.ID, Seed: 1}}
+	}
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, req := range reqs {
+			if _, err := local.Do(ctx, req); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

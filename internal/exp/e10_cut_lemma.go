@@ -31,60 +31,68 @@ func runE10(cfg Config) (*Table, error) {
 		"measured branch-open frequency matches eta = p^n; measured local probes sit above the a*p^-n floor",
 		"depth", "eta = p^n", "measured eta", "p^-n", "local median", "local/floor")
 
-	for di, d := range depths {
-		g, err := graph.NewDoubleTree(d)
-		if err != nil {
-			return nil, err
-		}
-		// Measure eta: the probability a uniformly chosen leaf's B-branch
-		// (its unique path to root B within S) is fully open. The leaf
-		// choices come from one sequential stream (drawn up front, so the
-		// sequence is identical at any worker count); the per-trial
-		// percolation sampling is what fans out.
+	trees, err := buildAll(depths, graph.NewDoubleTree)
+	if err != nil {
+		return nil, err
+	}
+	leaves := make([][]graph.Vertex, len(depths))
+	for di, g := range trees {
+		// The eta trials' leaf choices come from one sequential stream
+		// per depth, drawn up front, so the sequence is identical at any
+		// worker count; the per-trial percolation sampling is what fans
+		// out.
 		str := rng.NewStream(rng.Combine(cfg.Seed, uint64(1000+di)))
-		leaves := make([]graph.Vertex, trials)
-		for trial := range leaves {
-			leaves[trial] = g.Leaf(str.Uint64n(g.NumLeaves()))
+		leaves[di] = make([]graph.Vertex, trials)
+		for trial := range leaves[di] {
+			leaves[di][trial] = g.Leaf(str.Uint64n(g.NumLeaves()))
 		}
-		hitFlags, err := parTrials(cfg, trials, func(trial int) (bool, error) {
-			s := percolation.New(g, p, cfg.trialSeed(uint64(di), uint64(trial)))
-			return branchOpen(g, s, leaves[trial]), nil
-		})
+	}
+
+	// Measure eta: the probability a uniformly chosen leaf's B-branch
+	// (its unique path to root B within S) is fully open.
+	hitResults, err := parCells(cfg, len(depths), trials, func(di, trial int) (bool, error) {
+		g := trees[di]
+		s := percolation.New(g, p, cfg.trialSeed(uint64(di), uint64(trial)))
+		return branchOpen(g, s, leaves[di][trial]), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// Measure the local routing cost between the roots, conditioned on
+	// connectivity (exact labeling at these depths).
+	type trialResult struct {
+		probes float64
+		ok     bool
+	}
+	routeResults, err := parCells(cfg, len(depths), routeTrials, func(di, trial int) (trialResult, error) {
+		g := trees[di]
+		seed := cfg.trialSeed(uint64(100+di), uint64(trial))
+		res := trialResult{ok: true}
+		_, _, runErr, err := core.Condition(bondDraw(g, p), g.RootA(), g.RootB(), seed, 400,
+			localRun(route.NewBFSLocal(), g.RootA(), g.RootB(), &res.probes))
 		if err != nil {
-			return nil, err
+			return trialResult{}, nil
 		}
+		if runErr != nil {
+			return trialResult{}, fmt.Errorf("E10: depth %d: %w", depths[di], runErr)
+		}
+		return res, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	for di, d := range depths {
 		hits := 0
-		for _, h := range hitFlags {
+		for _, h := range hitResults[di] {
 			if h {
 				hits++
 			}
 		}
 		measured := float64(hits) / float64(trials)
-
-		// Measure the local routing cost between the roots, conditioned
-		// on connectivity (exact labeling at these depths).
-		type trialResult struct {
-			probes float64
-			ok     bool
-		}
-		results, err := parTrials(cfg, routeTrials, func(trial int) (trialResult, error) {
-			seed := cfg.trialSeed(uint64(100+di), uint64(trial))
-			res := trialResult{ok: true}
-			_, _, runErr, err := core.Condition(bondDraw(g, p), g.RootA(), g.RootB(), seed, 400,
-				localRun(route.NewBFSLocal(), g.RootA(), g.RootB(), &res.probes))
-			if err != nil {
-				return trialResult{}, nil
-			}
-			if runErr != nil {
-				return trialResult{}, fmt.Errorf("E10: depth %d: %w", d, runErr)
-			}
-			return res, nil
-		})
-		if err != nil {
-			return nil, err
-		}
 		var probes []float64
-		for _, r := range results {
+		for _, r := range routeResults[di] {
 			if r.ok {
 				probes = append(probes, r.probes)
 			}

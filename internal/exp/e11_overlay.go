@@ -38,45 +38,46 @@ func runE11(cfg Config) (*Table, error) {
 		done, greedyOK, floodOK bool
 		gm, fm, fh              float64
 	}
-	for pi, p := range ps {
-		results, err := parTrials(cfg, trials, func(trial int) (trialResult, error) {
-			seed := cfg.trialSeed(uint64(pi), uint64(trial))
-			o, err := overlay.New(n, p, seed)
-			if err != nil {
-				return trialResult{}, err
-			}
-			str := rng.NewStream(rng.Combine(seed, 7))
-			key := str.Uint64()
-			from := graph.Vertex(str.Uint64n(o.Cube().Order()))
-			// Condition on the lookup being possible at all: requester
-			// and owner in the same open component.
-			if ok, err := percolation.Connected(o.Sample(), from, o.Owner(key)); err != nil || !ok {
-				return trialResult{}, err
-			}
-			out := trialResult{done: true}
-			if res, err := o.GreedyLookup(from, key); err == nil {
-				out.greedyOK = true
-				out.gm = float64(res.Messages)
-			} else if !errors.Is(err, overlay.ErrLookupFailed) {
-				return trialResult{}, err
-			}
-			res, err := o.FloodLookup(from, key, 20*n)
-			if err != nil && !errors.Is(err, overlay.ErrLookupFailed) {
-				return trialResult{}, err
-			}
-			if err == nil {
-				out.floodOK = true
-				out.fm = float64(res.Messages)
-				out.fh = float64(res.Hops)
-			}
-			return out, nil
-		})
+	results, err := parCells(cfg, len(ps), trials, func(pi, trial int) (trialResult, error) {
+		p := ps[pi]
+		seed := cfg.trialSeed(uint64(pi), uint64(trial))
+		o, err := overlay.New(n, p, seed)
 		if err != nil {
-			return nil, err
+			return trialResult{}, err
 		}
+		str := rng.NewStream(rng.Combine(seed, 7))
+		key := str.Uint64()
+		from := graph.Vertex(str.Uint64n(o.Cube().Order()))
+		// Condition on the lookup being possible at all: requester
+		// and owner in the same open component.
+		if ok, err := percolation.Connected(o.Sample(), from, o.Owner(key)); err != nil || !ok {
+			return trialResult{}, err
+		}
+		out := trialResult{done: true}
+		if res, err := o.GreedyLookup(from, key); err == nil {
+			out.greedyOK = true
+			out.gm = float64(res.Messages)
+		} else if !errors.Is(err, overlay.ErrLookupFailed) {
+			return trialResult{}, err
+		}
+		res, err := o.FloodLookup(from, key, 20*n)
+		if err != nil && !errors.Is(err, overlay.ErrLookupFailed) {
+			return trialResult{}, err
+		}
+		if err == nil {
+			out.floodOK = true
+			out.fm = float64(res.Messages)
+			out.fh = float64(res.Hops)
+		}
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for pi, p := range ps {
 		var greedyOK, floodOK, done int
 		var gm, fm, fh []float64
-		for _, r := range results {
+		for _, r := range results[pi] {
 			if !r.done {
 				continue
 			}

@@ -50,43 +50,46 @@ func runE12(cfg Config) (*Table, error) {
 		giantFrac float64
 		pairs     []pairResult
 	}
+	// Cell fi*len(ps)+pi is (families[fi], ps[pi]); its seeds keep the
+	// cell ID fi*100+pi.
+	results, err := parCells(cfg, len(families)*len(ps), trials, func(c, trial int) (trialResult, error) {
+		fi, pi := c/len(ps), c%len(ps)
+		g, p := families[fi], ps[pi]
+		seed := cfg.trialSeed(uint64(fi*100+pi), uint64(trial))
+		s := percolation.New(g, p, seed)
+		comps, err := percolation.Label(s)
+		if err != nil {
+			return trialResult{}, err
+		}
+		out := trialResult{giantFrac: comps.GiantFraction()}
+		str := rng.NewStream(rng.Combine(seed, 3))
+		for k := 0; k < pairsPer; k++ {
+			u, v, ok := giantPair(g, comps, str, 0, 200)
+			if !ok {
+				continue
+			}
+			var probes float64
+			path, err := localRun(route.NewBFSLocal(), u, v, &probes)(s)
+			if errors.Is(err, route.ErrNoPath) {
+				return trialResult{}, fmt.Errorf("E12: giant pair disconnected (bug): %w", err)
+			}
+			if err != nil {
+				return trialResult{}, err
+			}
+			out.pairs = append(out.pairs, pairResult{probes: probes, plen: float64(path.Len())})
+		}
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	for fi, g := range families {
-		g := g
 		edges := float64(graph.NumEdges(g))
 		for pi, p := range ps {
-			results, err := parTrials(cfg, trials, func(trial int) (trialResult, error) {
-				seed := cfg.trialSeed(uint64(fi*100+pi), uint64(trial))
-				s := percolation.New(g, p, seed)
-				comps, err := percolation.Label(s)
-				if err != nil {
-					return trialResult{}, err
-				}
-				out := trialResult{giantFrac: comps.GiantFraction()}
-				str := rng.NewStream(rng.Combine(seed, 3))
-				for k := 0; k < pairsPer; k++ {
-					u, v, ok := giantPair(g, comps, str, 0, 200)
-					if !ok {
-						continue
-					}
-					var probes float64
-					path, err := localRun(route.NewBFSLocal(), u, v, &probes)(s)
-					if errors.Is(err, route.ErrNoPath) {
-						return trialResult{}, fmt.Errorf("E12: giant pair disconnected (bug): %w", err)
-					}
-					if err != nil {
-						return trialResult{}, err
-					}
-					out.pairs = append(out.pairs, pairResult{probes: probes, plen: float64(path.Len())})
-				}
-				return out, nil
-			})
-			if err != nil {
-				return nil, err
-			}
 			var probesArr, plens []float64
 			var giantFrac float64
 			samples := 0
-			for _, r := range results {
+			for _, r := range results[fi*len(ps)+pi] {
 				giantFrac += r.giantFrac
 				samples++
 				for _, pr := range r.pairs {

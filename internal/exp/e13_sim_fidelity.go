@@ -47,34 +47,34 @@ func runE13(cfg Config) (*Table, error) {
 		attempts, probes, rounds float64
 		agree                    bool
 	}
-	for ii, in := range instances {
-		in := in
-		results, err := parTrials(cfg, trials, func(trial int) (trialResult, error) {
-			seed := cfg.trialSeed(uint64(ii), uint64(trial))
-			s := percolation.New(in.g, in.p, seed)
-			out, err := sim.DistributedBFS(s, in.src, in.dst, 0)
-			if err != nil {
-				return trialResult{}, fmt.Errorf("E13 %s: %w", in.name, err)
-			}
-			var probes float64
-			_, rerr := localRun(route.NewBFSLocal(), in.src, in.dst, &probes)(s)
-			if rerr != nil && !errors.Is(rerr, route.ErrNoPath) {
-				return trialResult{}, rerr
-			}
-			return trialResult{
-				attempts: float64(out.Attempts),
-				probes:   probes,
-				rounds:   out.Time,
-				agree:    out.Found == (rerr == nil),
-			}, nil
-		})
+	results, err := parCells(cfg, len(instances), trials, func(ii, trial int) (trialResult, error) {
+		in := instances[ii]
+		seed := cfg.trialSeed(uint64(ii), uint64(trial))
+		s := percolation.New(in.g, in.p, seed)
+		out, err := sim.DistributedBFS(s, in.src, in.dst, 0)
 		if err != nil {
-			return nil, err
+			return trialResult{}, fmt.Errorf("E13 %s: %w", in.name, err)
 		}
+		var probes float64
+		_, rerr := localRun(route.NewBFSLocal(), in.src, in.dst, &probes)(s)
+		if rerr != nil && !errors.Is(rerr, route.ErrNoPath) {
+			return trialResult{}, rerr
+		}
+		return trialResult{
+			attempts: float64(out.Attempts),
+			probes:   probes,
+			rounds:   out.Time,
+			agree:    out.Found == (rerr == nil),
+		}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for ii, in := range instances {
 		var attempts, probes, rounds []float64
 		agree := 0
 		runs := 0
-		for _, r := range results {
+		for _, r := range results[ii] {
 			runs++
 			if r.agree {
 				agree++

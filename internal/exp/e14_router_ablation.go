@@ -44,39 +44,44 @@ func runE14(cfg Config) (*Table, error) {
 		probes []float64 // one entry per router
 		ok     bool
 	}
+	ps := make([]float64, len(alphas))
 	for ai, alpha := range alphas {
-		p := math.Pow(float64(n), -alpha)
-		results, err := parTrials(cfg, trials, func(trial int) (trialResult, error) {
-			seed := cfg.trialSeed(uint64(ai), uint64(trial))
-			u := graph.Vertex(0)
-			v := g.Antipode(u)
-			out := trialResult{probes: make([]float64, len(routers)), ok: true}
-			// Path-follow, the router most likely to succeed, conditions
-			// the sample; the others route on the accepted one.
-			s, _, runErr, err := core.Condition(bondDraw(g, p), u, v, seed, 200,
-				localRun(routers[0], u, v, &out.probes[0]))
-			if errors.Is(err, core.ErrConditioning) {
-				return trialResult{}, nil
-			}
-			if err != nil {
-				return trialResult{}, err
-			}
-			for ri, r := range routers {
-				if ri > 0 {
-					_, runErr = localRun(r, u, v, &out.probes[ri])(s)
-				}
-				if runErr != nil {
-					return trialResult{}, fmt.Errorf("E14: %s at alpha=%.2f: %w", r.Name(), alpha, runErr)
-				}
-			}
-			return out, nil
-		})
-		if err != nil {
-			return nil, err
+		ps[ai] = math.Pow(float64(n), -alpha)
+	}
+	results, err := parCells(cfg, len(alphas), trials, func(ai, trial int) (trialResult, error) {
+		alpha, p := alphas[ai], ps[ai]
+		seed := cfg.trialSeed(uint64(ai), uint64(trial))
+		u := graph.Vertex(0)
+		v := g.Antipode(u)
+		out := trialResult{probes: make([]float64, len(routers)), ok: true}
+		// Path-follow, the router most likely to succeed, conditions
+		// the sample; the others route on the accepted one.
+		s, _, runErr, err := core.Condition(bondDraw(g, p), u, v, seed, 200,
+			localRun(routers[0], u, v, &out.probes[0]))
+		if errors.Is(err, core.ErrConditioning) {
+			return trialResult{}, nil
 		}
+		if err != nil {
+			return trialResult{}, err
+		}
+		for ri, r := range routers {
+			if ri > 0 {
+				_, runErr = localRun(r, u, v, &out.probes[ri])(s)
+			}
+			if runErr != nil {
+				return trialResult{}, fmt.Errorf("E14: %s at alpha=%.2f: %w", r.Name(), alpha, runErr)
+			}
+		}
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for ai, alpha := range alphas {
+		p := ps[ai]
 		sums := make([][]float64, len(routers))
 		pairs := 0
-		for _, r := range results {
+		for _, r := range results[ai] {
 			if !r.ok {
 				continue
 			}

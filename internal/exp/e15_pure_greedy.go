@@ -44,42 +44,47 @@ func runE15(cfg Config) (*Table, error) {
 		ok, greedyOK, rescueOK bool
 		hops                   float64
 	}
+	ps := make([]float64, len(alphas))
 	for ai, alpha := range alphas {
-		p := math.Pow(float64(n), -alpha)
-		results, err := parTrials(cfg, trials, func(trial int) (trialResult, error) {
-			seed := cfg.trialSeed(uint64(ai), uint64(trial))
-			u := graph.Vertex(0)
-			v := g.Antipode(u)
-			// Greedy with rescue conditions the sample; pure greedy fails
-			// on connected pairs by design, so it routes on the accepted one.
-			s, _, rerr, err := core.Condition(bondDraw(g, p), u, v, seed, 100,
-				localRun(route.NewGreedyWithRescue(rescueBudget), u, v, new(float64)))
-			if errors.Is(err, core.ErrConditioning) {
-				return trialResult{}, nil
-			}
-			if err != nil {
-				return trialResult{}, err
-			}
-			out := trialResult{ok: true}
-			if path, gerr := localRun(route.NewPureGreedy(), u, v, new(float64))(s); gerr == nil {
-				out.greedyOK = true
-				out.hops = float64(path.Len())
-			} else if !errors.Is(gerr, route.ErrStuck) {
-				return trialResult{}, gerr
-			}
-			if rerr == nil {
-				out.rescueOK = true
-			} else if !errors.Is(rerr, route.ErrStuck) && !errors.Is(rerr, route.ErrNoPath) {
-				return trialResult{}, rerr
-			}
-			return out, nil
-		})
-		if err != nil {
-			return nil, err
+		ps[ai] = math.Pow(float64(n), -alpha)
+	}
+	results, err := parCells(cfg, len(alphas), trials, func(ai, trial int) (trialResult, error) {
+		p := ps[ai]
+		seed := cfg.trialSeed(uint64(ai), uint64(trial))
+		u := graph.Vertex(0)
+		v := g.Antipode(u)
+		// Greedy with rescue conditions the sample; pure greedy fails
+		// on connected pairs by design, so it routes on the accepted one.
+		s, _, rerr, err := core.Condition(bondDraw(g, p), u, v, seed, 100,
+			localRun(route.NewGreedyWithRescue(rescueBudget), u, v, new(float64)))
+		if errors.Is(err, core.ErrConditioning) {
+			return trialResult{}, nil
 		}
+		if err != nil {
+			return trialResult{}, err
+		}
+		out := trialResult{ok: true}
+		if path, gerr := localRun(route.NewPureGreedy(), u, v, new(float64))(s); gerr == nil {
+			out.greedyOK = true
+			out.hops = float64(path.Len())
+		} else if !errors.Is(gerr, route.ErrStuck) {
+			return trialResult{}, gerr
+		}
+		if rerr == nil {
+			out.rescueOK = true
+		} else if !errors.Is(rerr, route.ErrStuck) && !errors.Is(rerr, route.ErrNoPath) {
+			return trialResult{}, rerr
+		}
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for ai, alpha := range alphas {
+		p := ps[ai]
 		var greedyOK, rescueOK, pairs int
 		var hops []float64
-		for _, r := range results {
+		for _, r := range results[ai] {
 			if !r.ok {
 				continue
 			}

@@ -38,61 +38,62 @@ func runE16(cfg Config) (*Table, error) {
 		ok   [5]bool
 		msgs [5]float64
 	}
-	for pi, p := range ps {
-		results, err := parTrials(cfg, trials, func(trial int) (trialResult, error) {
-			seed := cfg.trialSeed(uint64(pi), uint64(trial))
-			o, err := overlay.New(n, p, seed)
-			if err != nil {
-				return trialResult{}, err
-			}
-			str := rng.NewStream(rng.Combine(seed, 5))
-			key := str.Uint64()
-			from := graph.Vertex(str.Uint64n(o.Cube().Order()))
-			owner := o.Owner(key)
-			if ok, err := percolation.Connected(o.Sample(), from, owner); err != nil || !ok {
-				return trialResult{}, err
-			}
-			out := trialResult{done: true}
-			record := func(i int, found bool, msgs int) {
-				if found {
-					out.ok[i] = true
-					out.msgs[i] = float64(msgs)
-				}
-			}
-			if res, err := o.GreedyLookup(from, key); err == nil {
-				record(0, res.Found, res.Messages)
-			} else if !errors.Is(err, overlay.ErrLookupFailed) {
-				return trialResult{}, err
-			}
-			if res, err := o.BacktrackLookup(from, key, budget, false); err == nil {
-				record(1, res.Found, res.Messages)
-			} else if !errors.Is(err, overlay.ErrLookupFailed) {
-				return trialResult{}, err
-			}
-			if res, err := o.BacktrackLookup(from, key, budget, true); err == nil {
-				record(2, res.Found, res.Messages)
-			} else if !errors.Is(err, overlay.ErrLookupFailed) {
-				return trialResult{}, err
-			}
-			if res, err := o.FloodLookup(from, key, 20*n); err == nil {
-				record(3, res.Found, res.Messages)
-			} else if !errors.Is(err, overlay.ErrLookupFailed) {
-				return trialResult{}, err
-			}
-			gout, err := sim.Gossip(o.Sample(), from, owner, true, 1<<20, seed)
-			if err != nil {
-				return trialResult{}, err
-			}
-			record(4, gout.ReachedTarget, gout.Attempts)
-			return out, nil
-		})
+	results, err := parCells(cfg, len(ps), trials, func(pi, trial int) (trialResult, error) {
+		p := ps[pi]
+		seed := cfg.trialSeed(uint64(pi), uint64(trial))
+		o, err := overlay.New(n, p, seed)
 		if err != nil {
-			return nil, err
+			return trialResult{}, err
 		}
+		str := rng.NewStream(rng.Combine(seed, 5))
+		key := str.Uint64()
+		from := graph.Vertex(str.Uint64n(o.Cube().Order()))
+		owner := o.Owner(key)
+		if ok, err := percolation.Connected(o.Sample(), from, owner); err != nil || !ok {
+			return trialResult{}, err
+		}
+		out := trialResult{done: true}
+		record := func(i int, found bool, msgs int) {
+			if found {
+				out.ok[i] = true
+				out.msgs[i] = float64(msgs)
+			}
+		}
+		if res, err := o.GreedyLookup(from, key); err == nil {
+			record(0, res.Found, res.Messages)
+		} else if !errors.Is(err, overlay.ErrLookupFailed) {
+			return trialResult{}, err
+		}
+		if res, err := o.BacktrackLookup(from, key, budget, false); err == nil {
+			record(1, res.Found, res.Messages)
+		} else if !errors.Is(err, overlay.ErrLookupFailed) {
+			return trialResult{}, err
+		}
+		if res, err := o.BacktrackLookup(from, key, budget, true); err == nil {
+			record(2, res.Found, res.Messages)
+		} else if !errors.Is(err, overlay.ErrLookupFailed) {
+			return trialResult{}, err
+		}
+		if res, err := o.FloodLookup(from, key, 20*n); err == nil {
+			record(3, res.Found, res.Messages)
+		} else if !errors.Is(err, overlay.ErrLookupFailed) {
+			return trialResult{}, err
+		}
+		gout, err := sim.Gossip(o.Sample(), from, owner, true, 1<<20, seed)
+		if err != nil {
+			return trialResult{}, err
+		}
+		record(4, gout.ReachedTarget, gout.Attempts)
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for pi, p := range ps {
 		var done int
 		okCount := make([]int, 5)
 		msgSum := make([]float64, 5)
-		for _, r := range results {
+		for _, r := range results[pi] {
 			if !r.done {
 				continue
 			}

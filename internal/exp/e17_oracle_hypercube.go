@@ -33,45 +33,47 @@ func runE17(cfg Config) (*Table, error) {
 		"if the conjecture holds, no oracle router is polynomial here; the measured oracle cost indeed tracks the local (cluster-sized) cost up to constants instead of beating it",
 		"n", "p", "pairs", "oracle mean", "local mean", "oracle/local", "oracle/|E|")
 
+	graphs, err := buildAll(ns, graph.NewHypercube)
+	if err != nil {
+		return nil, err
+	}
+	type trialResult struct {
+		oracle, local float64
+		ok            bool
+	}
+	results, err := parCells(cfg, len(ns), trials, func(ni, trial int) (trialResult, error) {
+		g, n := graphs[ni], ns[ni]
+		p := math.Pow(float64(n), -alpha)
+		seed := cfg.trialSeed(uint64(ni), uint64(trial))
+		u := graph.Vertex(0)
+		v := g.Antipode(u)
+		res := trialResult{ok: true}
+		s, _, runErr, err := core.Condition(bondDraw(g, p), u, v, seed, 400,
+			oracleRun(route.NewBidirectionalBFS(), u, v, &res.oracle))
+		if errors.Is(err, core.ErrConditioning) {
+			return trialResult{}, nil
+		}
+		if err != nil {
+			return trialResult{}, err
+		}
+		if runErr != nil {
+			return trialResult{}, fmt.Errorf("E17: oracle n=%d: %w", n, runErr)
+		}
+		if _, err := localRun(route.NewBFSLocal(), u, v, &res.local)(s); err != nil {
+			return trialResult{}, fmt.Errorf("E17: local n=%d: %w", n, err)
+		}
+		return res, nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	xs := make([]float64, 0, len(ns))
 	ys := make([]float64, 0, len(ns))
 	for ni, n := range ns {
-		g, err := graph.NewHypercube(n)
-		if err != nil {
-			return nil, err
-		}
 		p := math.Pow(float64(n), -alpha)
-		edges := float64(g.Order()) * float64(n) / 2
-		type trialResult struct {
-			oracle, local float64
-			ok            bool
-		}
-		results, err := parTrials(cfg, trials, func(trial int) (trialResult, error) {
-			seed := cfg.trialSeed(uint64(ni), uint64(trial))
-			u := graph.Vertex(0)
-			v := g.Antipode(u)
-			res := trialResult{ok: true}
-			s, _, runErr, err := core.Condition(bondDraw(g, p), u, v, seed, 400,
-				oracleRun(route.NewBidirectionalBFS(), u, v, &res.oracle))
-			if errors.Is(err, core.ErrConditioning) {
-				return trialResult{}, nil
-			}
-			if err != nil {
-				return trialResult{}, err
-			}
-			if runErr != nil {
-				return trialResult{}, fmt.Errorf("E17: oracle n=%d: %w", n, runErr)
-			}
-			if _, err := localRun(route.NewBFSLocal(), u, v, &res.local)(s); err != nil {
-				return trialResult{}, fmt.Errorf("E17: local n=%d: %w", n, err)
-			}
-			return res, nil
-		})
-		if err != nil {
-			return nil, err
-		}
+		edges := float64(graphs[ni].Order()) * float64(n) / 2
 		var oracleProbes, localProbes []float64
-		for _, r := range results {
+		for _, r := range results[ni] {
 			if !r.ok {
 				continue
 			}

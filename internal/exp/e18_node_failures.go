@@ -42,38 +42,45 @@ func runE18(cfg Config) (*Table, error) {
 		probes float64
 		ok     bool
 	}
+	// Cell ai*2+mode is (alphas[ai], bond or site); its seeds keep the
+	// cell ID ai*10+mode.
+	ps := make([]float64, len(alphas))
+	draws := make([]func(seed uint64) percolation.Sample, 2*len(alphas))
 	for ai, alpha := range alphas {
 		p := math.Pow(float64(n), -alpha)
+		ps[ai] = p
+		// Conditioning on {u ~ v} under site percolation implies both
+		// endpoints alive.
+		draws[2*ai] = bondDraw(g, p)
+		draws[2*ai+1] = func(seed uint64) percolation.Sample { return percolation.NewSiteBond(g, 1, p, seed) }
+	}
+	results, err := parCells(cfg, len(draws), trials, func(c, trial int) (trialResult, error) {
+		ai, mode := c/2, c%2
+		alpha := alphas[ai]
+		seed := cfg.trialSeed(uint64(ai*10+mode), uint64(trial))
+		res := trialResult{ok: true}
+		_, _, runErr, err := core.Condition(draws[c], u, v, seed, 400,
+			localRun(route.NewPathFollow(), u, v, &res.probes))
+		if errors.Is(err, core.ErrConditioning) {
+			return trialResult{}, nil
+		}
+		if err != nil {
+			return trialResult{}, err
+		}
+		if runErr != nil {
+			return trialResult{}, fmt.Errorf("E18: mode %d alpha %.2f: %w", mode, alpha, runErr)
+		}
+		return res, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for ai, alpha := range alphas {
+		p := ps[ai]
 		medians := make([]interface{}, 0, 4)
 		for mode := 0; mode < 2; mode++ {
-			mode := mode
-			// Conditioning on {u ~ v} under site percolation implies both
-			// endpoints alive.
-			draw := bondDraw(g, p)
-			if mode == 1 {
-				draw = func(seed uint64) percolation.Sample { return percolation.NewSiteBond(g, 1, p, seed) }
-			}
-			results, err := parTrials(cfg, trials, func(trial int) (trialResult, error) {
-				seed := cfg.trialSeed(uint64(ai*10+mode), uint64(trial))
-				res := trialResult{ok: true}
-				_, _, runErr, err := core.Condition(draw, u, v, seed, 400,
-					localRun(route.NewPathFollow(), u, v, &res.probes))
-				if errors.Is(err, core.ErrConditioning) {
-					return trialResult{}, nil
-				}
-				if err != nil {
-					return trialResult{}, err
-				}
-				if runErr != nil {
-					return trialResult{}, fmt.Errorf("E18: mode %d alpha %.2f: %w", mode, alpha, runErr)
-				}
-				return res, nil
-			})
-			if err != nil {
-				return nil, err
-			}
 			var probes []float64
-			for _, r := range results {
+			for _, r := range results[2*ai+mode] {
 				if r.ok {
 					probes = append(probes, r.probes)
 				}

@@ -47,33 +47,37 @@ func runE1(cfg Config) (*Table, error) {
 		probes float64
 		ok     bool
 	}
+	ps := make([]float64, len(alphas))
+	for ai, alpha := range alphas {
+		ps[ai] = math.Pow(float64(n), -alpha)
+	}
+	results, err := parCells(cfg, len(alphas), trials, func(ai, trial int) (trialResult, error) {
+		seed := cfg.trialSeed(uint64(ai), uint64(trial))
+		u := graph.Vertex(0)
+		v := g.Antipode(u)
+		res := trialResult{ok: true}
+		_, _, runErr, err := core.Condition(bondDraw(g, ps[ai]), u, v, seed, 200,
+			localRun(route.NewPathFollow(), u, v, &res.probes))
+		if errors.Is(err, core.ErrConditioning) {
+			return trialResult{}, nil // pair essentially never connected at this p
+		}
+		if err != nil {
+			return trialResult{}, err
+		}
+		if runErr != nil {
+			return trialResult{}, fmt.Errorf("E1: alpha=%.2f: %w", alphas[ai], runErr)
+		}
+		return res, nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	var figX, figY []float64
 	for ai, alpha := range alphas {
-		p := math.Pow(float64(n), -alpha)
-		results, err := parTrials(cfg, trials, func(trial int) (trialResult, error) {
-			seed := cfg.trialSeed(uint64(ai), uint64(trial))
-			u := graph.Vertex(0)
-			v := g.Antipode(u)
-			res := trialResult{ok: true}
-			_, _, runErr, err := core.Condition(bondDraw(g, p), u, v, seed, 200,
-				localRun(route.NewPathFollow(), u, v, &res.probes))
-			if errors.Is(err, core.ErrConditioning) {
-				return trialResult{}, nil // pair essentially never connected at this p
-			}
-			if err != nil {
-				return trialResult{}, err
-			}
-			if runErr != nil {
-				return trialResult{}, fmt.Errorf("E1: alpha=%.2f: %w", alpha, runErr)
-			}
-			return res, nil
-		})
-		if err != nil {
-			return nil, err
-		}
+		p := ps[ai]
 		var probes []float64
 		overPoly := 0
-		for _, r := range results {
+		for _, r := range results[ai] {
 			if !r.ok {
 				continue
 			}

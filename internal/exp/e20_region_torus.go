@@ -40,20 +40,31 @@ func runE20(cfg Config) (*Table, error) {
 	// center (side/2, side/2).
 	v := graph.Vertex(uint64(side/2)*uint64(side) + uint64(side/2))
 
+	// One estimate per (radius, model) cell, in table order, all run
+	// as one batch; cell (ri, mi) keeps the seed Combine(Seed, ri<<8|mi).
+	killed := make([]int, len(radii))
+	var reqs []core.Request
 	for ri, radius := range radii {
-		killed := sim.BallSize(g, u, radius) // vertex-transitive: 2R²+2R+1 for R < side/2
+		killed[ri] = sim.BallSize(g, u, radius) // vertex-transitive: 2R²+2R+1 for R < side/2
 		faults := []sim.Fault{
 			{Model: sim.FailRegion, Radius: radius, Count: 1, Seed: 1},
-			{Model: sim.FailNodes, Count: killed, Seed: 1},
+			{Model: sim.FailNodes, Count: killed[ri], Seed: 1},
 		}
-		row := []interface{}{radius, killed}
 		for mi, fault := range faults {
-			spec := core.Spec{Graph: g, P: p, Router: route.NewPathFollow(), Fault: fault}
-			seed := rng.Combine(cfg.Seed, uint64(ri)<<8|uint64(mi))
-			c, err := core.EstimateCtx(cfg.Context, spec, u, v, trials, 400, seed, cfg.Workers, runner.Progress(cfg.Progress))
-			if err != nil {
-				return nil, fmt.Errorf("E20: radius %d model %s: %w", radius, fault.Model, err)
-			}
+			reqs = append(reqs, core.Request{
+				Spec: core.Spec{Graph: g, P: p, Router: route.NewPathFollow(), Fault: fault},
+				Src:  u, Dst: v, Trials: trials, MaxTries: 400,
+				Seed: rng.Combine(cfg.Seed, uint64(ri)<<8|uint64(mi)),
+			})
+		}
+	}
+	cs, err := core.EstimateBatchCtx(cfg.Context, reqs, cfg.Workers, runner.Progress(cfg.Progress))
+	if err != nil {
+		return nil, fmt.Errorf("E20: %w", err)
+	}
+	for ri, radius := range radii {
+		row := []interface{}{radius, killed[ri]}
+		for _, c := range cs[2*ri : 2*ri+2] {
 			row = append(row, c.Trials, c.Median, c.Rejected)
 		}
 		t.AddRow(row...)

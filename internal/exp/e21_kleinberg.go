@@ -39,35 +39,35 @@ func runE21(cfg Config) (*Table, error) {
 		probes float64
 		ok     bool
 	}
-	for ei, r := range exponents {
-		r := r
-		results, err := parTrials(cfg, trials, func(trial int) (trialResult, error) {
-			seed := cfg.trialSeed(uint64(ei), uint64(trial))
-			// Each trial draws a fresh contact set: the claim is about the
-			// exponent, not about one lucky wiring.
-			g, err := graph.NewKleinberg(side, r, rng.Combine(seed, 0xc047ac75))
-			if err != nil {
-				return trialResult{}, err
-			}
-			res := trialResult{ok: true}
-			_, _, runErr, err := core.Condition(bondDraw(g, p), u, v, seed, 200,
-				localRun(router, u, v, &res.probes))
-			if errors.Is(err, core.ErrConditioning) {
-				return trialResult{}, nil // corners never connected within the tries
-			}
-			if err != nil {
-				return trialResult{}, err
-			}
-			if runErr != nil {
-				return trialResult{}, fmt.Errorf("E21: r=%d: %w", r, runErr)
-			}
-			return res, nil
-		})
+	results, err := parCells(cfg, len(exponents), trials, func(ei, trial int) (trialResult, error) {
+		r := exponents[ei]
+		seed := cfg.trialSeed(uint64(ei), uint64(trial))
+		// Each trial draws a fresh contact set: the claim is about the
+		// exponent, not about one lucky wiring.
+		g, err := graph.NewKleinberg(side, r, rng.Combine(seed, 0xc047ac75))
 		if err != nil {
-			return nil, err
+			return trialResult{}, err
 		}
+		res := trialResult{ok: true}
+		_, _, runErr, err := core.Condition(bondDraw(g, p), u, v, seed, 200,
+			localRun(router, u, v, &res.probes))
+		if errors.Is(err, core.ErrConditioning) {
+			return trialResult{}, nil // corners never connected within the tries
+		}
+		if err != nil {
+			return trialResult{}, err
+		}
+		if runErr != nil {
+			return trialResult{}, fmt.Errorf("E21: r=%d: %w", r, runErr)
+		}
+		return res, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for ei, r := range exponents {
 		var probes []float64
-		for _, res := range results {
+		for _, res := range results[ei] {
 			if res.ok {
 				probes = append(probes, res.probes)
 			}

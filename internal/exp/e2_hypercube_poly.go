@@ -34,38 +34,43 @@ func runE2(cfg Config) (*Table, error) {
 		probes float64
 		ok     bool
 	}
+	graphs, err := buildAll(ns, graph.NewHypercube)
+	if err != nil {
+		return nil, err
+	}
+	// Cell ai*len(ns)+ni is (alphas[ai], ns[ni]); its seeds keep the
+	// cell ID ai*100+ni.
+	results, err := parCells(cfg, len(alphas)*len(ns), trials, func(c, trial int) (trialResult, error) {
+		ai, ni := c/len(ns), c%len(ns)
+		g, n, alpha := graphs[ni], ns[ni], alphas[ai]
+		p := math.Pow(float64(n), -alpha)
+		seed := cfg.trialSeed(uint64(ai*100+ni), uint64(trial))
+		u := graph.Vertex(0)
+		v := g.Antipode(u)
+		res := trialResult{ok: true}
+		_, _, runErr, err := core.Condition(bondDraw(g, p), u, v, seed, 100,
+			localRun(route.NewPathFollow(), u, v, &res.probes))
+		if errors.Is(err, core.ErrConditioning) {
+			return trialResult{}, nil
+		}
+		if err != nil {
+			return trialResult{}, err
+		}
+		if runErr != nil {
+			return trialResult{}, fmt.Errorf("E2: n=%d alpha=%.2f: %w", n, alpha, runErr)
+		}
+		return res, nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	for ai, alpha := range alphas {
 		xs := make([]float64, 0, len(ns))
 		ys := make([]float64, 0, len(ns))
 		for ni, n := range ns {
-			g, err := graph.NewHypercube(n)
-			if err != nil {
-				return nil, err
-			}
 			p := math.Pow(float64(n), -alpha)
-			results, err := parTrials(cfg, trials, func(trial int) (trialResult, error) {
-				seed := cfg.trialSeed(uint64(ai*100+ni), uint64(trial))
-				u := graph.Vertex(0)
-				v := g.Antipode(u)
-				res := trialResult{ok: true}
-				_, _, runErr, err := core.Condition(bondDraw(g, p), u, v, seed, 100,
-					localRun(route.NewPathFollow(), u, v, &res.probes))
-				if errors.Is(err, core.ErrConditioning) {
-					return trialResult{}, nil
-				}
-				if err != nil {
-					return trialResult{}, err
-				}
-				if runErr != nil {
-					return trialResult{}, fmt.Errorf("E2: n=%d alpha=%.2f: %w", n, alpha, runErr)
-				}
-				return res, nil
-			})
-			if err != nil {
-				return nil, err
-			}
 			var probes []float64
-			for _, r := range results {
+			for _, r := range results[ai*len(ns)+ni] {
 				if r.ok {
 					probes = append(probes, r.probes)
 				}

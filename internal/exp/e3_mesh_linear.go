@@ -72,44 +72,62 @@ func runE3(cfg Config) (*Table, error) {
 		"mean probes / distance stays bounded as distance grows, for every p > p_c(d)",
 		"d", "p", "dist n", "pairs", "mean", "mean/n", "p90/n")
 
-	cell := uint64(0)
 	type trialResult struct {
 		probes float64
 		ok     bool
 	}
+	// The sweep's cells in table order; cell k keeps the seed cell ID
+	// k+1.
+	type meshCell struct {
+		d    int
+		p    float64
+		n    int
+		g    *graph.Mesh
+		u, v graph.Vertex
+	}
+	var cells []meshCell
+	for _, sw := range sweeps {
+		for _, p := range sw.ps {
+			for _, n := range sw.ns {
+				g, u, v, err := meshPair(sw.d, n, 20)
+				if err != nil {
+					return nil, err
+				}
+				cells = append(cells, meshCell{d: sw.d, p: p, n: n, g: g, u: u, v: v})
+			}
+		}
+	}
+	results, err := parCells(cfg, len(cells), trials, func(k, trial int) (trialResult, error) {
+		c := cells[k]
+		seed := cfg.trialSeed(uint64(k+1), uint64(trial))
+		res := trialResult{ok: true}
+		_, _, runErr, err := core.Condition(bondDraw(c.g, c.p), c.u, c.v, seed, 200,
+			localRun(route.NewPathFollow(), c.u, c.v, &res.probes))
+		if errors.Is(err, core.ErrConditioning) {
+			return trialResult{}, nil
+		}
+		if err != nil {
+			return trialResult{}, err
+		}
+		if runErr != nil {
+			return trialResult{}, fmt.Errorf("E3: d=%d p=%.2f n=%d: %w", c.d, c.p, c.n, runErr)
+		}
+		return res, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	k := 0
 	var figSeries []plot.Series
 	for _, sw := range sweeps {
 		for _, p := range sw.ps {
 			xs := make([]float64, 0, len(sw.ns))
 			ys := make([]float64, 0, len(sw.ns))
 			for _, n := range sw.ns {
-				cell++
-				cellID := cell
-				g, u, v, err := meshPair(sw.d, n, 20)
-				if err != nil {
-					return nil, err
-				}
-				results, err := parTrials(cfg, trials, func(trial int) (trialResult, error) {
-					seed := cfg.trialSeed(cellID, uint64(trial))
-					res := trialResult{ok: true}
-					_, _, runErr, err := core.Condition(bondDraw(g, p), u, v, seed, 200,
-						localRun(route.NewPathFollow(), u, v, &res.probes))
-					if errors.Is(err, core.ErrConditioning) {
-						return trialResult{}, nil
-					}
-					if err != nil {
-						return trialResult{}, err
-					}
-					if runErr != nil {
-						return trialResult{}, fmt.Errorf("E3: d=%d p=%.2f n=%d: %w", sw.d, p, n, runErr)
-					}
-					return res, nil
-				})
-				if err != nil {
-					return nil, err
-				}
+				cellResults := results[k]
+				k++
 				var probes []float64
-				for _, r := range results {
+				for _, r := range cellResults {
 					if r.ok {
 						probes = append(probes, r.probes)
 					}

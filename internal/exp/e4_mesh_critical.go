@@ -39,48 +39,49 @@ func runE4(cfg Config) (*Table, error) {
 		attempted int
 		ok        bool
 	}
-	for pi, p := range ps {
-		g, u, v, err := meshPair(2, n, 24)
-		if err != nil {
-			return nil, err
-		}
-		results, err := parTrials(cfg, trials, func(trial int) (trialResult, error) {
-			seed := cfg.trialSeed(uint64(pi), uint64(trial))
-			var probes float64
-			var segs []route.SegmentStats
-			_, rejected, runErr, err := core.Condition(bondDraw(g, p), u, v, seed, 300,
-				func(s percolation.Sample) (path route.Path, err error) {
-					pr := probe.NewLocal(s, u, 0)
-					path, segs, err = route.NewPathFollow().RouteWithStats(pr, u, v)
-					probes = float64(pr.Count())
-					pr.Release()
-					return path, err
-				})
-			res := trialResult{attempted: rejected + 1}
-			if errors.Is(err, core.ErrConditioning) {
-				return res, nil
-			}
-			if err != nil {
-				return trialResult{}, err
-			}
-			if runErr != nil {
-				return trialResult{}, fmt.Errorf("E4: p=%.2f: %w", p, runErr)
-			}
-			res.probes, res.ok = probes, true
-			for _, sg := range segs {
-				if f := float64(sg.Probes); f > res.maxSeg {
-					res.maxSeg = f
-				}
-			}
+	g, u, v, err := meshPair(2, n, 24)
+	if err != nil {
+		return nil, err
+	}
+	results, err := parCells(cfg, len(ps), trials, func(pi, trial int) (trialResult, error) {
+		p := ps[pi]
+		seed := cfg.trialSeed(uint64(pi), uint64(trial))
+		var probes float64
+		var segs []route.SegmentStats
+		_, rejected, runErr, err := core.Condition(bondDraw(g, p), u, v, seed, 300,
+			func(s percolation.Sample) (path route.Path, err error) {
+				pr := probe.NewLocal(s, u, 0)
+				path, segs, err = route.NewPathFollow().RouteWithStats(pr, u, v)
+				probes = float64(pr.Count())
+				pr.Release()
+				return path, err
+			})
+		res := trialResult{attempted: rejected + 1}
+		if errors.Is(err, core.ErrConditioning) {
 			return res, nil
-		})
-		if err != nil {
-			return nil, err
 		}
+		if err != nil {
+			return trialResult{}, err
+		}
+		if runErr != nil {
+			return trialResult{}, fmt.Errorf("E4: p=%.2f: %w", p, runErr)
+		}
+		res.probes, res.ok = probes, true
+		for _, sg := range segs {
+			if f := float64(sg.Probes); f > res.maxSeg {
+				res.maxSeg = f
+			}
+		}
+		return res, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for pi, p := range ps {
 		var perStep []float64
 		var maxSeg float64
 		accepted, attempted := 0, 0
-		for _, r := range results {
+		for _, r := range results[pi] {
 			attempted += r.attempted
 			if !r.ok {
 				continue

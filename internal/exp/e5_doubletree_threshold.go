@@ -38,24 +38,27 @@ func runE5(cfg Config) (*Table, error) {
 		"as depth grows, the survival curve sharpens into a step at p = 1/sqrt(2)",
 		cols...)
 
+	trees, err := buildAll(depths, graph.NewDoubleTree)
+	if err != nil {
+		return nil, err
+	}
+	// Cell pi*len(depths)+di is (ps[pi], depths[di]); its seeds keep the
+	// cell ID pi*100+di.
+	results, err := parCells(cfg, len(ps)*len(depths), trials, func(c, trial int) (bool, error) {
+		pi, di := c/len(depths), c%len(depths)
+		seed := cfg.trialSeed(uint64(pi*100+di), uint64(trial))
+		s := percolation.New(trees[di], ps[pi], rng.Combine(seed, 1))
+		return route.DoubleTreeRootsLinked(s, 0)
+	})
+	if err != nil {
+		return nil, err
+	}
 	curves := make([][]float64, len(depths))
 	for pi, p := range ps {
 		row := []interface{}{p, 2 * p * p}
-		for di, d := range depths {
-			g, err := graph.NewDoubleTree(d)
-			if err != nil {
-				return nil, err
-			}
-			linkedFlags, err := parTrials(cfg, trials, func(trial int) (bool, error) {
-				seed := cfg.trialSeed(uint64(pi*100+di), uint64(trial))
-				s := percolation.New(g, p, rng.Combine(seed, 1))
-				return route.DoubleTreeRootsLinked(s, 0)
-			})
-			if err != nil {
-				return nil, err
-			}
+		for di := range depths {
 			linked := 0
-			for _, ok := range linkedFlags {
+			for _, ok := range results[pi*len(depths)+di] {
 				if ok {
 					linked++
 				}

@@ -30,53 +30,57 @@ func runE6(cfg Config) (*Table, error) {
 		"local probes grow exponentially in depth (rate ~ 2p per level), oracle probes linearly; the floor p^-n of Theorem 7 is always respected",
 		"p", "depth", "pairs", "local mean", "oracle mean", "ratio", "p^-n floor")
 
+	trees, err := buildAll(depths, graph.NewDoubleTree)
+	if err != nil {
+		return nil, err
+	}
+	type trialResult struct {
+		local, oracle float64
+		ok            bool
+	}
+	// Cell pi*len(depths)+di is (ps[pi], depths[di]); its seeds keep the
+	// cell ID pi*100+di.
+	results, err := parCells(cfg, len(ps)*len(depths), trials, func(c, trial int) (trialResult, error) {
+		pi, di := c/len(depths), c%len(depths)
+		g, p, d := trees[di], ps[pi], depths[di]
+		seed := cfg.trialSeed(uint64(pi*100+di), uint64(trial))
+		// Condition on the mirrored-branch event (the Theorem 9
+		// success event; it implies u ~ v).
+		var sample percolation.Sample
+		okFound := false
+		for try := 0; try < 300; try++ {
+			s := percolation.New(g, p, rng.Combine(seed, uint64(try)))
+			ok, err := route.DoubleTreeRootsLinked(s, 0)
+			if err != nil {
+				return trialResult{}, err
+			}
+			if ok {
+				sample, okFound = s, true
+				break
+			}
+		}
+		if !okFound {
+			return trialResult{}, nil
+		}
+		res := trialResult{ok: true}
+		if _, err := oracleRun(route.NewDoubleTreeOracle(), g.RootA(), g.RootB(), &res.oracle)(sample); err != nil {
+			return trialResult{}, fmt.Errorf("E6: oracle at depth %d: %w", d, err)
+		}
+		if _, err := localRun(route.NewBFSLocal(), g.RootA(), g.RootB(), &res.local)(sample); err != nil {
+			return trialResult{}, fmt.Errorf("E6: local at depth %d: %w", d, err)
+		}
+		return res, nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	for pi, p := range ps {
 		depthX := make([]float64, 0, len(depths))
 		localY := make([]float64, 0, len(depths))
 		oracleY := make([]float64, 0, len(depths))
 		for di, d := range depths {
-			g, err := graph.NewDoubleTree(d)
-			if err != nil {
-				return nil, err
-			}
-			type trialResult struct {
-				local, oracle float64
-				ok            bool
-			}
-			results, err := parTrials(cfg, trials, func(trial int) (trialResult, error) {
-				seed := cfg.trialSeed(uint64(pi*100+di), uint64(trial))
-				// Condition on the mirrored-branch event (the Theorem 9
-				// success event; it implies u ~ v).
-				var sample percolation.Sample
-				okFound := false
-				for try := 0; try < 300; try++ {
-					s := percolation.New(g, p, rng.Combine(seed, uint64(try)))
-					ok, err := route.DoubleTreeRootsLinked(s, 0)
-					if err != nil {
-						return trialResult{}, err
-					}
-					if ok {
-						sample, okFound = s, true
-						break
-					}
-				}
-				if !okFound {
-					return trialResult{}, nil
-				}
-				res := trialResult{ok: true}
-				if _, err := oracleRun(route.NewDoubleTreeOracle(), g.RootA(), g.RootB(), &res.oracle)(sample); err != nil {
-					return trialResult{}, fmt.Errorf("E6: oracle at depth %d: %w", d, err)
-				}
-				if _, err := localRun(route.NewBFSLocal(), g.RootA(), g.RootB(), &res.local)(sample); err != nil {
-					return trialResult{}, fmt.Errorf("E6: local at depth %d: %w", d, err)
-				}
-				return res, nil
-			})
-			if err != nil {
-				return nil, err
-			}
 			var localProbes, oracleProbes []float64
-			for _, r := range results {
+			for _, r := range results[pi*len(depths)+di] {
 				if !r.ok {
 					continue
 				}

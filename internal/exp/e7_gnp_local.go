@@ -29,40 +29,41 @@ func runE7(cfg Config) (*Table, error) {
 		"mean probes grow quadratically in n",
 		"n", "pairs", "mean", "median", "mean/n^2")
 
+	graphs, err := buildAll(ns, graph.NewComplete)
+	if err != nil {
+		return nil, err
+	}
+	type trialResult struct {
+		probes float64
+		ok     bool
+	}
+	results, err := parCells(cfg, len(ns), trials, func(ni, trial int) (trialResult, error) {
+		n := ns[ni]
+		p := c / float64(n)
+		u, v := graph.Vertex(0), graph.Vertex(n-1)
+		seed := cfg.trialSeed(uint64(ni), uint64(trial))
+		res := trialResult{ok: true}
+		_, _, runErr, err := core.Condition(bondDraw(graphs[ni], p), u, v, seed, 50,
+			localRun(route.NewGnpLocal(seed), u, v, &res.probes))
+		if errors.Is(err, core.ErrConditioning) {
+			return trialResult{}, nil
+		}
+		if err != nil {
+			return trialResult{}, err
+		}
+		if runErr != nil {
+			return trialResult{}, fmt.Errorf("E7: n=%d: %w", n, runErr)
+		}
+		return res, nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	xs := make([]float64, 0, len(ns))
 	ys := make([]float64, 0, len(ns))
 	for ni, n := range ns {
-		g, err := graph.NewComplete(n)
-		if err != nil {
-			return nil, err
-		}
-		p := c / float64(n)
-		u, v := graph.Vertex(0), graph.Vertex(n-1)
-		type trialResult struct {
-			probes float64
-			ok     bool
-		}
-		results, err := parTrials(cfg, trials, func(trial int) (trialResult, error) {
-			seed := cfg.trialSeed(uint64(ni), uint64(trial))
-			res := trialResult{ok: true}
-			_, _, runErr, err := core.Condition(bondDraw(g, p), u, v, seed, 50,
-				localRun(route.NewGnpLocal(seed), u, v, &res.probes))
-			if errors.Is(err, core.ErrConditioning) {
-				return trialResult{}, nil
-			}
-			if err != nil {
-				return trialResult{}, err
-			}
-			if runErr != nil {
-				return trialResult{}, fmt.Errorf("E7: n=%d: %w", n, runErr)
-			}
-			return res, nil
-		})
-		if err != nil {
-			return nil, err
-		}
 		var probes []float64
-		for _, r := range results {
+		for _, r := range results[ni] {
 			if r.ok {
 				probes = append(probes, r.probes)
 			}

@@ -30,52 +30,53 @@ func runE8(cfg Config) (*Table, error) {
 		"mean probes grow as n^{3/2}; the local/oracle ratio grows as sqrt(n)",
 		"n", "pairs", "mean", "median", "mean/n^1.5", "local/oracle")
 
+	graphs, err := buildAll(ns, graph.NewComplete)
+	if err != nil {
+		return nil, err
+	}
+	type trialResult struct {
+		oracle   float64
+		ratio    float64
+		ok       bool
+		hasRatio bool
+	}
+	results, err := parCells(cfg, len(ns), trials, func(ni, trial int) (trialResult, error) {
+		n := ns[ni]
+		p := c / float64(n)
+		u, v := graph.Vertex(0), graph.Vertex(n-1)
+		seed := cfg.trialSeed(uint64(ni), uint64(trial))
+		res := trialResult{ok: true}
+		s, _, runErr, err := core.Condition(bondDraw(graphs[ni], p), u, v, seed, 50,
+			oracleRun(route.NewGnpBidirectional(seed), u, v, &res.oracle))
+		if errors.Is(err, core.ErrConditioning) {
+			return trialResult{}, nil
+		}
+		if err != nil {
+			return trialResult{}, err
+		}
+		if runErr != nil {
+			return trialResult{}, fmt.Errorf("E8: n=%d: %w", n, runErr)
+		}
+		// The local comparison is the expensive half; sample it on a
+		// subset of trials to keep the sweep affordable.
+		if trial < trials/2+1 {
+			var local float64
+			if _, err := localRun(route.NewGnpLocal(seed), u, v, &local)(s); err != nil {
+				return trialResult{}, fmt.Errorf("E8: local n=%d: %w", n, err)
+			}
+			res.ratio = local / res.oracle
+			res.hasRatio = true
+		}
+		return res, nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	xs := make([]float64, 0, len(ns))
 	ys := make([]float64, 0, len(ns))
 	for ni, n := range ns {
-		g, err := graph.NewComplete(n)
-		if err != nil {
-			return nil, err
-		}
-		p := c / float64(n)
-		u, v := graph.Vertex(0), graph.Vertex(n-1)
-		type trialResult struct {
-			oracle   float64
-			ratio    float64
-			ok       bool
-			hasRatio bool
-		}
-		results, err := parTrials(cfg, trials, func(trial int) (trialResult, error) {
-			seed := cfg.trialSeed(uint64(ni), uint64(trial))
-			res := trialResult{ok: true}
-			s, _, runErr, err := core.Condition(bondDraw(g, p), u, v, seed, 50,
-				oracleRun(route.NewGnpBidirectional(seed), u, v, &res.oracle))
-			if errors.Is(err, core.ErrConditioning) {
-				return trialResult{}, nil
-			}
-			if err != nil {
-				return trialResult{}, err
-			}
-			if runErr != nil {
-				return trialResult{}, fmt.Errorf("E8: n=%d: %w", n, runErr)
-			}
-			// The local comparison is the expensive half; sample it on a
-			// subset of trials to keep the sweep affordable.
-			if trial < trials/2+1 {
-				var local float64
-				if _, err := localRun(route.NewGnpLocal(seed), u, v, &local)(s); err != nil {
-					return trialResult{}, fmt.Errorf("E8: local n=%d: %w", n, err)
-				}
-				res.ratio = local / res.oracle
-				res.hasRatio = true
-			}
-			return res, nil
-		})
-		if err != nil {
-			return nil, err
-		}
 		var oracleProbes, ratio []float64
-		for _, r := range results {
+		for _, r := range results[ni] {
 			if !r.ok {
 				continue
 			}

@@ -3,8 +3,11 @@
 // is pure theory, so its "tables and figures" are its theorems;
 // EXPERIMENTS.md maps each to an experiment ID E1..E21). Each experiment
 // is a pure function of a Config — same seed, same table, for any worker
-// count — and renders plain-text tables via Table. Trial loops fan out
-// across Config.Workers via the internal/runner pool.
+// count — and renders plain-text tables via Table. A table first builds
+// its sweep's cells (graphs and parameters), then runs every (cell,
+// trial) pair as one map on the internal/runner pool (parCells), with
+// up to Config.Workers trials at once across cell borders, and folds
+// the results into rows in cell order.
 package exp
 
 import (
@@ -46,9 +49,11 @@ type Config struct {
 	// Scale selects quick (CI-sized) or full (paper-sized) parameters.
 	Scale Scale
 	// Workers bounds the trial-level parallelism of the run (<= 0 means
-	// all cores). Every trial's randomness is split from (Seed, trial),
-	// so tables are bit-identical for every Workers value — Workers only
-	// sets how fast they arrive.
+	// all cores). A table runs its whole sweep as one map over (cell,
+	// trial) pairs, so a worker that finishes its share of one cell
+	// moves on to the next cell's trials. Every trial's randomness is
+	// split from (Seed, cell, trial), so tables are bit-identical for
+	// every Workers value — Workers only sets how fast they arrive.
 	Workers int
 	// Context, when non-nil, cancels the run early: trial loops stop
 	// claiming work once it is done and the experiment returns the

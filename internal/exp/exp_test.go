@@ -5,8 +5,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -104,34 +106,36 @@ func TestExperimentsDeterministic(t *testing.T) {
 }
 
 // TestExperimentsWorkerCountInvariant is the parallel engine's
-// experiment-level guarantee: the rendered table is byte-identical
-// whether the trials run on one worker or eight.
+// experiment-level guarantee: every rendered table is byte-identical
+// whether its sweep runs on one worker or several. Worker counts that
+// do not divide a table's trials per cell matter most: with one flat
+// map per table, a worker's run of trials then crosses cell borders.
 func TestExperimentsWorkerCountInvariant(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs experiments twice")
+		t.Skip("runs every quick table four times")
 	}
-	// E5 (bespoke trial loop), E9 (percolation sweep), E13 (simulator
-	// trials) cover the three parallelization idioms.
-	for _, id := range []string{"E5", "E9", "E13"} {
-		e, err := ByID(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		render := func(workers int) string {
-			tbl, err := e.Run(Config{Seed: 3, Scale: ScaleQuick, Workers: workers})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", id, workers, err)
+	for _, e := range All() {
+		e := e
+		t.Run(e.ID, func(t *testing.T) {
+			t.Parallel()
+			render := func(workers int) string {
+				tbl, err := e.Run(Config{Seed: 3, Scale: ScaleQuick, Workers: workers})
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				var b bytes.Buffer
+				if err := tbl.Render(&b); err != nil {
+					t.Fatal(err)
+				}
+				return b.String()
 			}
-			var b bytes.Buffer
-			if err := tbl.Render(&b); err != nil {
-				t.Fatal(err)
+			seq := render(1)
+			for _, workers := range []int{2, 3, 8} {
+				if par := render(workers); par != seq {
+					t.Fatalf("table depends on worker count:\n%s\nvs (workers=%d)\n%s", seq, workers, par)
+				}
 			}
-			return b.String()
-		}
-		seq, par := render(1), render(8)
-		if seq != par {
-			t.Fatalf("%s: table depends on worker count:\n%s\nvs\n%s", id, seq, par)
-		}
+		})
 	}
 }
 
@@ -212,20 +216,77 @@ func TestConfigSelectors(t *testing.T) {
 	}
 }
 
-// TestParTrialsRejectsAliasedSeeds checks that a cell with more trials
+// TestParCellsRejectsAliasedSeeds checks that a cell with more trials
 // than trialSeed keeps distinct fails before running any trial.
-func TestParTrialsRejectsAliasedSeeds(t *testing.T) {
+func TestParCellsRejectsAliasedSeeds(t *testing.T) {
 	cfg := Config{Seed: 1, Workers: 1}
 	if cfg.trialSeed(0, 1<<24) != cfg.trialSeed(1, 0) {
 		t.Fatal("trial 1<<24 of cell 0 no longer aliases trial 0 of cell 1; revisit maxTrials")
 	}
 	calls := 0
-	_, err := parTrials(cfg, 1<<24+1, func(int) (int, error) {
+	_, err := parCells(cfg, 1, 1<<24+1, func(int, int) (int, error) {
 		calls++
 		return 0, nil
 	})
 	if err == nil || calls != 0 {
-		t.Fatalf("parTrials(1<<24+1) = %v after %d calls, want an error before any call", err, calls)
+		t.Fatalf("parCells(1, 1<<24+1) = %v after %d calls, want an error before any call", err, calls)
+	}
+}
+
+// TestParCells checks the flat (cell, trial) map: results come back
+// grouped per cell in trial order, the lowest failing (cell, trial)
+// reports its error, progress counts cells*trials trials, and a cell
+// with more trials than distinct seeds errors before any call, at every
+// worker count.
+func TestParCells(t *testing.T) {
+	const cells, trials = 7, 5
+	for _, workers := range []int{1, 2, 3, 8} {
+		var calls atomic.Int64
+		if _, err := parCells(Config{Workers: workers}, 3, maxTrials+1, func(int, int) (int, error) {
+			calls.Add(1)
+			return 0, nil
+		}); err == nil || calls.Load() != 0 {
+			t.Fatalf("workers=%d: 3 cells of maxTrials+1 = %v after %d calls, want an error before any call", workers, err, calls.Load())
+		}
+
+		var done atomic.Int64
+		cfg := Config{Workers: workers, Progress: func(delta int) { done.Add(int64(delta)) }}
+		got, err := parCells(cfg, cells, trials, func(cell, trial int) ([2]int, error) {
+			return [2]int{cell, trial}, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != cells {
+			t.Fatalf("workers=%d: %d cells, want %d", workers, len(got), cells)
+		}
+		for c, rs := range got {
+			if len(rs) != trials {
+				t.Fatalf("workers=%d: cell %d has %d results, want %d", workers, c, len(rs), trials)
+			}
+			for tr, r := range rs {
+				if r != [2]int{c, tr} {
+					t.Fatalf("workers=%d: cells[%d][%d] = %v", workers, c, tr, r)
+				}
+			}
+		}
+		if n := done.Load(); n != cells*trials {
+			t.Fatalf("workers=%d: progress counted %d trials, want %d", workers, n, cells*trials)
+		}
+
+		// (2, 4) precedes (3, 0) and (5, 1) in flat order, so its error
+		// is the one a sequential sweep would have stopped on.
+		for rep := 0; rep < 20; rep++ {
+			_, err := parCells(Config{Workers: workers}, cells, trials, func(cell, trial int) (int, error) {
+				if (cell == 2 && trial == 4) || (cell == 3 && trial == 0) || (cell == 5 && trial == 1) {
+					return 0, fmt.Errorf("fail at (%d, %d)", cell, trial)
+				}
+				return 0, nil
+			})
+			if err == nil || err.Error() != "fail at (2, 4)" {
+				t.Fatalf("workers=%d: err = %v, want fail at (2, 4)", workers, err)
+			}
+		}
 	}
 }
 

@@ -38,10 +38,10 @@ func NewCycleMatching(n int, seed uint64) (*CycleMatching, error) {
 		partner[a], partner[b] = b, a
 	}
 	g := &CycleMatching{n: n, seed: seed}
-	g.small.init(uint64(n), func(v Vertex) []Vertex {
+	g.small.init(uint64(n), func(v Vertex, buf []Vertex) []Vertex {
 		next := Vertex((uint64(v) + 1) % uint64(n))
 		prev := Vertex((uint64(v) + uint64(n) - 1) % uint64(n))
-		return []Vertex{prev, next, partner[v]}
+		return append(buf, prev, next, partner[v])
 	})
 	return g, nil
 }

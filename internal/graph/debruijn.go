@@ -20,14 +20,14 @@ func NewDeBruijn(n int) (*DeBruijn, error) {
 	order := uint64(1) << uint(n)
 	mask := order - 1
 	g := &DeBruijn{n: n}
-	g.small.init(order, func(v Vertex) []Vertex {
+	g.small.init(order, func(v Vertex, buf []Vertex) []Vertex {
 		x := uint64(v)
-		return []Vertex{
-			Vertex((x << 1) & mask),
-			Vertex((x<<1 | 1) & mask),
-			Vertex(x >> 1),
-			Vertex(x>>1 | order>>1),
-		}
+		return append(buf,
+			Vertex((x<<1)&mask),
+			Vertex((x<<1|1)&mask),
+			Vertex(x>>1),
+			Vertex(x>>1|order>>1),
+		)
 	})
 	return g, nil
 }

@@ -21,13 +21,9 @@ func NewShuffleExchange(n int) (*ShuffleExchange, error) {
 	rotl := func(x uint64) uint64 { return (x<<1 | x>>(uint(n)-1)) & mask }
 	rotr := func(x uint64) uint64 { return (x>>1 | (x&1)<<(uint(n)-1)) & mask }
 	g := &ShuffleExchange{n: n}
-	g.small.init(order, func(v Vertex) []Vertex {
+	g.small.init(order, func(v Vertex, buf []Vertex) []Vertex {
 		x := uint64(v)
-		return []Vertex{
-			Vertex(x ^ 1),
-			Vertex(rotl(x)),
-			Vertex(rotr(x)),
-		}
+		return append(buf, Vertex(x^1), Vertex(rotl(x)), Vertex(rotr(x)))
 	})
 	return g, nil
 }
@@ -67,21 +63,20 @@ func NewButterfly(n int) (*Butterfly, error) {
 	rows := uint64(1) << uint(n)
 	order := (uint64(n) + 1) * rows
 	g := &Butterfly{n: n}
-	g.small.init(order, func(v Vertex) []Vertex {
+	g.small.init(order, func(v Vertex, buf []Vertex) []Vertex {
 		l := uint64(v) / rows
 		r := uint64(v) % rows
-		var out []Vertex
 		if l < uint64(n) {
-			out = append(out,
+			buf = append(buf,
 				Vertex((l+1)*rows+r),          // straight down
 				Vertex((l+1)*rows+(r^(1<<l)))) // cross down
 		}
 		if l > 0 {
-			out = append(out,
+			buf = append(buf,
 				Vertex((l-1)*rows+r),              // straight up
 				Vertex((l-1)*rows+(r^(1<<(l-1))))) // cross up
 		}
-		return out
+		return buf
 	})
 	return g, nil
 }

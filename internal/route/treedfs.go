@@ -151,6 +151,10 @@ func (r *DoubleTreeOracle) assemble(tt *graph.DoubleTree, leafHeap uint64) Path 
 	return path
 }
 
+// maxDoubleTreeDepth is the largest depth graph.NewDoubleTree builds;
+// TestDoubleTreeRootsLinkedDeepestTree fails if that cap grows.
+const maxDoubleTreeDepth = 40
+
 // DoubleTreeRootsLinked reports whether the two roots of the double tree
 // are joined by a mirrored open branch — the success event of the
 // Theorem 9 router and the connectivity event Lemma 6 analyzes. It is
@@ -163,18 +167,22 @@ func DoubleTreeRootsLinked(s percolation.Sample, budget int) (bool, error) {
 	}
 	leafLevel := tt.NumLeaves()
 	probes := 0
+	// The search holds one frame per level from the root down, so depth
+	// d needs at most d+1 frames: a fixed array keeps it allocation-free.
 	type frame struct {
 		h    uint64
 		next int
 	}
-	stack := []frame{{h: 1}}
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
+	var stack [maxDoubleTreeDepth + 1]frame
+	stack[0] = frame{h: 1}
+	top := 1
+	for top > 0 {
+		f := &stack[top-1]
 		if f.h >= leafLevel {
 			return true, nil
 		}
 		if f.next == 2 {
-			stack = stack[:len(stack)-1]
+			top--
 			continue
 		}
 		c := 2*f.h + uint64(f.next)
@@ -203,7 +211,8 @@ func DoubleTreeRootsLinked(s percolation.Sample, budget int) (bool, error) {
 			}
 		}
 		if bothOpen {
-			stack = append(stack, frame{h: c})
+			stack[top] = frame{h: c}
+			top++
 		}
 	}
 	return false, nil

@@ -129,6 +129,20 @@ func TestDoubleTreeRootsLinkedClosedTree(t *testing.T) {
 	}
 }
 
+// TestDoubleTreeRootsLinkedDeepestTree fills the search's fixed frame
+// array: on the deepest tree NewDoubleTree builds, fully open, the
+// search holds one frame per level down to the leaves.
+func TestDoubleTreeRootsLinkedDeepestTree(t *testing.T) {
+	g := graph.MustDoubleTree(maxDoubleTreeDepth)
+	linked, err := DoubleTreeRootsLinked(percolation.New(g, 1, 1), 0)
+	if err != nil || !linked {
+		t.Fatalf("open depth-%d tree not linked: %v %v", maxDoubleTreeDepth, linked, err)
+	}
+	if _, err := graph.NewDoubleTree(maxDoubleTreeDepth + 1); err == nil {
+		t.Fatalf("NewDoubleTree accepts depth %d; grow maxDoubleTreeDepth with it", maxDoubleTreeDepth+1)
+	}
+}
+
 func TestDoubleTreeOracleCheapOnDeepTrees(t *testing.T) {
 	// Theorem 9: expected O(n) probes. On a depth-30 tree (3*2^30
 	// vertices, never materialized) the router should succeed with a few

@@ -11,6 +11,15 @@
 // worker is requested. That guarantee is what lets every CLI default
 // -workers to runtime.GOMAXPROCS(0) without perturbing a single table.
 //
+// Each MapCtx call starts its workers and waits for the slowest one, so
+// a caller with many small groups of work flattens them into one index
+// space and makes one call: core.EstimateBatchCtx maps (request, trial)
+// pairs, and every experiment table maps its whole sweep of (cell,
+// trial) pairs. Workers then pass from one group into the next instead
+// of meeting at a barrier after each. Beyond its output, a map
+// allocates the same few objects whatever n is: the workers' shared
+// state, which holds a single error slot, and one closure per worker.
+//
 // The package is intentionally dependency-free so that any layer (core,
 // percolation, exp) can use it without import cycles. Per-worker trial
 // scratch is NOT threaded through the pool for the same reason: the
@@ -116,34 +125,48 @@ func MapCtx[T any](ctx context.Context, p *Pool, n int, progress Progress, fn fu
 		}
 		return out, nil
 	}
-	errs := make([]error, n)
+	// The workers share a claim counter, a failure flag and one error
+	// slot, not one per index: only the lowest failing index can be
+	// reported, so a failure keeps its error only if no lower index has
+	// failed. The slot's lock is taken on failure alone. One struct
+	// keeps the shared state to one allocation.
 	done := ctx.Done()
-	var (
-		next   atomic.Int64
-		failed atomic.Bool
-		wg     sync.WaitGroup
-	)
+	var sh struct {
+		wg       sync.WaitGroup
+		next     atomic.Int64
+		failed   atomic.Bool
+		errMu    sync.Mutex
+		errIndex int
+		err      error
+	}
+	sh.errIndex = n
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
+		sh.wg.Add(1)
 		go func() {
-			defer wg.Done()
+			defer sh.wg.Done()
 			for {
+				// Every check precedes the claim: a claimed index always
+				// runs, so every index below a failing one has run.
 				select {
 				case <-done:
 					return
 				default:
 				}
-				if expired(deadline, timed) {
+				if expired(deadline, timed) || sh.failed.Load() {
 					return
 				}
-				i := int(next.Add(1)) - 1
-				if i >= n || failed.Load() {
+				i := int(sh.next.Add(1)) - 1
+				if i >= n {
 					return
 				}
 				v, err := fn(i)
 				if err != nil {
-					errs[i] = err
-					failed.Store(true)
+					sh.errMu.Lock()
+					if i < sh.errIndex {
+						sh.errIndex, sh.err = i, err
+					}
+					sh.errMu.Unlock()
+					sh.failed.Store(true)
 					return
 				}
 				out[i] = v
@@ -153,13 +176,9 @@ func MapCtx[T any](ctx context.Context, p *Pool, n int, progress Progress, fn fu
 			}
 		}()
 	}
-	wg.Wait()
-	if failed.Load() {
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
+	sh.wg.Wait()
+	if sh.err != nil {
+		return nil, sh.err
 	}
 	if err := ctxErr(ctx, deadline, timed); err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 func TestMapResultsInIndexOrder(t *testing.T) {
@@ -67,6 +68,37 @@ func TestMapErrorSkipsRemainingWork(t *testing.T) {
 	}
 	if n := calls.Load(); n > 1000 {
 		t.Fatalf("ran %d shards after failure; cancellation is not working", n)
+	}
+}
+
+// TestMapAllocatesOutputPlusConstant pins what a map costs the heap: a
+// 4,096-item map of ints allocates its 32 KiB output plus a constant,
+// the workers' shared state and one closure per worker. A per-index
+// error slice would add 64 KiB here.
+func TestMapAllocatesOutputPlusConstant(t *testing.T) {
+	const n, slack = 4096, 2048
+	outBytes := uint64(n * unsafe.Sizeof(int(0)))
+	for _, workers := range []int{1, 2, 4} {
+		p := New(workers)
+		run := func() {
+			if _, err := MapCtx(context.Background(), p, n, nil, func(i int) (int, error) { return i, nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		if got, ceiling := testing.AllocsPerRun(20, run), float64(2+workers); got > ceiling {
+			t.Errorf("workers=%d: %.1f allocations per map, want at most %.0f (output, shared state, one closure per worker)", workers, got, ceiling)
+		}
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > outBytes+slack {
+			t.Errorf("workers=%d: %d bytes per map, want at most the %d-byte output plus %d", workers, perRun, outBytes, slack)
+		}
 	}
 }
 
