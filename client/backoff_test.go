@@ -121,7 +121,7 @@ func TestOnceBodyFailure(t *testing.T) {
 
 	t.Run("network cut is transient", func(t *testing.T) {
 		c := mk(&failingBody{})
-		retriable, err := c.once(context.Background(), http.MethodGet, "/v1/healthz", nil, nil)
+		retriable, _, err := c.once(context.Background(), http.MethodGet, "/v1/healthz", nil, nil, false)
 		if err == nil || !strings.Contains(err.Error(), "mid-body") {
 			t.Fatalf("err = %v, want mid-body read failure", err)
 		}
@@ -134,7 +134,7 @@ func TestOnceBodyFailure(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		c := mk(&failingBody{cancel: cancel})
-		retriable, err := c.once(ctx, http.MethodGet, "/v1/healthz", nil, nil)
+		retriable, _, err := c.once(ctx, http.MethodGet, "/v1/healthz", nil, nil, false)
 		if err == nil {
 			t.Fatal("expected a read error")
 		}

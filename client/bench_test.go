@@ -18,8 +18,9 @@ import (
 //
 //   - cached: the same estimate every op, already computed; the submit
 //     response carries the result bytes.
-//   - fresh: a new seed every op; the POST, the event stream, the result
-//     GET and the 16-trial compute itself.
+//   - fresh: a new seed every op; the POST, answered with the job's
+//     event stream, which ends with the result bytes, and the 16-trial
+//     compute itself.
 func BenchmarkDo(b *testing.B) {
 	svc := serve.New(serve.Options{})
 	defer svc.Close()

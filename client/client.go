@@ -4,13 +4,17 @@
 // A Client is interchangeable with faultroute.Local — the same
 // api.Request produces byte-identical canonical result bytes through
 // either, because both execute the one compiled codec of faultroute/api
-// and the service serves exactly the bytes it cached. Do submits a job,
-// follows it to completion over the daemon's event stream (or by
-// polling) and fetches the result; a submission the daemon answers as
-// cached carries the result bytes itself, so it costs one round trip.
-// Watch additionally delivers progress events; the lower-level Submit /
-// Status / Result / Cancel calls expose the raw endpoints for callers
-// that manage jobs themselves.
+// and the service serves exactly the bytes it cached. Do submits a job
+// and follows it to completion on the submission's own exchange: the
+// daemon answers a job that is not done yet with the job's event
+// stream, which ends with the result bytes, and a job already done
+// with the bytes themselves, so either costs one request. Against a
+// daemon that answers with JSON, Do follows the job over its advertised
+// event stream (or by polling) and then fetches the result. Watch
+// additionally delivers progress events, and WatchJob also reports the
+// job each submission named; the lower-level Submit / Status / Result /
+// Cancel calls expose the raw endpoints for callers that manage jobs
+// themselves.
 //
 // Submissions are content-addressed and therefore idempotent: the
 // client retries transient failures (network errors, 503 queue-full)
@@ -70,18 +74,20 @@ func WithHTTPClient(hc *http.Client) Option { return func(c *Client) { c.hc = hc
 
 // WithPollInterval sets how often Do and Watch poll a running job's
 // status (default 100ms). Polling is the fallback transport: when the
-// daemon advertises its Server-Sent-Events progress stream the client
-// subscribes to that instead, and the interval only matters if the
-// stream is unavailable or dies mid-job.
+// daemon streams the job's events the client follows those instead,
+// and the interval only matters if the stream is unavailable or dies
+// mid-job.
 func WithPollInterval(d time.Duration) Option { return func(c *Client) { c.poll = d } }
 
-// WithSSE toggles the Server-Sent-Events upgrade (default true): when
-// enabled and the daemon advertises a progress stream, Do and Watch
-// subscribe to GET /v1/jobs/{id}/events instead of polling, falling
-// back to polling if the stream is unavailable or disconnects
-// mid-job. The transport never affects result bytes — an SSE watch
-// and a polling watch of the same job observe equivalent deduplicated
-// event sequences and fetch identical results.
+// WithSSE toggles the Server-Sent-Events transport (default true):
+// when enabled, Do, Watch and WatchJob ask for the job's event stream
+// as the answer to their submission, and subscribe to the advertised
+// GET /v1/jobs/{id}/events when a daemon answers with JSON instead,
+// falling back to polling if the stream is unavailable or disconnects
+// mid-job. When disabled, they submit for JSON and poll. The transport
+// never affects result bytes — an SSE watch and a polling watch of the
+// same job observe equivalent deduplicated event sequences and return
+// identical results.
 func WithSSE(enabled bool) Option { return func(c *Client) { c.sse = enabled } }
 
 // WithRetry sets the transient-failure policy: up to retries extra
@@ -144,26 +150,46 @@ func (e *JobError) Error() string {
 }
 
 // Do executes the request remotely: submit (or coalesce / hit the
-// daemon's cache), poll until terminal, fetch the canonical result
-// bytes. The returned Body is byte-identical to a faultroute.Local run
-// of the same request.
+// daemon's cache), follow the job to a terminal state, and return the
+// canonical result bytes. The returned Body is byte-identical to a
+// faultroute.Local run of the same request.
 func (c *Client) Do(ctx context.Context, req api.Request) (api.Result, error) {
-	return c.run(ctx, req, nil)
+	return c.WatchJob(ctx, req, nil, nil)
 }
 
 // Watch is Do with progress events: onEvent observes the job's state
-// and trial counters at every poll (deduplicated, in order) until the
+// and trial counters as they change (deduplicated, in order) until the
 // job is terminal.
 func (c *Client) Watch(ctx context.Context, req api.Request, onEvent func(api.Event)) (api.Result, error) {
-	return c.run(ctx, req, onEvent)
+	return c.WatchJob(ctx, req, nil, onEvent)
 }
 
-func (c *Client) run(ctx context.Context, req api.Request, onEvent func(api.Event)) (api.Result, error) {
+// WatchJob is Watch that also reports every submission it makes:
+// onSubmit, when non-nil, observes the daemon's answer to the first
+// submission and to each resubmission, before the job is followed. Its
+// Job.ID names the job the daemon is running for the request at that
+// moment, the one a caller that abandons the watch would cancel.
+//
+// With the event stream enabled (WithSSE, the default), a job that is
+// not done yet is followed on the submission's own exchange: the
+// daemon answers with the job's event stream, which ends with the
+// result bytes, so a fresh job costs one request. A daemon that
+// answers with JSON instead gets the submission followed as before:
+// its advertised event stream or polling, then GET /v1/results.
+func (c *Client) WatchJob(ctx context.Context, req api.Request, onSubmit func(api.SubmitResponse), onEvent func(api.Event)) (api.Result, error) {
+	payload, err := json.Marshal(req)
+	if err != nil {
+		return api.Result{}, err
+	}
 	var last api.Event
 	for resubmits := 0; ; resubmits++ {
-		sub, err := c.Submit(ctx, req)
+		var sub api.SubmitResponse
+		es, err := c.exchange(ctx, http.MethodPost, api.BasePath+"/jobs", payload, &sub, c.sse)
 		if err != nil {
 			return api.Result{}, err
+		}
+		if onSubmit != nil {
+			onSubmit(sub)
 		}
 		// The first submission's event is always delivered; a
 		// resubmission's continues the one deduplicated sequence.
@@ -174,7 +200,7 @@ func (c *Client) run(ctx context.Context, req api.Request, onEvent func(api.Even
 				onEvent(ev)
 			}
 		}
-		res, err := c.follow(ctx, req, sub, &last, onEvent)
+		res, err := c.follow(ctx, req, sub, es, &last, onEvent)
 		var ae *APIError
 		if resubmits < c.retries && errors.As(err, &ae) && ae.StatusCode == http.StatusNotFound {
 			// The daemon acknowledged the job and has since forgotten it
@@ -189,42 +215,44 @@ func (c *Client) run(ctx context.Context, req api.Request, onEvent func(api.Even
 }
 
 // follow watches a submitted job to a terminal state and returns its
-// result. last is the shared dedup state of the events delivered so
-// far. A 404 *APIError from the job's status or its result means the
-// daemon forgot the job; run resubmits then.
-func (c *Client) follow(ctx context.Context, req api.Request, sub api.SubmitResponse, last *api.Event, onEvent func(api.Event)) (api.Result, error) {
-	st := sub.Job
+// result. es is the job's event stream when the submission was
+// answered with one, else nil. last is the shared dedup state of the
+// events delivered so far. A 404 *APIError from the job's status or its
+// result means the daemon forgot the job; WatchJob resubmits then.
+func (c *Client) follow(ctx context.Context, req api.Request, sub api.SubmitResponse, es *eventStream, last *api.Event, onEvent func(api.Event)) (api.Result, error) {
+	st, result := sub.Job, sub.Result
 	var err error
-	if !st.State.Terminal() {
-		// Transport upgrade: subscribe to the daemon's SSE progress
-		// stream when it advertises one, falling back to polling if the
-		// stream is refused or dies mid-job. Both paths share the dedup
-		// state (`last`), so a mid-stream fallback continues the one
-		// deduplicated, monotone event sequence seamlessly.
-		streamed := false
-		if c.sse && sub.Events != "" {
-			var fin api.JobStatus
-			fin, streamed, err = c.watchEvents(ctx, sub.Events, st, last, onEvent)
-			if err != nil {
-				return api.Result{}, err
-			}
-			if streamed {
-				st = fin
-			}
+	if es == nil && !st.State.Terminal() && c.sse && sub.Events != "" {
+		// A daemon that answered with JSON but advertises the job's
+		// event stream: subscribe to it.
+		if es, err = c.openEvents(ctx, sub.Events); err != nil {
+			return api.Result{}, err
 		}
-		if !streamed {
-			if st, err = c.await(ctx, st, last, onEvent); err != nil {
-				return api.Result{}, err
-			}
+	}
+	if es != nil {
+		// The stream and the poll loop share the dedup state (last), so
+		// a stream that dies mid-job hands over to polling without
+		// breaking the one deduplicated, monotone event sequence.
+		fin, data, streamed, err := c.watchStream(ctx, es, st, last, onEvent)
+		if err != nil {
+			return api.Result{}, err
+		}
+		if streamed {
+			st, result = fin, data
+		}
+	}
+	if !st.State.Terminal() {
+		if st, err = c.await(ctx, st, last, onEvent); err != nil {
+			return api.Result{}, err
 		}
 	}
 	if st.State != api.JobDone {
 		return api.Result{}, &JobError{Status: st}
 	}
-	if len(sub.Result) > 0 {
-		// A cached submission carries its stored bytes, less the
-		// canonical trailing newline a JSON value cannot keep.
-		return api.Result{Kind: req.Kind, Key: st.Key, Body: append(sub.Result, '\n')}, nil
+	if len(result) > 0 {
+		// A cached submission, or the stream's result event, carries the
+		// stored bytes less their canonical trailing newline.
+		return api.Result{Kind: req.Kind, Key: st.Key, Body: append(result, '\n')}, nil
 	}
 	body, err := c.Result(ctx, st.Key)
 	if err != nil {
@@ -403,45 +431,68 @@ func (c *Client) retryWait(attempt int, lastErr error) time.Duration {
 // response. Raw result bytes are preserved exactly: when out is a
 // *json.RawMessage the body is copied verbatim, never re-encoded.
 func (c *Client) call(ctx context.Context, method, path string, payload []byte, out any) error {
+	_, err := c.exchange(ctx, method, path, payload, out, false)
+	return err
+}
+
+// exchange is call that, when stream is set, also asks for an event
+// stream (Accept: text/event-stream). A 200 event-stream answer is
+// returned open, its first event, the submitted event, decoded into
+// out; any other answer is decoded as call decodes it, and exchange
+// returns a nil stream.
+func (c *Client) exchange(ctx context.Context, method, path string, payload []byte, out any, stream bool) (*eventStream, error) {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-ctx.Done():
-				return ctx.Err()
+				return nil, ctx.Err()
 			case <-time.After(c.retryWait(attempt, lastErr)):
 			}
 		}
-		retriable, err := c.once(ctx, method, path, payload, out)
+		retriable, es, err := c.once(ctx, method, path, payload, out, stream)
 		if err == nil {
-			return nil
+			return es, nil
 		}
 		lastErr = err
 		if !retriable || attempt >= c.retries {
-			return lastErr
+			return nil, lastErr
 		}
 	}
 }
 
 // once issues a single HTTP request. retriable reports whether the
-// failure is transient (network error, 503, or a 2xx body that is not
-// valid JSON): everything else — 4xx, decode errors on valid JSON — is
-// final.
-func (c *Client) once(ctx context.Context, method, path string, payload []byte, out any) (retriable bool, err error) {
+// failure is transient (network error, 503, a 2xx body that is not
+// valid JSON, or an event stream that ends before its submitted event):
+// everything else — 4xx, decode errors on valid JSON — is final.
+func (c *Client) once(ctx context.Context, method, path string, payload []byte, out any, stream bool) (retriable bool, es *eventStream, err error) {
 	var body io.Reader
 	if payload != nil {
 		body = bytes.NewReader(payload)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
-		return false, err
+		return false, nil, err
 	}
 	if payload != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
+	if stream {
+		req.Header.Set("Accept", eventStreamType)
+	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return ctx.Err() == nil, err // network failure: transient unless we were canceled
+		return ctx.Err() == nil, nil, err // network failure: transient unless we were canceled
+	}
+	if stream && isEventStream(resp) {
+		es := c.newEventStream(resp.Body)
+		if err := es.submitted(out); err != nil {
+			// Nothing acknowledged the job yet, and resubmitting is
+			// safe: submissions are content-addressed.
+			resp.Body.Close()
+			return ctx.Err() == nil, nil, fmt.Errorf("%s %s: %w", method, path, err)
+		}
+		return false, es, nil
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(io.LimitReader(resp.Body, c.maxBody+1))
@@ -449,10 +500,10 @@ func (c *Client) once(ctx context.Context, method, path string, payload []byte, 
 		// Mirror the transport-error path: a body cut off because the
 		// caller's context was canceled mid-read is final, not a
 		// transient daemon failure to retry against.
-		return ctx.Err() == nil, err
+		return ctx.Err() == nil, nil, err
 	}
 	if int64(len(data)) > c.maxBody {
-		return false, fmt.Errorf("%s %s: response body exceeds %d bytes", method, path, c.maxBody)
+		return false, nil, fmt.Errorf("%s %s: response body exceeds %d bytes", method, path, c.maxBody)
 	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		var eb api.ErrorBody
@@ -465,10 +516,10 @@ func (c *Client) once(ctx context.Context, method, path string, payload []byte, 
 			Message:    eb.Error,
 			RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After")),
 		}
-		return resp.StatusCode == http.StatusServiceUnavailable, apiErr
+		return resp.StatusCode == http.StatusServiceUnavailable, nil, apiErr
 	}
 	if out == nil {
-		return false, nil
+		return false, nil, nil
 	}
 	// A response cut off without a Content-Length (a connection dropped
 	// mid-body on a close-delimited response) reads without error. Every
@@ -477,14 +528,14 @@ func (c *Client) once(ctx context.Context, method, path string, payload []byte, 
 	// truncated body from being returned as a result or decoded into a
 	// final error. Every call is idempotent, so re-reading is safe.
 	if !json.Valid(data) {
-		return ctx.Err() == nil, fmt.Errorf("%s %s: response body is not valid JSON (%d bytes, truncated?)", method, path, len(data))
+		return ctx.Err() == nil, nil, fmt.Errorf("%s %s: response body is not valid JSON (%d bytes, truncated?)", method, path, len(data))
 	}
 	if raw, ok := out.(*json.RawMessage); ok {
 		*raw = append((*raw)[:0], data...)
-		return false, nil
+		return false, nil, nil
 	}
 	if err := json.Unmarshal(data, out); err != nil {
-		return false, fmt.Errorf("decoding %s %s response: %w", method, path, err)
+		return false, nil, fmt.Errorf("decoding %s %s response: %w", method, path, err)
 	}
-	return false, nil
+	return false, nil, nil
 }

@@ -29,13 +29,16 @@ func isStatusPoll(r *http.Request) bool {
 }
 
 func TestDoAndWatchResubmitWhatTheDaemonForgot(t *testing.T) {
+	// The result fetch follows a done that carried no result: the stream
+	// of a daemon whose store has evicted the bytes.
 	cases := []struct {
-		name    string
-		forgets func(*http.Request) bool
-		opts    []client.Option
+		name     string
+		forgets  func(*http.Request) bool
+		noResult bool
+		opts     []client.Option
 	}{
-		{"result fetch after done", isResultFetch, nil},
-		{"status poll", isStatusPoll, []client.Option{client.WithSSE(false)}},
+		{"result fetch after done", isResultFetch, true, nil},
+		{"status poll", isStatusPoll, false, []client.Option{client.WithSSE(false)}},
 	}
 	seed := uint64(20)
 	for _, tc := range cases {
@@ -52,7 +55,7 @@ func TestDoAndWatchResubmitWhatTheDaemonForgot(t *testing.T) {
 			}
 			// The delay keeps the first submission's job running after
 			// its submit response, so the client must follow it.
-			counts := &transportCounts{taskDelay: 50 * time.Millisecond, forgets: tc.forgets}
+			counts := &transportCounts{taskDelay: 50 * time.Millisecond, forgets: tc.forgets, noResult: tc.noResult}
 			c := newCountingService(t, counts, tc.opts...)
 			var got api.Result
 			if watch {

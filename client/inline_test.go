@@ -1,9 +1,11 @@
 package client_test
 
 // Request counts of Do: a cached submission carries its result bytes,
-// so a repeated Do is one POST; a fresh job watched over SSE fetches
-// its result but no status; a daemon that predates the inline result
-// still gets the result GET.
+// so a repeated Do is one POST; a fresh job is followed on the
+// submit's own event stream, which carries the result, so a fresh Do is
+// one POST too. A daemon that predates the streamed submit, the stream's
+// result event or the inline result still gets the requests it needs:
+// the event stream it advertises, and the result GET.
 
 import (
 	"bytes"
@@ -78,13 +80,29 @@ func TestRepeatedDoIsOneRoundTrip(t *testing.T) {
 }
 
 func TestFreshDoOverSSEFetchesNoStatus(t *testing.T) {
-	// The delay keeps the job running after the POST returns, so the
-	// client must follow it on the event stream.
-	counts := &transportCounts{taskDelay: 200 * time.Millisecond}
-	c := newCountingService(t, counts)
-	doLocalBytes(t, c, inlineFixture(2))
-	if got, want := tally(counts), (requestTally{submits: 1, events: 1, results: 1}); got != want {
-		t.Errorf("fresh Do over SSE: requests %+v, want %+v", got, want)
+	// The delay keeps the job running after it is submitted, so the
+	// client must follow it on an event stream. The submit's own stream
+	// carries the result, so the Do is one request. A daemon that
+	// answers the submit with JSON and sends no result event, as one
+	// that predates both, gets its advertised stream and the result GET;
+	// a stream without the result event, as after an eviction, gets the
+	// result GET.
+	for _, tc := range []struct {
+		name        string
+		jsonSubmits bool
+		noResult    bool
+		want        requestTally
+	}{
+		{"streamed submit", false, false, requestTally{submits: 1}},
+		{"JSON submit, no result event", true, true, requestTally{submits: 1, events: 1, results: 1}},
+		{"streamed submit, no result event", false, true, requestTally{submits: 1, results: 1}},
+	} {
+		counts := &transportCounts{taskDelay: 200 * time.Millisecond, jsonSubmits: tc.jsonSubmits, noResult: tc.noResult}
+		c := newCountingService(t, counts)
+		doLocalBytes(t, c, inlineFixture(2))
+		if got := tally(counts); got != tc.want {
+			t.Errorf("%s: requests %+v, want %+v", tc.name, got, tc.want)
+		}
 	}
 }
 

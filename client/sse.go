@@ -1,110 +1,260 @@
 package client
 
-// The Server-Sent-Events progress transport: when a daemon advertises
-// GET /v1/jobs/{id}/events in its submit response, Watch (and Do)
-// subscribe to that stream instead of polling GET /v1/jobs/{id}. The
-// upgrade is purely a transport change — the stream delivers the same
+// The Server-Sent-Events transport. Do and Watch submit with Accept:
+// text/event-stream, and a daemon that supports it answers a job that
+// is not done yet with the job's event stream: a "submitted" event
+// carrying the SubmitResponse, the job's "progress" events, and after
+// a terminal done a "result" event carrying the result bytes. A fresh
+// job thus costs one exchange. Against a daemon that answers JSON, the
+// client subscribes to the advertised GET /v1/jobs/{id}/events stream
+// instead. The stream is purely a transport: it delivers the same
 // deduplicated, monotone api.Event sequence polling would, and any
 // stream failure (refused connection, old daemon, mid-stream
-// disconnect) silently falls back to the poll loop, which resumes the
-// same event sequence from the shared dedup state.
+// disconnect) falls back to the poll loop, which resumes the same
+// event sequence from the shared dedup state.
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"strings"
 
 	"faultroute/api"
 )
 
-// maxEventBytes caps the data of one server-sent event. An api.Event
-// encodes in under 100 bytes; a stream that sends more without the
-// blank line that ends an event is broken or hostile, and the client
-// polls instead. bufio.Scanner already caps a single line at 64 KiB, so
-// the data held never exceeds twice this.
+// eventStreamType is the media type of an event stream, in Accept and
+// Content-Type alike.
+const eventStreamType = "text/event-stream"
+
+// maxEventBytes caps the data of one server-sent event other than
+// result. An api.Event encodes in under 100 bytes and a SubmitResponse
+// in a few hundred; a stream that sends more without the blank line
+// that ends an event is broken or hostile, and the client polls
+// instead. A result event's data is capped by the client's response
+// body bound instead, the bound a GET /v1/results body has.
 const maxEventBytes = 64 << 10
 
-// watchEvents consumes the job's SSE stream at path, delivering
-// deduplicated events to onEvent; sub is the job's status from the
-// submit response. It returns streamed=false when the caller should
-// fall back to polling: the stream was refused, is not an event stream,
-// or died before the job reached a terminal state. A non-nil error is
-// final (the caller's context ended, or the job failed or was canceled
-// but its status could not be fetched).
-func (c *Client) watchEvents(ctx context.Context, path string, sub api.JobStatus, last *api.Event, onEvent func(api.Event)) (st api.JobStatus, streamed bool, err error) {
+// errEventTooLarge reports an event whose data passes its cap.
+var errEventTooLarge = errors.New("event data exceeds its bound")
+
+// isEventStream reports whether resp is a 200 event stream.
+func isEventStream(resp *http.Response) bool {
+	return resp.StatusCode == http.StatusOK &&
+		strings.HasPrefix(resp.Header.Get("Content-Type"), eventStreamType)
+}
+
+// eventStream reads the events of one open stream.
+type eventStream struct {
+	body      io.ReadCloser
+	r         *bufio.Reader
+	maxResult int    // cap of a result event's data
+	buf       []byte // the current event's data, then the line being read
+}
+
+func (c *Client) newEventStream(body io.ReadCloser) *eventStream {
+	return &eventStream{body: body, r: bufio.NewReader(body), maxResult: int(c.maxBody)}
+}
+
+// next reads the stream's next event: its name (see eventName) and its
+// data, the data lines joined by newlines. The data is valid until the
+// next call. It returns an error once the stream ends or fails before
+// another complete event, or sends an event past its cap: an event
+// counts only once its closing blank line has arrived, so a cut stream
+// never yields part of one.
+func (es *eventStream) next() (name string, data []byte, err error) {
+	es.buf = es.buf[:0]
+	hasData := false
+	for {
+		limit := maxEventBytes
+		if name == "result" {
+			limit = es.maxResult
+		}
+		// The line is read onto the end of the data so far: a data line
+		// then moves its value down over its own field name, and any
+		// other line is dropped again.
+		n := len(es.buf)
+		if es.buf, err = es.readLine(limit - n + len("data: ")); err != nil {
+			return "", nil, err
+		}
+		line := es.buf[n:]
+		es.buf = es.buf[:n]
+		switch {
+		case len(line) == 0:
+			if hasData {
+				return name, es.buf, nil
+			}
+			name = "" // an event without data is never dispatched
+		case bytes.HasPrefix(line, []byte("data:")):
+			v := bytes.TrimPrefix(line[len("data:"):], []byte(" "))
+			if hasData {
+				es.buf = append(es.buf, '\n')
+			}
+			es.buf = append(es.buf, v...) // moves v down: it starts past the separator
+			hasData = true
+			if len(es.buf) > limit {
+				return "", nil, errEventTooLarge
+			}
+		case bytes.HasPrefix(line, []byte("event:")):
+			name = eventName(bytes.TrimPrefix(line[len("event:"):], []byte(" ")))
+		default: // "retry:", "id:", comments: irrelevant to us
+		}
+	}
+}
+
+// readLine appends the stream's next line, without its line ending, to
+// es.buf and returns the extended buffer. It fails once the line passes
+// max bytes, and on a line the stream ends inside.
+func (es *eventStream) readLine(max int) ([]byte, error) {
+	buf, start := es.buf, len(es.buf)
+	for {
+		frag, err := es.r.ReadSlice('\n')
+		if len(buf)-start+len(frag) > max+len("\r\n") {
+			return buf[:start], errEventTooLarge
+		}
+		buf = append(buf, frag...)
+		switch err {
+		case nil:
+			buf = buf[:len(buf)-1]
+			if len(buf) > start && buf[len(buf)-1] == '\r' {
+				buf = buf[:len(buf)-1]
+			}
+			return buf, nil
+		case bufio.ErrBufferFull:
+		default:
+			return buf[:start], err
+		}
+	}
+}
+
+// eventName returns the name an "event:" field sets, as a constant
+// string for the names this client acts on ("other" for the rest), so
+// reading it allocates nothing.
+func eventName(b []byte) string {
+	for _, name := range [...]string{"progress", "submitted", "result"} {
+		if string(b) == name {
+			return name
+		}
+	}
+	return "other"
+}
+
+// finish drains what is left of the stream, up to maxEventBytes, and
+// closes it. It is called after the terminal or result event, where a
+// daemon ends the stream: a body read to its end lets the HTTP
+// transport reuse the connection. A stream held open past that point
+// is bounded by the caller's context.
+func (es *eventStream) finish() {
+	io.CopyN(io.Discard, es.r, maxEventBytes)
+	es.body.Close()
+}
+
+// submitted decodes the stream's first event, which must be the
+// submitted event, into sub (an *api.SubmitResponse).
+func (es *eventStream) submitted(sub any) error {
+	name, data, err := es.next()
+	switch {
+	case err != nil:
+		return fmt.Errorf("event stream ended before its submitted event: %w", err)
+	case name != "submitted":
+		return fmt.Errorf("event stream opened with a %s event, not submitted", name)
+	}
+	if err := json.Unmarshal(data, sub); err != nil {
+		return fmt.Errorf("decoding submitted event: %w", err)
+	}
+	return nil
+}
+
+// openEvents subscribes to the job's event stream at path. It returns
+// nil when the caller should poll instead: the stream was refused or
+// is not an event stream. An error is final: the caller's context
+// ended.
+func (c *Client) openEvents(ctx context.Context, path string) (*eventStream, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
 	if err != nil {
-		return api.JobStatus{}, false, nil
+		return nil, nil
 	}
-	req.Header.Set("Accept", "text/event-stream")
+	req.Header.Set("Accept", eventStreamType)
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
-			return api.JobStatus{}, false, ctx.Err()
+			return nil, ctx.Err()
 		}
-		return api.JobStatus{}, false, nil // refused: poll instead
+		return nil, nil // refused: poll instead
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK ||
-		!strings.HasPrefix(resp.Header.Get("Content-Type"), "text/event-stream") {
-		return api.JobStatus{}, false, nil // not a stream (404, proxy, old daemon)
+	if !isEventStream(resp) {
+		resp.Body.Close()
+		return nil, nil // not a stream (404, proxy, old daemon)
 	}
+	return c.newEventStream(resp.Body), nil
+}
 
+// watchStream consumes a job's event stream to its terminal event,
+// delivering deduplicated events to onEvent, and closes it; st is the
+// job's status from its submission. It returns streamed=false when the
+// caller should poll instead: the stream died, or sent an oversized
+// event, before the terminal one. For a done job, result holds the
+// data of the stream's result event, the result bytes less their
+// canonical newline, or is nil when the stream carried none (a daemon
+// that predates it, or whose store has evicted the bytes) or carried
+// bytes that are not JSON. A non-nil error is final (the caller's
+// context ended, or the job failed or was canceled but its status
+// could not be fetched).
+func (c *Client) watchStream(ctx context.Context, es *eventStream, st api.JobStatus, last *api.Event, onEvent func(api.Event)) (fin api.JobStatus, result []byte, streamed bool, err error) {
 	var final api.JobState // the terminal event's state, once one arrives
-	sc := bufio.NewScanner(resp.Body)
-	var data []byte
-	flush := func() {
-		if len(data) == 0 {
-			return
+	for final == "" {
+		name, data, err := es.next()
+		if err != nil {
+			break
+		}
+		if name != "progress" && name != "" { // unnamed events are progress too
+			continue
 		}
 		var ev api.Event
-		if json.Unmarshal(data, &ev) == nil {
-			// Dedup against the shared state; the Done guard keeps the
-			// sequence monotone even against a confused server.
-			if ev != *last && ev.Done >= last.Done {
-				*last = ev
-				if onEvent != nil {
-					onEvent(ev)
-				}
-			}
-			if ev.State.Terminal() {
-				final = ev.State
+		if json.Unmarshal(data, &ev) != nil {
+			continue
+		}
+		// Dedup against the shared state; the Done guard keeps the
+		// sequence monotone even against a confused server.
+		if ev != *last && ev.Done >= last.Done {
+			*last = ev
+			if onEvent != nil {
+				onEvent(ev)
 			}
 		}
-		data = nil
-	}
-	for final == "" && len(data) <= maxEventBytes && sc.Scan() {
-		line := sc.Text()
-		switch {
-		case line == "": // blank line: dispatch the accumulated event
-			flush()
-		case strings.HasPrefix(line, "data:"):
-			data = append(data, strings.TrimPrefix(strings.TrimPrefix(line, "data:"), " ")...)
-		default: // "event:", "retry:", comments — irrelevant to us
+		if ev.State.Terminal() {
+			final = ev.State
 		}
 	}
 	if final == "" {
-		// Disconnected mid-job (daemon restart, broken proxy, scanner
+		// Disconnected mid-job (daemon restart, broken proxy, read
 		// error) or sent an oversized event: hand the job back to the
 		// poll loop unless the caller itself is done.
+		es.body.Close()
 		if ctx.Err() != nil {
-			return api.JobStatus{}, false, ctx.Err()
+			return api.JobStatus{}, nil, false, ctx.Err()
 		}
-		return api.JobStatus{}, false, nil
+		return api.JobStatus{}, nil, false, nil
 	}
 	if final == api.JobDone {
-		// A done job needs nothing the stream lacks: the caller fetches
-		// the result by the key the submit response already carries.
-		sub.State = final
-		return sub, true, nil
+		if name, data, err := es.next(); err == nil && name == "result" && json.Valid(data) {
+			result = data
+			es.buf = nil // result owns the buffer now
+		}
+		es.finish()
+		st.State = final
+		return st, result, true, nil
 	}
+	es.finish()
 	// The stream only carries progress counters; a failed or canceled
 	// job's error message comes from its status.
-	fin, err := c.Status(ctx, sub.ID)
+	fin, err = c.Status(ctx, st.ID)
 	if err != nil {
-		return api.JobStatus{}, false, err
+		return api.JobStatus{}, nil, false, err
 	}
-	return fin, true, nil
+	return fin, nil, true, nil
 }

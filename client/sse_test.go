@@ -1,9 +1,10 @@
 package client_test
 
-// Transport tests for the Server-Sent-Events progress upgrade: SSE and
-// polling must deliver equivalent deduplicated, monotone event
-// sequences and byte-identical results, and a stream that dies mid-job
-// must hand over to the poll loop without breaking either guarantee.
+// Transport tests for the Server-Sent-Events progress stream: the
+// submit's own stream and polling must deliver equivalent deduplicated,
+// monotone event sequences and byte-identical results, and a stream
+// that dies mid-job must hand over to the poll loop without breaking
+// either guarantee.
 
 import (
 	"bytes"
@@ -21,8 +22,13 @@ import (
 	"faultroute/serve"
 )
 
-// watchFixture is a job slow enough (~200ms single-worker) that a
-// watcher reliably attaches while it is still running.
+// watchDelay is the task delay of the watch tests' services: it keeps
+// watchFixture running after several polls even when the host is busy
+// and its timers fire late.
+const watchDelay = 100 * time.Millisecond
+
+// watchFixture is a job of many trials, so a watcher sees its progress
+// counter move.
 func watchFixture() api.Request {
 	return api.Request{Kind: api.KindEstimate, Estimate: &api.EstimateSpec{
 		Graph: api.GraphSpec{Family: "hypercube", N: 12},
@@ -40,7 +46,15 @@ type transportCounts struct {
 	events  atomic.Int64 // GET /v1/jobs/{id}/events subscriptions
 	status  atomic.Int64 // GET /v1/jobs/{id} polls
 	results atomic.Int64 // GET /v1/results/{key} fetches
+	// aborter, when set, wraps the response writer of every submit.
 	aborter func(w http.ResponseWriter) http.ResponseWriter
+	// jsonSubmits answers every submit with JSON, as a daemon that
+	// predates the streamed submit does: the request's Accept header is
+	// dropped before the service sees it.
+	jsonSubmits bool
+	// noResult drops the result event from every event stream, as from
+	// a daemon that predates it or whose store has evicted the bytes.
+	noResult bool
 	// taskDelay is the service's serve.Options.TaskDelay: it keeps a
 	// fresh job running after its submit response.
 	taskDelay time.Duration
@@ -49,30 +63,63 @@ type transportCounts struct {
 	// no longer holds; forgot records that it happened.
 	forgets func(r *http.Request) bool
 	forgot  atomic.Bool
+	// linger holds every event stream open this long after its last
+	// event has gone out, before the response ends.
+	linger time.Duration
 }
 
 func (tc *transportCounts) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	streams := false // the answer may be an event stream
 	switch {
 	case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs":
 		tc.submits.Add(1)
+		if tc.jsonSubmits {
+			r.Header.Del("Accept")
+		}
+		if tc.aborter != nil {
+			w = tc.aborter(w)
+		}
+		streams = true
 	case r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/results/"):
 		tc.results.Add(1)
 	case r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/jobs/"):
 		if strings.HasSuffix(r.URL.Path, "/events") {
 			tc.events.Add(1)
-			if tc.aborter != nil {
-				w = tc.aborter(w)
-			}
+			streams = true
 		} else {
 			tc.status.Add(1)
 		}
+	}
+	if streams && tc.noResult {
+		w = &dropResult{ResponseWriter: w}
 	}
 	if tc.forgets != nil && tc.forgets(r) && tc.forgot.CompareAndSwap(false, true) {
 		http.Error(w, `{"error":"forgotten"}`, http.StatusNotFound)
 		return
 	}
 	tc.next.ServeHTTP(w, r)
+	if streams && tc.linger > 0 {
+		http.NewResponseController(w).Flush()
+		time.Sleep(tc.linger)
+	}
 }
+
+// dropResult swallows an event stream's result event and everything
+// after it.
+type dropResult struct {
+	http.ResponseWriter
+	dropping bool
+}
+
+func (w *dropResult) Write(b []byte) (int, error) {
+	if w.dropping || bytes.Contains(b, []byte("event: result")) {
+		w.dropping = true
+		return len(b), nil
+	}
+	return w.ResponseWriter.Write(b)
+}
+
+func (w *dropResult) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // newCountingService mounts a fresh service behind a transportCounts
 // wrapper and returns a client for it built with the given options.
@@ -132,17 +179,18 @@ func checkSequence(t *testing.T, transport string, events []api.Event) {
 
 func TestWatchSSEMatchesPolling(t *testing.T) {
 	// Two independent services so both watches observe a live job, one
-	// client per transport. The sequences are sampled at different
-	// instants so their intermediate lengths may differ, but both obey
-	// the same dedup/monotonicity contract, agree on the terminal
-	// event, and fetch byte-identical results.
+	// client per transport: the stream the submit answers with, and
+	// polling. The sequences are sampled at different instants so their
+	// intermediate lengths may differ, but both obey the same
+	// dedup/monotonicity contract, agree on the terminal event, and
+	// return byte-identical results.
 	req := watchFixture()
 
-	sseCounts := &transportCounts{}
+	sseCounts := &transportCounts{taskDelay: watchDelay}
 	sseClient := newCountingService(t, sseCounts)
 	sseRes, sseEvents := collectWatch(t, sseClient, req)
 
-	pollCounts := &transportCounts{}
+	pollCounts := &transportCounts{taskDelay: watchDelay}
 	pollClient := newCountingService(t, pollCounts, client.WithSSE(false))
 	pollRes, pollEvents := collectWatch(t, pollClient, req)
 
@@ -159,15 +207,12 @@ func TestWatchSSEMatchesPolling(t *testing.T) {
 		t.Fatalf("terminal events differ: sse %+v vs polling %+v", fin, want)
 	}
 
-	// Pin which transport ran. The SSE client subscribed to the stream
-	// and never fetched status: a stream that ends on done leaves
-	// nothing for a status fetch to add. The polling client never
-	// touched the stream.
-	if got := sseCounts.events.Load(); got != 1 {
-		t.Errorf("sse client opened %d event streams, want 1", got)
-	}
-	if got := sseCounts.status.Load(); got != 0 {
-		t.Errorf("sse client fetched status %d times, want 0 after a done stream", got)
+	// Pin which transport ran. The SSE client's whole watch was its
+	// submit: the stream that answered it ended on done and carried the
+	// result, leaving nothing for another request to add. The polling
+	// client never touched a stream.
+	if got, want := tally(sseCounts), (requestTally{submits: 1}); got != want {
+		t.Errorf("sse client: requests %+v, want %+v", got, want)
 	}
 	if got := pollCounts.events.Load(); got != 0 {
 		t.Errorf("polling client opened %d event streams, want 0", got)
@@ -230,13 +275,15 @@ func (w *abortWriter) Write(b []byte) (int, error) {
 func (w *abortWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 func TestWatchSSEDisconnectFallsBackToPolling(t *testing.T) {
-	// The stream dies after two progress frames; Watch must hand the
-	// job to the poll loop, keep the shared sequence deduplicated and
-	// monotone across the transition, and still return the result.
+	// The submit's stream dies after its submitted event and one
+	// progress frame; Watch must hand the job to the poll loop, keep the
+	// shared sequence deduplicated and monotone across the transition,
+	// and still return the result.
 	counts := &transportCounts{
 		aborter: func(w http.ResponseWriter) http.ResponseWriter {
 			return &abortWriter{ResponseWriter: w, remaining: 2}
 		},
+		taskDelay: watchDelay,
 	}
 	c := newCountingService(t, counts)
 	// A longer job than watchFixture: it must outlive the aborted
@@ -250,8 +297,11 @@ func TestWatchSSEDisconnectFallsBackToPolling(t *testing.T) {
 	if len(res.Body) == 0 {
 		t.Fatal("empty result body after fallback")
 	}
-	if got := counts.events.Load(); got != 1 {
-		t.Errorf("client opened %d event streams, want 1 (no reconnect, straight to polling)", got)
+	if got := counts.submits.Load(); got != 1 {
+		t.Errorf("client submitted %d times, want 1", got)
+	}
+	if got := counts.events.Load(); got != 0 {
+		t.Errorf("client opened %d event streams after the disconnect, want 0 (no reconnect, straight to polling)", got)
 	}
 	if got := counts.status.Load(); got < 2 {
 		t.Errorf("client polled status %d times after the disconnect, want at least 2", got)

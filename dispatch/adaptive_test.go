@@ -7,7 +7,9 @@ package dispatch_test
 import (
 	"bytes"
 	"context"
+	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,6 +17,7 @@ import (
 
 	"faultroute"
 	"faultroute/api"
+	"faultroute/client"
 	"faultroute/dispatch"
 )
 
@@ -76,6 +79,71 @@ func TestPoolHedgingByteIdenticalToLocal(t *testing.T) {
 			t.Fatal("no losing attempt was canceled on its backend")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+func TestPoolHedgeLoserCancelNamesItsLatestJob(t *testing.T) {
+	// The slow owner forgets the first job it acknowledges: its first
+	// submit is answered with a job ID its engine never issued, and the
+	// stream ends there, so the watch polls that ID, gets a 404 and
+	// resubmits. The resubmission is the job the owner actually runs,
+	// and the hedge on the successor beats it: the DELETE that cancels
+	// the losing attempt must name that job, not the forgotten one.
+	req := estimateReq(8) // one whole sub-job
+	srvs, urls := reserve(t, 2)
+	owner := ownerOf(t, urls, req)
+	var (
+		forgot  atomic.Bool
+		mu      sync.Mutex
+		deletes []string
+	)
+	slow, _ := startRoles(t, srvs, urls, owner, 10*time.Second, func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			switch {
+			case r.Method == http.MethodPost && forgot.CompareAndSwap(false, true):
+				w.Header().Set("Content-Type", "text/event-stream")
+				io.WriteString(w, "event: submitted\ndata: {\"job\":{\"id\":\"forgotten\",\"state\":\"queued\",\"total\":8}}\n\n")
+				return
+			case r.Method == http.MethodDelete:
+				mu.Lock()
+				deletes = append(deletes, r.URL.Path)
+				mu.Unlock()
+			}
+			next.ServeHTTP(w, r)
+		})
+	})
+	pool := newPool(t, urls, dispatch.WithHedgeAfter(200*time.Millisecond))
+	ctx := context.Background()
+	want, err := faultroute.NewLocal().Do(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := pool.Do(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Body, want.Body) {
+		t.Fatalf("pool bytes differ from local:\n got %s\nwant %s", got.Body, want.Body)
+	}
+	if !forgot.Load() {
+		t.Fatal("the owner was never submitted to")
+	}
+	// The loser's DELETE is sent in the background.
+	deadline := time.Now().Add(2 * time.Second)
+	for pool.Stats().HedgeCancels == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("stats %+v: no DELETE canceled the losing attempt", pool.Stats())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(deletes) != 1 || deletes[0] == api.BasePath+"/jobs/forgotten" {
+		t.Fatalf("the owner received DELETEs %v, want one naming the resubmitted job", deletes)
+	}
+	st, err := client.New(slow.srv.URL).Status(ctx, strings.TrimPrefix(deletes[0], api.BasePath+"/jobs/"))
+	if err != nil || st.State != api.JobCanceled {
+		t.Fatalf("the DELETEd job: status %+v, %v; want canceled", st, err)
 	}
 }
 

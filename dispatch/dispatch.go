@@ -32,14 +32,18 @@
 //     results), submits the sub-job to the owner on a miss, and fails
 //     over down the order. A repeated request therefore lands where its
 //     results already sit, and the requests a cached shard costs do not
-//     grow with the fleet.
+//     grow with the fleet. A submitted sub-job is followed with one
+//     client.WatchJob: the backend answers the submission with the
+//     job's event stream, which ends with the result bytes, so a fresh
+//     sub-job costs one request after its stored reads.
 //   - The hedger (hedger.go) watches for stragglers: an attempt that
 //     outlives twice what the fleet's median backend would take is
 //     speculatively re-dispatched to the next-ranked backend, the first
 //     completed result wins, and the loser is canceled remotely (DELETE
-//     /v1/jobs/{id}). Determinism makes the race free: both attempts
-//     compute identical bytes. Hedging is also how faster backends
-//     overtake the shards of a persistently slow owner.
+//     /v1/jobs/{id}, naming the job of the loser's latest submission).
+//     Determinism makes the race free: both attempts compute identical
+//     bytes. Hedging is also how faster backends overtake the shards of
+//     a persistently slow owner.
 //   - The membership layer (membership.go) owns the live backend set.
 //     WithResolver re-resolves it between jobs: joiners are admitted,
 //     removed backends drain (they finish or fail over their running

@@ -203,17 +203,57 @@ func TestPoolFailoverAfterBackendDiesMidRun(t *testing.T) {
 	}
 }
 
+// dieAfterSubmitted wraps a handler so that the first submit answered
+// with an event stream is cut right after its submitted event, and
+// every later request aborts its connection: a backend that crashes
+// once it has accepted a job.
+func dieAfterSubmitted() func(http.Handler) http.Handler {
+	var dead atomic.Bool
+	return func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if dead.Load() {
+				panic(http.ErrAbortHandler)
+			}
+			next.ServeHTTP(&crashWriter{ResponseWriter: w, dead: &dead}, r)
+		})
+	}
+}
+
+// crashWriter marks its backend dead once it has delivered a submitted
+// event, and aborts every write after that.
+type crashWriter struct {
+	http.ResponseWriter
+	dead      *atomic.Bool
+	submitted bool
+}
+
+func (w *crashWriter) Write(b []byte) (int, error) {
+	if w.dead.Load() {
+		panic(http.ErrAbortHandler)
+	}
+	w.submitted = w.submitted || bytes.Contains(b, []byte("event: submitted"))
+	return w.ResponseWriter.Write(b)
+}
+
+func (w *crashWriter) Flush() {
+	w.ResponseWriter.(http.Flusher).Flush()
+	if w.submitted {
+		w.dead.Store(true)
+	}
+}
+
 func TestPoolFailoverExperimentWholeJob(t *testing.T) {
 	// Whole-job dispatches (experiments) fail over too: a backend that
 	// dies after accepting the job loses it to the survivor. The dying
 	// backend is the one that owns the experiment's key, so the Pool
-	// reads from it and submits to it first.
+	// reads from it and submits to it first; it dies mid-stream, after
+	// acknowledging the job, and the status polls that follow fail.
 	req := api.Request{
 		Kind:       api.KindExperiment,
 		Experiment: &api.ExperimentSpec{ID: "E1", Seed: 1, Scale: "quick"},
 	}
 	srvs, urls := reserve(t, 2)
-	dying, others := startRoles(t, srvs, urls, ownerOf(t, urls, req), 0, failAfter(2))
+	dying, others := startRoles(t, srvs, urls, ownerOf(t, urls, req), 0, dieAfterSubmitted())
 	pool := newPool(t, []string{dying.srv.URL, others[0].srv.URL})
 	ctx := context.Background()
 	want, err := faultroute.NewLocal().Do(ctx, req)

@@ -35,7 +35,7 @@ const (
 	dropped          // the round trip fails with a transport error
 	status500        // a 500 answers, the backend never sees the request
 	status503        // a 503 answers, the backend never sees the request
-	truncated        // a 200 GET /v1/results or POST /v1/jobs body is cut in half, Content-Length dropped
+	truncated        // a 200 body that can carry a result is cut in half, Content-Length dropped
 	swapped          // GET /v1/results/{key} is answered with another key's stored body
 	delayed          // the request waits its scheduled delay, or until its context ends, before it is forwarded
 	duplicated       // the request is forwarded twice, its body re-read through GetBody; the second answer returns
@@ -45,10 +45,11 @@ const (
 // faultyTransport is a deterministic fault injector: schedule picks the
 // fault for each request, and the delay a delayed request waits, from
 // its method, path and occurrence count alone, never from a clock or a
-// shared random stream. truncated applies to the two responses that can
-// carry a result, GET /v1/results and a 200 POST /v1/jobs (a cached
-// submit carries its bytes inline); swapped applies only to GET
-// /v1/results. Anywhere else they pass.
+// shared random stream. truncated applies to the responses that can
+// carry a result: GET /v1/results, a 200 POST /v1/jobs (a cached submit
+// carries its bytes inline, a streamed one in its result event) and GET
+// /v1/jobs/{id}/events; swapped applies only to GET /v1/results.
+// Anywhere else they pass.
 type faultyTransport struct {
 	schedule func(id string, n int) (fault, time.Duration)
 	foreign  map[string][]byte // stored bodies by key, the swapped answers
@@ -72,6 +73,7 @@ func (f *faultyTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 	key, isResult := strings.CutPrefix(r.URL.Path, api.BasePath+"/results/")
 	isResult = isResult && r.Method == http.MethodGet
 	isSubmit := r.Method == http.MethodPost && r.URL.Path == api.BasePath+"/jobs"
+	isEvents := r.Method == http.MethodGet && strings.HasSuffix(r.URL.Path, "/events")
 
 	ft, wait := f.schedule(id, n)
 	switch {
@@ -95,7 +97,7 @@ func (f *faultyTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 		slices.Sort(others)
 		f.injected[ft].Add(1)
 		return reply(r, http.StatusOK, f.foreign[others[n%len(others)]]), nil
-	case ft == truncated && (isResult || isSubmit):
+	case ft == truncated && (isResult || isSubmit || isEvents):
 		resp, err := http.DefaultTransport.RoundTrip(r)
 		if err != nil || resp.StatusCode != http.StatusOK {
 			return resp, err
@@ -253,9 +255,11 @@ func TestPoolUnderInjectedFaultsReturnsLocalBytesOrError(t *testing.T) {
 }
 
 func TestPoolRejectsTruncatedResultBody(t *testing.T) {
-	// Every 200 GET /v1/results and POST /v1/jobs body arrives cut in
-	// half, with no Content-Length and no error: a one-backend pool must
-	// fail, never return the prefix as E1's result.
+	// Every 200 GET /v1/results body, POST /v1/jobs body and event
+	// stream arrives cut in half, with no Content-Length and no error: a
+	// one-backend pool must fail, never return the prefix as E1's
+	// result, whether the cut falls in a JSON body or in the result
+	// event of the submit's stream.
 	b := newBackend(t, nil)
 	ft := newFaultyTransport(func(string, int) (fault, time.Duration) { return truncated, 0 }, nil)
 	pool := newPool(t, []string{b.srv.URL},

@@ -70,7 +70,7 @@ func expectedDuration(members []*member, req api.Request) time.Duration {
 
 // attempt is one in-flight execution of a sub-job on one member: its
 // cancel handle and, once submitted, the remote job ID the loser is
-// canceled by.
+// canceled by (the latest submission's, if the attempt resubmitted).
 type attempt struct {
 	m      *member
 	cancel context.CancelFunc
@@ -164,28 +164,23 @@ func (p *Pool) runAttempt(ctx context.Context, primary *member, req api.Request,
 	return api.Result{}, firstErr
 }
 
-// watchOn runs one attempt on one member: submit (capturing the job ID
-// so a losing attempt can be canceled remotely), then watch to
-// completion, feeding progress into the aggregator. The aggregator's
-// per-slot max semantics make two concurrent watchers of one slot
-// safe: the sum only ever reflects the farthest-along attempt.
+// watchOn runs one attempt on one member: one WatchJob, which submits
+// the sub-job and follows it to its result, usually on the one
+// exchange. Every submission's job ID, the first and any resubmission's,
+// is recorded as it arrives, so a losing attempt is canceled remotely
+// by the job its backend is actually running. Progress feeds the
+// aggregator, whose per-slot max semantics make two concurrent
+// watchers of one slot safe: the sum only ever reflects the
+// farthest-along attempt.
 func (p *Pool) watchOn(ctx context.Context, at *attempt, req api.Request, slot int, agg *aggregator, ch chan<- outcome) {
-	m := at.m
 	mSubJobs.Inc()
 	p.stats.subJobs.Add(1)
 	start := time.Now()
-	sub, err := m.c.Submit(ctx, req)
-	if err != nil {
-		ch <- outcome{at: at, err: err}
-		return
-	}
-	if id := sub.Job.ID; id != "" {
-		at.jobID.Store(&id)
-	}
-	// Watch resubmits the request: by content address it coalesces onto
-	// the job just submitted (or its cached result), so the extra POST is
-	// a memoized no-op, not duplicate work.
-	res, err := m.c.Watch(ctx, req, func(ev api.Event) {
+	res, err := at.m.c.WatchJob(ctx, req, func(sub api.SubmitResponse) {
+		if id := sub.Job.ID; id != "" {
+			at.jobID.Store(&id)
+		}
+	}, func(ev api.Event) {
 		agg.observe(slot, ev.Done)
 	})
 	ch <- outcome{at: at, res: res, err: err, elapsed: time.Since(start)}

@@ -373,8 +373,20 @@ func (e *Engine) execute(j *Job) {
 	j.state = StateRunning
 	j.started = time.Now()
 	j.mu.Unlock()
-	data, err := j.task(j.ctx, func(delta int) { j.done.Add(int64(delta)) })
+	data, err := runTask(j)
 	e.finish(j, data, err)
+}
+
+// runTask runs the job's task. A task that panics fails its job with
+// an error naming the panic, instead of ending the process: the
+// executor lives on to run the next queued job.
+func runTask(j *Job) (data []byte, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			data, err = nil, fmt.Errorf("jobs: task panicked: %v", p)
+		}
+	}()
+	return j.task(j.ctx, func(delta int) { j.done.Add(int64(delta)) })
 }
 
 // maxTerminalHistory bounds how many terminal jobs — done, failed or

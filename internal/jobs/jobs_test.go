@@ -281,6 +281,39 @@ func TestFailedJobAllowsRetry(t *testing.T) {
 	}
 }
 
+func TestPanickingTaskFailsItsJobOnly(t *testing.T) {
+	// One executor: the job queued behind the panicking one runs only if
+	// the executor survived the panic.
+	store := cache.NewStore()
+	e := NewEngine(store, 1, 8)
+	defer e.Close()
+
+	release := make(chan struct{})
+	bad, _, err := e.Submit("bad", 0, func(ctx context.Context, progress func(int)) ([]byte, error) {
+		<-release
+		panic("corrupt plan")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, _, err := e.Submit("next", 0, func(ctx context.Context, progress func(int)) ([]byte, error) {
+		return []byte("ok"), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if st := waitJob(t, bad); st.State != StateFailed || st.Error != "jobs: task panicked: corrupt plan" {
+		t.Fatalf("panicking job status = %+v, want failed with the panic's message", st)
+	}
+	if st := waitJob(t, next); st.State != StateDone {
+		t.Fatalf("job queued behind the panic: state %s, want done", st.State)
+	}
+	if store.Has("bad") {
+		t.Fatal("the panicking job stored a result")
+	}
+}
+
 func TestWarmStoreShortCircuits(t *testing.T) {
 	store := cache.NewStore()
 	store.Put("warm", []byte("precomputed"))

@@ -31,6 +31,7 @@ package runner
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -81,7 +82,9 @@ func (p *Pool) Workers() int { return p.workers }
 // lowest failing index — exactly the error a sequential loop would
 // have stopped on. Shards are claimed in ascending index order, so
 // every index below the lowest failing one is guaranteed to have run;
-// indices above it may be skipped once a failure is observed.
+// indices above it may be skipped once a failure is observed. A call
+// that panics fails its index with an error naming the panic, so a
+// panic never ends the process and obeys the same contract.
 //
 // Cancellation contract: workers stop claiming shards once ctx is done
 // and MapCtx returns ctx.Err() — unless some shard had already failed,
@@ -106,25 +109,10 @@ func MapCtx[T any](ctx context.Context, p *Pool, n int, progress Progress, fn fu
 	if workers > n {
 		workers = n
 	}
-	out := make([]T, n)
 	if workers <= 1 {
-		// Sequential path: a plain loop, stopping at the first error or
-		// at cancellation.
-		for i := 0; i < n; i++ {
-			if err := ctxErr(ctx, deadline, timed); err != nil {
-				return nil, err
-			}
-			v, err := fn(i)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-			if progress != nil {
-				progress(1)
-			}
-		}
-		return out, nil
+		return mapSeq(ctx, deadline, timed, n, progress, fn)
 	}
+	out := make([]T, n)
 	// The workers share a claim counter, a failure flag and one error
 	// slot, not one per index: only the lowest failing index can be
 	// reported, so a failure keeps its error only if no lower index has
@@ -144,6 +132,22 @@ func MapCtx[T any](ctx context.Context, p *Pool, n int, progress Progress, fn fu
 		sh.wg.Add(1)
 		go func() {
 			defer sh.wg.Done()
+			fail := func(i int, err error) {
+				sh.errMu.Lock()
+				if i < sh.errIndex {
+					sh.errIndex, sh.err = i, err
+				}
+				sh.errMu.Unlock()
+				sh.failed.Store(true)
+			}
+			// One recover for the whole worker: a panic ends the worker
+			// the way an error does, failing the index it was running.
+			i := -1
+			defer func() {
+				if p := recover(); p != nil {
+					fail(i, panicError(i, p))
+				}
+			}()
 			for {
 				// Every check precedes the claim: a claimed index always
 				// runs, so every index below a failing one has run.
@@ -155,18 +159,13 @@ func MapCtx[T any](ctx context.Context, p *Pool, n int, progress Progress, fn fu
 				if expired(deadline, timed) || sh.failed.Load() {
 					return
 				}
-				i := int(sh.next.Add(1)) - 1
+				i = int(sh.next.Add(1)) - 1
 				if i >= n {
 					return
 				}
 				v, err := fn(i)
 				if err != nil {
-					sh.errMu.Lock()
-					if i < sh.errIndex {
-						sh.errIndex, sh.err = i, err
-					}
-					sh.errMu.Unlock()
-					sh.failed.Store(true)
+					fail(i, err)
 					return
 				}
 				out[i] = v
@@ -184,6 +183,37 @@ func MapCtx[T any](ctx context.Context, p *Pool, n int, progress Progress, fn fu
 		return nil, err
 	}
 	return out, nil
+}
+
+// mapSeq is MapCtx's sequential path: a plain loop, stopping at the
+// first error, panic or cancellation.
+func mapSeq[T any](ctx context.Context, deadline time.Time, timed bool, n int, progress Progress, fn func(i int) (T, error)) (out []T, err error) {
+	i := 0
+	defer func() {
+		if p := recover(); p != nil {
+			out, err = nil, panicError(i, p)
+		}
+	}()
+	out = make([]T, n)
+	for ; i < n; i++ {
+		if err := ctxErr(ctx, deadline, timed); err != nil {
+			return nil, err
+		}
+		v, err := fn(i)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v
+		if progress != nil {
+			progress(1)
+		}
+	}
+	return out, nil
+}
+
+// panicError is the error of index i whose call panicked with p.
+func panicError(i int, p any) error {
+	return fmt.Errorf("runner: index %d panicked: %v", i, p)
 }
 
 // expired reports whether a context's deadline, as ctx.Deadline returns

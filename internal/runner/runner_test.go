@@ -56,6 +56,28 @@ func TestMapLowestIndexErrorWins(t *testing.T) {
 	}
 }
 
+func TestMapPanicIsTheLowestPanickingIndexError(t *testing.T) {
+	// A panicking call fails its index like an error, on the sequential
+	// path and across workers alike, and the lowest failing index wins
+	// whether the others panic or return errors.
+	for _, workers := range []int{1, 4} {
+		for trial := 0; trial < 20; trial++ {
+			_, err := MapCtx(context.Background(), New(workers), 64, nil, func(i int) (int, error) {
+				switch i {
+				case 9, 50:
+					panic(fmt.Sprintf("bad shard %d", i))
+				case 30:
+					return 0, errors.New("fail at 30")
+				}
+				return i, nil
+			})
+			if want := "runner: index 9 panicked: bad shard 9"; err == nil || err.Error() != want {
+				t.Fatalf("workers=%d, trial %d: err = %v, want %q", workers, trial, err, want)
+			}
+		}
+	}
+}
+
 func TestMapErrorSkipsRemainingWork(t *testing.T) {
 	var calls atomic.Int64
 	sentinel := errors.New("boom")

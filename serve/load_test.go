@@ -2,11 +2,13 @@ package serve_test
 
 // A popularity-skewed load through the public client: 64 concurrent
 // client.Do callers send 4,096 estimates drawn Zipf(1.1) from a
-// catalog of hypercube specs, and every op must return Local's bytes.
-// Over the default store, with a catalog of 256, the service must
-// compute each distinct spec exactly once, so coalescing and the cache
-// absorb at least 90% of submissions. Over a byte-bounded store it
-// must evict to stay within its budget and still fail no op.
+// catalog of 256 hypercube specs, and every op must return Local's
+// bytes. Over the default store the service must compute each distinct
+// spec exactly once, so coalescing and the cache absorb at least 90% of
+// submissions. Over a store whose byte budget holds a few results it
+// must evict to stay within its budget and still fail no op: every
+// waiter gets its result on the exchange that waited for it, so an
+// eviction between a job's finish and a later read costs no op.
 
 import (
 	"bytes"
@@ -54,19 +56,18 @@ func loadSpec(rank int) api.Request {
 	}
 }
 
-// draw returns ops ranks drawn Zipf(loadSkew) from the n catalog
-// entries from first on, and adds Local's bytes for every entry it
-// draws to want.
-func draw(t *testing.T, seed uint64, first, n, ops int, want map[int][]byte) []int {
+// draw returns loadOps ranks drawn Zipf(loadSkew) from the catalog,
+// and adds Local's bytes for every entry it draws to want.
+func draw(t *testing.T, seed uint64, want map[int][]byte) []int {
 	t.Helper()
-	z, err := rng.NewZipf(rng.NewStream(seed), loadSkew, n)
+	z, err := rng.NewZipf(rng.NewStream(seed), loadSkew, loadCatalog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranks := make([]int, ops)
+	ranks := make([]int, loadOps)
 	local := faultroute.NewLocal()
 	for i := range ranks {
-		ranks[i] = first + z.Next()
+		ranks[i] = z.Next()
 		if _, ok := want[ranks[i]]; ok {
 			continue
 		}
@@ -79,12 +80,11 @@ func draw(t *testing.T, seed uint64, first, n, ops int, want map[int][]byte) []i
 	return ranks
 }
 
-// runLoad serves store (nil for the default) over HTTP and drives
-// each phase's ops, one phase after the other, through loadCallers
-// concurrent callers. It returns the number of failed ops and the
-// final /v1/metrics exposition. An op fails when Do errs or returns
-// bytes other than Local's.
-func runLoad(t *testing.T, store cache.ResultStore, want map[int][]byte, phases ...[]int) (failed int64, metrics string) {
+// runLoad serves store (nil for the default) over HTTP and drives the
+// ops through loadCallers concurrent callers. It returns the number of
+// failed ops and the final /v1/metrics exposition. An op fails when Do
+// errs or returns bytes other than Local's.
+func runLoad(t *testing.T, store cache.ResultStore, want map[int][]byte, ranks []int) (failed int64, metrics string) {
 	t.Helper()
 	svc := serve.New(serve.Options{Executors: 4, QueueDepth: 256, Store: store})
 	defer svc.Close()
@@ -97,28 +97,24 @@ func runLoad(t *testing.T, store cache.ResultStore, want map[int][]byte, phases 
 	var (
 		failures atomic.Int64
 		logOnce  sync.Once
+		next     atomic.Int64
+		wg       sync.WaitGroup
 	)
-	for _, ranks := range phases {
-		var (
-			next atomic.Int64
-			wg   sync.WaitGroup
-		)
-		for range loadCallers {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for op := int(next.Add(1) - 1); op < len(ranks); op = int(next.Add(1) - 1) {
-					res, err := c.Do(ctx, loadSpec(ranks[op]))
-					if err == nil && bytes.Equal(res.Body, want[ranks[op]]) {
-						continue
-					}
-					failures.Add(1)
-					logOnce.Do(func() { t.Logf("op %d (rank %d): err %v, %d bytes", op, ranks[op], err, len(res.Body)) })
+	for range loadCallers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for op := int(next.Add(1) - 1); op < len(ranks); op = int(next.Add(1) - 1) {
+				res, err := c.Do(ctx, loadSpec(ranks[op]))
+				if err == nil && bytes.Equal(res.Body, want[ranks[op]]) {
+					continue
 				}
-			}()
-		}
-		wg.Wait()
+				failures.Add(1)
+				logOnce.Do(func() { t.Logf("op %d (rank %d): err %v, %d bytes", op, ranks[op], err, len(res.Body)) })
+			}
+		}()
 	}
+	wg.Wait()
 	return failures.Load(), scrape(t, ts.URL)
 }
 
@@ -146,7 +142,7 @@ func TestZipfLoadAbsorbedAndBounded(t *testing.T) {
 
 	t.Run("default store", func(t *testing.T) {
 		want := map[int][]byte{}
-		ranks := draw(t, 1, 0, loadCatalog, loadOps, want)
+		ranks := draw(t, 1, want)
 		failed, metrics := runLoad(t, nil, want, ranks)
 		if failed != 0 {
 			t.Errorf("%d of %d ops failed or returned bytes other than Local's", failed, loadOps)
@@ -162,28 +158,9 @@ func TestZipfLoadAbsorbedAndBounded(t *testing.T) {
 	})
 
 	t.Run("bounded store", func(t *testing.T) {
-		// Two phases over disjoint catalogs of six. Each phase's results
-		// fit the budget and the two together do not, so the second
-		// phase must evict, and only the first phase's results, which
-		// no op fetches again. A result evicted while its callers still
-		// wait fails their Do with a 404: over the 256-spec catalog this
-		// budget fails about half the ops.
 		want := map[int][]byte{}
-		first := draw(t, 2, 0, 6, loadOps/2, want)
-		second := draw(t, 3, 6, 6, loadOps/2, want)
-		phaseBytes := func(first int) int {
-			n := 0
-			for rank, body := range want {
-				if rank >= first && rank < first+6 {
-					n += 64 + len(body) // the key is 64 hex digits
-				}
-			}
-			return n
-		}
-		if a, b := phaseBytes(0), phaseBytes(6); a > boundedStoreBytes || b > boundedStoreBytes || a+b <= boundedStoreBytes {
-			t.Fatalf("phases of %d and %d bytes: want each within the %d-byte budget and both over it", a, b, boundedStoreBytes)
-		}
-		failed, metrics := runLoad(t, cache.NewBounded(boundedStoreBytes), want, first, second)
+		ranks := draw(t, 2, want)
+		failed, metrics := runLoad(t, cache.NewBounded(boundedStoreBytes), want, ranks)
 		if failed != 0 {
 			t.Errorf("%d of %d ops failed or returned bytes other than Local's", failed, loadOps)
 		}

@@ -138,6 +138,7 @@ func (s *Service) Store() cache.ResultStore { return s.store }
 //	                            sub-job of a distributed dispatch, see SERVING.md)
 //	GET    /v1/jobs/{id}        job state + progress counters
 //	GET    /v1/jobs/{id}/events Server-Sent-Events push progress stream
+//	                            (also the answer to a submit that asks for it)
 //	DELETE /v1/jobs/{id}        cancel a queued or running job (409 once finished)
 //	GET    /v1/results/{key}    canonical result bytes for a content address
 //	GET    /v1/experiments      the E1..E21 registry with parameter schemas
@@ -187,7 +188,12 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 //
 // A submission whose job is already done is answered with the stored
 // result bytes inline (api.SubmitResponse.Result), read with one store
-// Get. Duplicate submissions — byte-identical bodies, the shape of a
+// Get. Any other submission that asks for an event stream (Accept:
+// text/event-stream) is answered 200 with its job's stream, which
+// opens with an "event: submitted" carrying the SubmitResponse and
+// ends with the result bytes (see streamJob); without the header it
+// gets the SubmitResponse as JSON, 202 when fresh. Duplicate
+// submissions — byte-identical bodies, the shape of a
 // popularity-skewed fleet — take the memo fast path: the first
 // submission's compile outcome is reused, and once the job is done the
 // pre-encoded response is served without decoding the body or taking
@@ -301,6 +307,17 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			ent.resp.Store(&memoResp{body: b, jobID: job.ID()})
 			data, _ := s.store.Get(ent.key)
 			writeCached(w, b, data)
+			return
+		}
+	}
+	if wantsStream(r) {
+		// The submitter waits on this exchange: answer with the job's
+		// event stream, opened by this response, so the job's progress
+		// and its result bytes reach the submitter on its own request.
+		if b, err := json.Marshal(resp); err == nil {
+			var head bytes.Buffer
+			writeEvent(&head, "submitted", b)
+			s.streamJob(w, r, job, head.Bytes())
 			return
 		}
 	}
