@@ -204,10 +204,10 @@ type SubmitResponse struct {
 	// this submission attached to it.
 	Coalesced bool `json:"coalesced"`
 	// Events, when non-empty, advertises the job's Server-Sent-Events
-	// progress stream: the path of GET /v1/jobs/{id}/events. Clients
-	// that understand it subscribe instead of polling; a daemon that
-	// predates the stream simply omits the field and clients fall back
-	// to polling (see client.WithSSE).
+	// progress stream: the path of GET /v1/jobs/{id}/events, where a
+	// consumer that submitted without asking for the stream can follow
+	// the job instead of reading its status. A daemon that predates the
+	// stream omits the field.
 	Events string `json:"events,omitempty"`
 	// Result, when non-empty, is the job's canonical result bytes
 	// without their trailing newline, which a value inside a JSON

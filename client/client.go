@@ -8,12 +8,13 @@
 // and follows it to completion on the submission's own exchange: the
 // daemon answers a job that is not done yet with the job's event
 // stream, which ends with the result bytes, and a job already done
-// with the bytes themselves, so either costs one request. Against a
-// daemon that answers with JSON, Do follows the job over its advertised
-// event stream (or by polling) and then fetches the result. Watch
-// additionally delivers progress events, and WatchJob also reports the
-// job each submission named; the lower-level Submit / Status / Result /
-// Cancel calls expose the raw endpoints for callers that manage jobs
+// with the bytes themselves, so either costs one request. An answer
+// that ends before the job does (a stream cut mid-job, or JSON for a
+// running job) is followed by resubmitting, which coalesces onto the
+// running job or is answered with its result. Watch additionally
+// delivers progress events, and WatchJob also reports the job each
+// submission named; the lower-level Submit / Status / Result / Cancel
+// calls expose the raw endpoints for callers that manage jobs
 // themselves.
 //
 // Submissions are content-addressed and therefore idempotent: the
@@ -45,10 +46,8 @@ import (
 type Client struct {
 	base       string
 	hc         *http.Client
-	poll       time.Duration
 	retries    int
 	backoff    time.Duration
-	sse        bool
 	jitterSalt uint64
 	maxBody    int64 // response body bound: maxResponseBytes outside tests
 }
@@ -72,29 +71,13 @@ type Option func(*Client)
 // transports, instrumentation).
 func WithHTTPClient(hc *http.Client) Option { return func(c *Client) { c.hc = hc } }
 
-// WithPollInterval sets how often Do and Watch poll a running job's
-// status (default 100ms). Polling is the fallback transport: when the
-// daemon streams the job's events the client follows those instead,
-// and the interval only matters if the stream is unavailable or dies
-// mid-job.
-func WithPollInterval(d time.Duration) Option { return func(c *Client) { c.poll = d } }
-
-// WithSSE toggles the Server-Sent-Events transport (default true):
-// when enabled, Do, Watch and WatchJob ask for the job's event stream
-// as the answer to their submission, and subscribe to the advertised
-// GET /v1/jobs/{id}/events when a daemon answers with JSON instead,
-// falling back to polling if the stream is unavailable or disconnects
-// mid-job. When disabled, they submit for JSON and poll. The transport
-// never affects result bytes — an SSE watch and a polling watch of the
-// same job observe equivalent deduplicated event sequences and return
-// identical results.
-func WithSSE(enabled bool) Option { return func(c *Client) { c.sse = enabled } }
-
 // WithRetry sets the transient-failure policy: up to retries extra
 // attempts with exponential backoff starting at base (defaults: 3 and
 // 100ms), capped at 30s and spread by deterministic jitter — see
 // backoffWait. Retried calls are all idempotent — submissions coalesce
-// by content address — so retrying is always safe.
+// by content address — so retrying is always safe. The first backoff
+// step also paces the resubmission that follows an answer ending
+// before its job did (see WatchJob).
 func WithRetry(retries int, base time.Duration) Option {
 	return func(c *Client) { c.retries, c.backoff = retries, base }
 }
@@ -105,10 +88,8 @@ func New(base string, opts ...Option) *Client {
 	c := &Client{
 		base:    strings.TrimRight(base, "/"),
 		hc:      http.DefaultClient,
-		poll:    100 * time.Millisecond,
 		retries: 3,
 		backoff: 100 * time.Millisecond,
-		sse:     true,
 		maxBody: maxResponseBytes,
 	}
 	for _, opt := range opts {
@@ -170,86 +151,96 @@ func (c *Client) Watch(ctx context.Context, req api.Request, onEvent func(api.Ev
 // Job.ID names the job the daemon is running for the request at that
 // moment, the one a caller that abandons the watch would cancel.
 //
-// With the event stream enabled (WithSSE, the default), a job that is
-// not done yet is followed on the submission's own exchange: the
-// daemon answers with the job's event stream, which ends with the
-// result bytes, so a fresh job costs one request. A daemon that
-// answers with JSON instead gets the submission followed as before:
-// its advertised event stream or polling, then GET /v1/results.
+// A job is followed only on what its submission answers: the job's
+// event stream, which ends with the result bytes, when the job is not
+// done yet, so a fresh job costs one request. An answer that does not
+// carry the job to its end (a stream that ends, or sends an oversized
+// event, before its terminal event, or a JSON answer for a job not yet
+// done) is resubmitted after the first backoff step of WithRetry. The
+// resubmission coalesces onto the running job or is answered with its
+// result; such resubmissions are bounded by ctx, and each by its own
+// transport retries. A done job whose answer carried no result bytes
+// costs one GET /v1/results, and a failed or canceled one a status
+// read for its error. A 404 from either read (the daemon forgot the job
+// or its bytes) is resubmitted too, up to WithRetry's retry count.
 func (c *Client) WatchJob(ctx context.Context, req api.Request, onSubmit func(api.SubmitResponse), onEvent func(api.Event)) (api.Result, error) {
 	payload, err := json.Marshal(req)
 	if err != nil {
 		return api.Result{}, err
 	}
-	var last api.Event
-	for resubmits := 0; ; resubmits++ {
+	var last api.Event // the event delivered last; the zero Event before the first
+	for forgotten := 0; ; {
 		var sub api.SubmitResponse
-		es, err := c.exchange(ctx, http.MethodPost, api.BasePath+"/jobs", payload, &sub, c.sse)
+		es, err := c.exchange(ctx, http.MethodPost, api.BasePath+"/jobs", payload, &sub, true)
 		if err != nil {
 			return api.Result{}, err
 		}
 		if onSubmit != nil {
 			onSubmit(sub)
 		}
-		// The first submission's event is always delivered; a
-		// resubmission's continues the one deduplicated sequence.
-		ev := api.Event{State: sub.Job.State, Done: sub.Job.Done, Total: sub.Job.Total}
-		if resubmits == 0 || ev != last {
-			last = ev
-			if onEvent != nil {
-				onEvent(ev)
-			}
-		}
+		emit(api.Event{State: sub.Job.State, Done: sub.Job.Done, Total: sub.Job.Total}, &last, onEvent)
 		res, err := c.follow(ctx, req, sub, es, &last, onEvent)
 		var ae *APIError
-		if resubmits < c.retries && errors.As(err, &ae) && ae.StatusCode == http.StatusNotFound {
+		switch {
+		case errors.Is(err, errUnfinished):
+			select {
+			case <-ctx.Done():
+				return api.Result{}, ctx.Err()
+			case <-time.After(c.backoffWait(1)):
+			}
+			continue
+		case forgotten < c.retries && errors.As(err, &ae) && ae.StatusCode == http.StatusNotFound:
 			// The daemon acknowledged the job and has since forgotten it
 			// or its bytes: its bounded history dropped the finished
 			// job's record, or its bounded store evicted the result.
 			// Submissions are content-addressed, so resubmitting
 			// coalesces onto the same work or recomputes the same bytes.
+			forgotten++
 			continue
 		}
 		return res, err
 	}
 }
 
-// follow watches a submitted job to a terminal state and returns its
-// result. es is the job's event stream when the submission was
-// answered with one, else nil. last is the shared dedup state of the
-// events delivered so far. A 404 *APIError from the job's status or its
-// result means the daemon forgot the job; WatchJob resubmits then.
+// errUnfinished reports an answer to a submission that ended before
+// the job did; WatchJob resubmits then.
+var errUnfinished = errors.New("client: the answer ended before its job did")
+
+// emit delivers ev to onEvent unless it repeats the last event
+// delivered or moves progress backwards, and records it as the last.
+// The one dedup state spans every answer of a watch, so the sequence
+// stays deduplicated and monotone across resubmissions, even against a
+// confused server.
+func emit(ev api.Event, last *api.Event, onEvent func(api.Event)) {
+	if ev == *last || ev.Done < last.Done {
+		return
+	}
+	*last = ev
+	if onEvent != nil {
+		onEvent(ev)
+	}
+}
+
+// follow watches a submitted job to a terminal state on the
+// submission's answer and returns its result. es is the job's event
+// stream when the submission was answered with one, else nil. It
+// returns errUnfinished when the answer ended before the job did. A
+// 404 *APIError from the result fetch or the status read means the
+// daemon forgot the job or its bytes; WatchJob resubmits then.
 func (c *Client) follow(ctx context.Context, req api.Request, sub api.SubmitResponse, es *eventStream, last *api.Event, onEvent func(api.Event)) (api.Result, error) {
 	st, result := sub.Job, sub.Result
-	var err error
-	if es == nil && !st.State.Terminal() && c.sse && sub.Events != "" {
-		// A daemon that answered with JSON but advertises the job's
-		// event stream: subscribe to it.
-		if es, err = c.openEvents(ctx, sub.Events); err != nil {
-			return api.Result{}, err
-		}
-	}
 	if es != nil {
-		// The stream and the poll loop share the dedup state (last), so
-		// a stream that dies mid-job hands over to polling without
-		// breaking the one deduplicated, monotone event sequence.
-		fin, data, streamed, err := c.watchStream(ctx, es, st, last, onEvent)
-		if err != nil {
-			return api.Result{}, err
-		}
-		if streamed {
-			st, result = fin, data
-		}
-	}
-	if !st.State.Terminal() {
-		if st, err = c.await(ctx, st, last, onEvent); err != nil {
+		var err error
+		if st, result, err = c.watchStream(ctx, es, st, last, onEvent); err != nil {
 			return api.Result{}, err
 		}
 	}
-	if st.State != api.JobDone {
+	switch {
+	case !st.State.Terminal():
+		return api.Result{}, errUnfinished
+	case st.State != api.JobDone:
 		return api.Result{}, &JobError{Status: st}
-	}
-	if len(result) > 0 {
+	case len(result) > 0:
 		// A cached submission, or the stream's result event, carries the
 		// stored bytes less their canonical trailing newline.
 		return api.Result{Kind: req.Kind, Key: st.Key, Body: append(result, '\n')}, nil
@@ -259,41 +250,6 @@ func (c *Client) follow(ctx context.Context, req api.Request, sub api.SubmitResp
 		return api.Result{}, err
 	}
 	return api.Result{Kind: req.Kind, Key: st.Key, Body: body}, nil
-}
-
-// await polls the job until it is terminal, emitting deduplicated
-// progress events along the way. last is the shared dedup state — the
-// most recent event already delivered (by the submit response, an SSE
-// stream that died mid-job, or a previous poll).
-func (c *Client) await(ctx context.Context, st api.JobStatus, last *api.Event, onEvent func(api.Event)) (api.JobStatus, error) {
-	// One reused timer for the whole poll loop: time.After allocates a
-	// new timer per tick, which at aggressive WithPollInterval settings
-	// (dispatch pools watch many sub-jobs at once) churns measurable
-	// garbage for no benefit.
-	timer := time.NewTimer(c.poll)
-	defer timer.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return st, ctx.Err()
-		case <-timer.C:
-		}
-		cur, err := c.Status(ctx, st.ID)
-		if err != nil {
-			return st, err
-		}
-		ev := api.Event{State: cur.State, Done: cur.Done, Total: cur.Total}
-		if ev != *last {
-			*last = ev
-			if onEvent != nil {
-				onEvent(ev)
-			}
-		}
-		if cur.State.Terminal() {
-			return cur, nil
-		}
-		timer.Reset(c.poll)
-	}
 }
 
 // Submit posts the request to POST /v1/jobs and returns the daemon's

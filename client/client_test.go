@@ -25,7 +25,7 @@ func newService(t *testing.T, workers int) *client.Client {
 	t.Cleanup(svc.Close)
 	ts := httptest.NewServer(svc.Handler())
 	t.Cleanup(ts.Close)
-	return client.New(ts.URL, client.WithPollInterval(5*time.Millisecond))
+	return client.New(ts.URL)
 }
 
 // identityRequests is the matrix of the client-vs-in-process identity
@@ -174,9 +174,7 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 	}))
 	t.Cleanup(flaky.Close)
 
-	c := client.New(flaky.URL,
-		client.WithPollInterval(5*time.Millisecond),
-		client.WithRetry(4, time.Millisecond))
+	c := client.New(flaky.URL, client.WithRetry(4, time.Millisecond))
 	req := api.Request{Kind: api.KindEstimate, Estimate: &api.EstimateSpec{
 		Graph: api.GraphSpec{Family: "hypercube", N: 5},
 		P:     0.9, Trials: 2, Seed: 6,

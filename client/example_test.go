@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log"
 	"net/http/httptest"
-	"time"
 
 	"faultroute/api"
 	"faultroute/client"
@@ -23,7 +22,7 @@ func ExampleClient() {
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 
-	c := client.New(srv.URL, client.WithPollInterval(5*time.Millisecond))
+	c := client.New(srv.URL)
 	res, err := c.Do(context.Background(), api.Request{
 		Kind: api.KindEstimate,
 		Estimate: &api.EstimateSpec{

@@ -5,7 +5,8 @@ package client_test
 // submit's own event stream, which carries the result, so a fresh Do is
 // one POST too. A daemon that predates the streamed submit, the stream's
 // result event or the inline result still gets the requests it needs:
-// the event stream it advertises, and the result GET.
+// resubmissions until an answer carries the job to its end, and the
+// result GET.
 
 import (
 	"bytes"
@@ -62,9 +63,9 @@ func doLocalBytes(t *testing.T, c *client.Client, req api.Request) {
 }
 
 func TestRepeatedDoIsOneRoundTrip(t *testing.T) {
-	for _, sse := range []bool{true, false} {
-		counts := &transportCounts{}
-		c := newCountingService(t, counts, client.WithSSE(sse))
+	for _, jsonSubmits := range []bool{false, true} {
+		counts := &transportCounts{jsonSubmits: jsonSubmits}
+		c := newCountingService(t, counts)
 		req := inlineFixture(1)
 		doLocalBytes(t, c, req)
 		// The second Do is the body's first duplicate (the engine path),
@@ -73,7 +74,7 @@ func TestRepeatedDoIsOneRoundTrip(t *testing.T) {
 			before := tally(counts)
 			doLocalBytes(t, c, req)
 			if got, want := tally(counts).minus(before), (requestTally{submits: 1}); got != want {
-				t.Errorf("sse=%v, repeat %d: requests %+v, want %+v", sse, i+1, got, want)
+				t.Errorf("jsonSubmits=%v, repeat %d: requests %+v, want %+v", jsonSubmits, i+1, got, want)
 			}
 		}
 	}
@@ -81,38 +82,32 @@ func TestRepeatedDoIsOneRoundTrip(t *testing.T) {
 
 func TestFreshDoOverSSEFetchesNoStatus(t *testing.T) {
 	// The delay keeps the job running after it is submitted, so the
-	// client must follow it on an event stream. The submit's own stream
-	// carries the result, so the Do is one request. A daemon that
-	// answers the submit with JSON and sends no result event, as one
-	// that predates both, gets its advertised stream and the result GET;
-	// a stream without the result event, as after an eviction, gets the
-	// result GET.
+	// client must follow it. The submit's own stream carries the result,
+	// so the Do is one request. A daemon that answers the submit with
+	// JSON, as one that predates the streamed submit, gets resubmissions
+	// until one is answered with the result, and nothing else; a stream
+	// without the result event, as after an eviction, gets the result
+	// GET.
 	for _, tc := range []struct {
 		name        string
 		jsonSubmits bool
 		noResult    bool
-		want        requestTally
+		want        requestTally // its submits are a minimum for a JSON submit
 	}{
 		{"streamed submit", false, false, requestTally{submits: 1}},
-		{"JSON submit, no result event", true, true, requestTally{submits: 1, events: 1, results: 1}},
+		{"JSON submit", true, false, requestTally{submits: 2}},
 		{"streamed submit, no result event", false, true, requestTally{submits: 1, results: 1}},
 	} {
 		counts := &transportCounts{taskDelay: 200 * time.Millisecond, jsonSubmits: tc.jsonSubmits, noResult: tc.noResult}
 		c := newCountingService(t, counts)
 		doLocalBytes(t, c, inlineFixture(2))
-		if got := tally(counts); got != tc.want {
-			t.Errorf("%s: requests %+v, want %+v", tc.name, got, tc.want)
+		got := tally(counts)
+		if tc.jsonSubmits && got.submits > tc.want.submits {
+			got.submits = tc.want.submits // how many resubmissions depends on timing
 		}
-	}
-}
-
-func TestFreshDoByPollingIsUnchanged(t *testing.T) {
-	counts := &transportCounts{taskDelay: 200 * time.Millisecond}
-	c := newCountingService(t, counts, client.WithSSE(false))
-	doLocalBytes(t, c, inlineFixture(3))
-	got := tally(counts)
-	if got.submits != 1 || got.events != 0 || got.results != 1 || got.status < 1 {
-		t.Errorf("fresh Do by polling: requests %+v, want 1 submit, no stream, status polls, 1 result fetch", got)
+		if got != tc.want {
+			t.Errorf("%s: requests %+v, want %+v", tc.name, tally(counts), tc.want)
+		}
 	}
 }
 
@@ -146,7 +141,7 @@ func TestDoWithoutInlineResultFetchesIt(t *testing.T) {
 	counts := &transportCounts{next: withoutResult{svc.Handler()}}
 	ts := httptest.NewServer(counts)
 	t.Cleanup(ts.Close)
-	c := client.New(ts.URL, client.WithPollInterval(2*time.Millisecond))
+	c := client.New(ts.URL)
 	req := inlineFixture(4)
 	doLocalBytes(t, c, req)
 	before := tally(counts)

@@ -2,8 +2,8 @@ package client
 
 // Tests of the client's read bounds: a response body past the client's
 // bound is an error, an event stream that sends an oversized event is
-// dropped for polling, and the bound stays above the largest result an
-// accepted request can produce.
+// hung up on and resubmitted, and the bound stays above the largest
+// result an accepted request can produce.
 
 import (
 	"context"
@@ -74,33 +74,31 @@ func TestResponseBodyCap(t *testing.T) {
 	}
 }
 
-// TestOversizedEventFallsBackToPolling serves a job whose event stream
-// sends one event of 1 MiB of data lines that never ends. The client
-// must hang up on the stream and finish the job by polling.
-func TestOversizedEventFallsBackToPolling(t *testing.T) {
-	var polls atomic.Int64
+// TestOversizedEventResubmits answers the first submit with the job's
+// event stream, whose one event after submitted is 1 MiB of data lines
+// that never ends, and the second with the result. The client must
+// hang up on the stream and resubmit.
+func TestOversizedEventResubmits(t *testing.T) {
+	var submits, others atomic.Int64
 	hungUp := make(chan struct{})
 	stop := make(chan struct{})
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case api.BasePath + "/jobs":
-			fmt.Fprint(w, `{"job":{"id":"j1","key":"k1","state":"running","total":1},"events":"/v1/jobs/j1/events"}`)
-		case api.BasePath + "/jobs/j1/events":
+		switch {
+		case r.URL.Path != api.BasePath+"/jobs":
+			others.Add(1)
+			http.NotFound(w, r)
+		case submits.Add(1) == 1:
 			w.Header().Set("Content-Type", "text/event-stream")
+			fmt.Fprint(w, "event: submitted\ndata: {\"job\":{\"id\":\"j1\",\"key\":\"k1\",\"state\":\"running\",\"total\":1}}\n\n")
 			streamPast(w, r, 1<<20, "data: "+strings.Repeat("x", 1000)+"\n", stop)
 			close(hungUp)
-		case api.BasePath + "/jobs/j1":
-			polls.Add(1)
-			fmt.Fprint(w, `{"id":"j1","key":"k1","state":"done","done":1,"total":1}`)
-		case api.BasePath + "/results/k1":
-			fmt.Fprint(w, "{\"ok\":true}\n")
 		default:
-			http.NotFound(w, r)
+			fmt.Fprint(w, `{"job":{"id":"j1","key":"k1","state":"done","done":1,"total":1},"cached":true,"result":{"ok":true}}`)
 		}
 	}))
 	defer ts.Close()
 	defer close(stop)
-	c := New(ts.URL, WithPollInterval(time.Millisecond))
+	c := New(ts.URL, WithRetry(3, time.Millisecond))
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -108,8 +106,8 @@ func TestOversizedEventFallsBackToPolling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(res.Body) != "{\"ok\":true}\n" || polls.Load() == 0 {
-		t.Fatalf("body %q after %d polls, want the result after polling", res.Body, polls.Load())
+	if string(res.Body) != "{\"ok\":true}\n" || submits.Load() != 2 || others.Load() != 0 {
+		t.Fatalf("body %q after %d submits and %d other requests, want the result from the second submit alone", res.Body, submits.Load(), others.Load())
 	}
 	select {
 	case <-hungUp:

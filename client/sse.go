@@ -1,17 +1,15 @@
 package client
 
 // The Server-Sent-Events transport. Do and Watch submit with Accept:
-// text/event-stream, and a daemon that supports it answers a job that
-// is not done yet with the job's event stream: a "submitted" event
-// carrying the SubmitResponse, the job's "progress" events, and after
-// a terminal done a "result" event carrying the result bytes. A fresh
-// job thus costs one exchange. Against a daemon that answers JSON, the
-// client subscribes to the advertised GET /v1/jobs/{id}/events stream
-// instead. The stream is purely a transport: it delivers the same
-// deduplicated, monotone api.Event sequence polling would, and any
-// stream failure (refused connection, old daemon, mid-stream
-// disconnect) falls back to the poll loop, which resumes the same
-// event sequence from the shared dedup state.
+// text/event-stream, and a daemon answers a job that is not done yet
+// with the job's event stream: a "submitted" event carrying the
+// SubmitResponse, the job's "progress" events, and after a terminal
+// done a "result" event carrying the result bytes. A fresh job thus
+// costs one exchange. The stream is purely a transport: it delivers the
+// job's deduplicated, monotone api.Event sequence, and a stream that
+// ends before its terminal event (a daemon restart, a broken proxy, an
+// oversized event) is followed by a resubmission, which continues the
+// same event sequence from the shared dedup state.
 
 import (
 	"bufio"
@@ -34,8 +32,8 @@ const eventStreamType = "text/event-stream"
 // maxEventBytes caps the data of one server-sent event other than
 // result. An api.Event encodes in under 100 bytes and a SubmitResponse
 // in a few hundred; a stream that sends more without the blank line
-// that ends an event is broken or hostile, and the client polls
-// instead. A result event's data is capped by the client's response
+// that ends an event is broken or hostile, and the client hangs up and
+// resubmits. A result event's data is capped by the client's response
 // body bound instead, the bound a GET /v1/results body has.
 const maxEventBytes = 64 << 10
 
@@ -169,42 +167,17 @@ func (es *eventStream) submitted(sub any) error {
 	return nil
 }
 
-// openEvents subscribes to the job's event stream at path. It returns
-// nil when the caller should poll instead: the stream was refused or
-// is not an event stream. An error is final: the caller's context
-// ended.
-func (c *Client) openEvents(ctx context.Context, path string) (*eventStream, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-	if err != nil {
-		return nil, nil
-	}
-	req.Header.Set("Accept", eventStreamType)
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, nil // refused: poll instead
-	}
-	if !isEventStream(resp) {
-		resp.Body.Close()
-		return nil, nil // not a stream (404, proxy, old daemon)
-	}
-	return c.newEventStream(resp.Body), nil
-}
-
 // watchStream consumes a job's event stream to its terminal event,
 // delivering deduplicated events to onEvent, and closes it; st is the
-// job's status from its submission. It returns streamed=false when the
-// caller should poll instead: the stream died, or sent an oversized
-// event, before the terminal one. For a done job, result holds the
-// data of the stream's result event, the result bytes less their
-// canonical newline, or is nil when the stream carried none (a daemon
-// that predates it, or whose store has evicted the bytes) or carried
-// bytes that are not JSON. A non-nil error is final (the caller's
-// context ended, or the job failed or was canceled but its status
-// could not be fetched).
-func (c *Client) watchStream(ctx context.Context, es *eventStream, st api.JobStatus, last *api.Event, onEvent func(api.Event)) (fin api.JobStatus, result []byte, streamed bool, err error) {
+// job's status from its submission. It returns st unchanged when the
+// stream died, or sent an oversized event, before the terminal one. For
+// a done job, result holds the data of the stream's result event, the
+// result bytes less their canonical newline, or is nil when the stream
+// carried none (a daemon that predates it, or whose store has evicted
+// the bytes) or carried bytes that are not JSON. A non-nil error is
+// final (the caller's context ended, or the job failed or was canceled
+// but its status could not be fetched).
+func (c *Client) watchStream(ctx context.Context, es *eventStream, st api.JobStatus, last *api.Event, onEvent func(api.Event)) (fin api.JobStatus, result []byte, err error) {
 	var final api.JobState // the terminal event's state, once one arrives
 	for final == "" {
 		name, data, err := es.next()
@@ -218,27 +191,16 @@ func (c *Client) watchStream(ctx context.Context, es *eventStream, st api.JobSta
 		if json.Unmarshal(data, &ev) != nil {
 			continue
 		}
-		// Dedup against the shared state; the Done guard keeps the
-		// sequence monotone even against a confused server.
-		if ev != *last && ev.Done >= last.Done {
-			*last = ev
-			if onEvent != nil {
-				onEvent(ev)
-			}
-		}
+		emit(ev, last, onEvent)
 		if ev.State.Terminal() {
 			final = ev.State
 		}
 	}
 	if final == "" {
-		// Disconnected mid-job (daemon restart, broken proxy, read
-		// error) or sent an oversized event: hand the job back to the
-		// poll loop unless the caller itself is done.
+		// Disconnected mid-job or sent an oversized event: the caller
+		// resubmits unless it is done itself.
 		es.body.Close()
-		if ctx.Err() != nil {
-			return api.JobStatus{}, nil, false, ctx.Err()
-		}
-		return api.JobStatus{}, nil, false, nil
+		return st, nil, ctx.Err()
 	}
 	if final == api.JobDone {
 		if name, data, err := es.next(); err == nil && name == "result" && json.Valid(data) {
@@ -247,14 +209,13 @@ func (c *Client) watchStream(ctx context.Context, es *eventStream, st api.JobSta
 		}
 		es.finish()
 		st.State = final
-		return st, result, true, nil
+		return st, result, nil
 	}
 	es.finish()
 	// The stream only carries progress counters; a failed or canceled
 	// job's error message comes from its status.
-	fin, err = c.Status(ctx, st.ID)
-	if err != nil {
-		return api.JobStatus{}, nil, false, err
+	if fin, err = c.Status(ctx, st.ID); err != nil {
+		return api.JobStatus{}, nil, err
 	}
-	return fin, nil, true, nil
+	return fin, nil, nil
 }

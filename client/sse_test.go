@@ -1,10 +1,10 @@
 package client_test
 
 // Transport tests for the Server-Sent-Events progress stream: the
-// submit's own stream and polling must deliver equivalent deduplicated,
-// monotone event sequences and byte-identical results, and a stream
-// that dies mid-job must hand over to the poll loop without breaking
-// either guarantee.
+// submit's own stream and a JSON-answered submit, followed by
+// resubmitting, must deliver equivalent deduplicated, monotone event
+// sequences and byte-identical results, and a stream that dies mid-job
+// must be followed by resubmissions without breaking either guarantee.
 
 import (
 	"bytes"
@@ -17,14 +17,15 @@ import (
 	"testing"
 	"time"
 
+	"faultroute"
 	"faultroute/api"
 	"faultroute/client"
 	"faultroute/serve"
 )
 
 // watchDelay is the task delay of the watch tests' services: it keeps
-// watchFixture running after several polls even when the host is busy
-// and its timers fire late.
+// watchFixture running past its first submission even when the host is
+// busy and its timers fire late.
 const watchDelay = 100 * time.Millisecond
 
 // watchFixture is a job of many trials, so a watcher sees its progress
@@ -37,20 +38,21 @@ func watchFixture() api.Request {
 }
 
 // transportCounts wraps a service handler and tallies the requests the
-// client made, by route: which progress transport it used, and how
-// many submissions and result fetches it needed.
+// client made, by route: how many submissions and result fetches it
+// needed, and whether it read a job's status or subscribed to its
+// events.
 type transportCounts struct {
 	next    http.Handler
-	srvURL  string
 	submits atomic.Int64 // POST /v1/jobs
 	events  atomic.Int64 // GET /v1/jobs/{id}/events subscriptions
-	status  atomic.Int64 // GET /v1/jobs/{id} polls
+	status  atomic.Int64 // GET /v1/jobs/{id} reads
 	results atomic.Int64 // GET /v1/results/{key} fetches
 	// aborter, when set, wraps the response writer of every submit.
 	aborter func(w http.ResponseWriter) http.ResponseWriter
 	// jsonSubmits answers every submit with JSON, as a daemon that
-	// predates the streamed submit does: the request's Accept header is
-	// dropped before the service sees it.
+	// predates the streamed submit, or a front end that drops Accept,
+	// does: the request's Accept header is dropped before the service
+	// sees it.
 	jsonSubmits bool
 	// noResult drops the result event from every event stream, as from
 	// a daemon that predates it or whose store has evicted the bytes.
@@ -136,8 +138,7 @@ func newCountingService(t *testing.T, counts *transportCounts, opts ...client.Op
 	counts.next = svc.Handler()
 	ts := httptest.NewServer(counts)
 	t.Cleanup(ts.Close)
-	counts.srvURL = ts.URL
-	return client.New(ts.URL, append([]client.Option{client.WithPollInterval(2 * time.Millisecond)}, opts...)...)
+	return client.New(ts.URL, opts...)
 }
 
 // collectWatch runs Watch and returns the result plus the observed
@@ -177,81 +178,84 @@ func checkSequence(t *testing.T, transport string, events []api.Event) {
 	}
 }
 
-func TestWatchSSEMatchesPolling(t *testing.T) {
-	// Two independent services so both watches observe a live job, one
-	// client per transport: the stream the submit answers with, and
-	// polling. The sequences are sampled at different instants so their
-	// intermediate lengths may differ, but both obey the same
-	// dedup/monotonicity contract, agree on the terminal event, and
-	// return byte-identical results.
+func TestWatchStreamMatchesJSONSubmit(t *testing.T) {
+	// Two independent services so both watches observe a live job: one
+	// answers the submit with the job's stream, the other with JSON, as
+	// a daemon that predates the streamed submit does, so its client
+	// reaches the result by resubmitting. The sequences are sampled at
+	// different instants so their intermediate lengths may differ, but
+	// both obey the same dedup/monotonicity contract, agree on the
+	// terminal event, and return byte-identical results.
 	req := watchFixture()
 
-	sseCounts := &transportCounts{taskDelay: watchDelay}
-	sseClient := newCountingService(t, sseCounts)
-	sseRes, sseEvents := collectWatch(t, sseClient, req)
+	streamCounts := &transportCounts{taskDelay: watchDelay}
+	streamRes, streamEvents := collectWatch(t, newCountingService(t, streamCounts), req)
 
-	pollCounts := &transportCounts{taskDelay: watchDelay}
-	pollClient := newCountingService(t, pollCounts, client.WithSSE(false))
-	pollRes, pollEvents := collectWatch(t, pollClient, req)
+	jsonCounts := &transportCounts{taskDelay: watchDelay, jsonSubmits: true}
+	jsonRes, jsonEvents := collectWatch(t, newCountingService(t, jsonCounts), req)
 
-	checkSequence(t, "sse", sseEvents)
-	checkSequence(t, "polling", pollEvents)
+	checkSequence(t, "stream", streamEvents)
+	checkSequence(t, "JSON", jsonEvents)
 
-	if sseRes.Key != pollRes.Key {
-		t.Fatalf("keys differ: sse %s vs polling %s", sseRes.Key, pollRes.Key)
+	if streamRes.Key != jsonRes.Key {
+		t.Fatalf("keys differ: stream %s vs JSON %s", streamRes.Key, jsonRes.Key)
 	}
-	if !bytes.Equal(sseRes.Body, pollRes.Body) {
-		t.Fatalf("result bytes differ between transports:\nsse:     %s\npolling: %s", sseRes.Body, pollRes.Body)
+	if !bytes.Equal(streamRes.Body, jsonRes.Body) {
+		t.Fatalf("result bytes differ between transports:\nstream: %s\nJSON:   %s", streamRes.Body, jsonRes.Body)
 	}
-	if fin, want := sseEvents[len(sseEvents)-1], pollEvents[len(pollEvents)-1]; fin != want {
-		t.Fatalf("terminal events differ: sse %+v vs polling %+v", fin, want)
+	if fin, want := streamEvents[len(streamEvents)-1], jsonEvents[len(jsonEvents)-1]; fin != want {
+		t.Fatalf("terminal events differ: stream %+v vs JSON %+v", fin, want)
 	}
 
-	// Pin which transport ran. The SSE client's whole watch was its
-	// submit: the stream that answered it ended on done and carried the
-	// result, leaving nothing for another request to add. The polling
-	// client never touched a stream.
-	if got, want := tally(sseCounts), (requestTally{submits: 1}); got != want {
-		t.Errorf("sse client: requests %+v, want %+v", got, want)
+	// Pin which transport ran. The streamed watch was its submit: the
+	// stream that answered it ended on done and carried the result,
+	// leaving nothing for another request to add. The JSON-answered
+	// watch resubmitted until an answer carried the result, and read
+	// nothing else.
+	if got, want := tally(streamCounts), (requestTally{submits: 1}); got != want {
+		t.Errorf("streamed watch: requests %+v, want %+v", got, want)
 	}
-	if got := pollCounts.events.Load(); got != 0 {
-		t.Errorf("polling client opened %d event streams, want 0", got)
-	}
-	if got := pollCounts.status.Load(); got < 2 {
-		t.Errorf("polling client polled status %d times, want at least 2", got)
+	if got := tally(jsonCounts); got.submits < 2 || got.events+got.status+got.results != 0 {
+		t.Errorf("JSON-answered watch: requests %+v, want at least 2 submits and nothing else", got)
 	}
 }
 
 func TestWatchCachedJobSameSequenceOnBothTransports(t *testing.T) {
 	// For an already-cached job neither transport has anything to
-	// stream: the submit response is terminal, so SSE and polling
-	// watchers deliver the literally identical one-event sequence.
+	// stream: the submit response is terminal and carries the result,
+	// so a streamed and a JSON-answered watcher deliver the literally
+	// identical one-event sequence, on one submit each.
 	counts := &transportCounts{}
-	sseClient := newCountingService(t, counts, client.WithRetry(0, time.Millisecond))
+	streamClient := newCountingService(t, counts, client.WithRetry(0, time.Millisecond))
 	req := api.Request{Kind: api.KindEstimate, Estimate: &api.EstimateSpec{
 		Graph: api.GraphSpec{Family: "hypercube", N: 6},
 		P:     0.7, Trials: 8, Seed: 5,
 	}}
-	if _, err := sseClient.Do(context.Background(), req); err != nil {
+	if _, err := streamClient.Do(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
 	// The warm run itself may have streamed; only the cached watches
-	// below must not.
-	streamsAfterWarm := counts.events.Load()
+	// below are counted.
+	before := tally(counts)
+	_, streamEvents := collectWatch(t, streamClient, req)
 
-	_, sseEvents := collectWatch(t, sseClient, req)
-	// A second client against the same warm service, polling transport.
-	pollClient := client.New(counts.srvURL, client.WithSSE(false), client.WithPollInterval(time.Millisecond))
-	_, pollEvents := collectWatch(t, pollClient, req)
+	// A second client against the same warm service, its submits
+	// answered with JSON.
+	jsonCounts := &transportCounts{next: counts.next, jsonSubmits: true}
+	ts := httptest.NewServer(jsonCounts)
+	t.Cleanup(ts.Close)
+	_, jsonEvents := collectWatch(t, client.New(ts.URL), req)
 
 	want := []api.Event{{State: api.JobDone, Done: 8, Total: 8}}
-	for transport, got := range map[string][]api.Event{"sse": sseEvents, "polling": pollEvents} {
+	for transport, got := range map[string][]api.Event{"stream": streamEvents, "JSON": jsonEvents} {
 		if len(got) != len(want) || got[0] != want[0] {
 			t.Errorf("%s: cached watch events = %+v, want %+v", transport, got, want)
 		}
 	}
-	if got := counts.events.Load() - streamsAfterWarm; got != 0 {
-		t.Errorf("cached watches opened %d event streams, want 0", got)
+	for transport, got := range map[string]requestTally{"stream": tally(counts).minus(before), "JSON": tally(jsonCounts)} {
+		if want := (requestTally{submits: 1}); got != want {
+			t.Errorf("%s: cached watch requests %+v, want %+v", transport, got, want)
+		}
 	}
 }
 
@@ -274,36 +278,34 @@ func (w *abortWriter) Write(b []byte) (int, error) {
 
 func (w *abortWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
-func TestWatchSSEDisconnectFallsBackToPolling(t *testing.T) {
-	// The submit's stream dies after its submitted event and one
-	// progress frame; Watch must hand the job to the poll loop, keep the
-	// shared sequence deduplicated and monotone across the transition,
-	// and still return the result.
+func TestWatchStreamDisconnectResubmits(t *testing.T) {
+	// Every submit's stream dies after its submitted event and one
+	// progress frame. Watch must resubmit, each resubmission coalescing
+	// onto the running job, until an answer carries the job to its end:
+	// after the job is done, the resubmission is answered with its
+	// result. The one event sequence stays deduplicated and monotone
+	// across the resubmissions, and the bytes are Local's. The client
+	// has no retries: a resubmission after a cut stream spends none.
 	counts := &transportCounts{
 		aborter: func(w http.ResponseWriter) http.ResponseWriter {
 			return &abortWriter{ResponseWriter: w, remaining: 2}
 		},
 		taskDelay: watchDelay,
 	}
-	c := newCountingService(t, counts)
-	// A longer job than watchFixture: it must outlive the aborted
-	// stream by enough polls to pin the fallback, even on hosts with
-	// coarse (~20ms) timer granularity.
+	c := newCountingService(t, counts, client.WithRetry(0, 20*time.Millisecond))
 	req := watchFixture()
 	req.Estimate.Trials = 1024
+	want, err := faultroute.NewLocal().Do(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, events := collectWatch(t, c, req)
 
-	checkSequence(t, "sse-then-polling", events)
-	if len(res.Body) == 0 {
-		t.Fatal("empty result body after fallback")
+	checkSequence(t, "stream-then-resubmits", events)
+	if res.Key != want.Key || !bytes.Equal(res.Body, want.Body) {
+		t.Fatalf("Watch returned other bytes than Local:\n got %s %s\nwant %s %s", res.Key, res.Body, want.Key, want.Body)
 	}
-	if got := counts.submits.Load(); got != 1 {
-		t.Errorf("client submitted %d times, want 1", got)
-	}
-	if got := counts.events.Load(); got != 0 {
-		t.Errorf("client opened %d event streams after the disconnect, want 0 (no reconnect, straight to polling)", got)
-	}
-	if got := counts.status.Load(); got < 2 {
-		t.Errorf("client polled status %d times after the disconnect, want at least 2", got)
+	if got := tally(counts); got.submits < 2 || got.events+got.status+got.results != 0 {
+		t.Errorf("requests %+v, want at least 2 submits and no status, event-stream or result request", got)
 	}
 }

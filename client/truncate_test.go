@@ -18,12 +18,12 @@ import (
 )
 
 // truncatingTransport cuts the 200 bodies that can carry a result —
-// GET /v1/results/{key}, a POST /v1/jobs answered cached or with the
-// job's event stream, and GET /v1/jobs/{id}/events — and drops their
-// Content-Length, so the cut reads as a clean end of body: the shape of
-// a connection dropped mid-body on a close-delimited response. A JSON
-// body is cut in half, and an event stream in the middle of its result
-// event. cuts is how many such bodies it still cuts.
+// GET /v1/results/{key}, and a POST /v1/jobs answered cached or with the
+// job's event stream — and drops their Content-Length, so the cut reads
+// as a clean end of body: the shape of a connection dropped mid-body on
+// a close-delimited response. A JSON body is cut in half, and an event
+// stream in the middle of its result event. cuts is how many such
+// bodies it still cuts.
 type truncatingTransport struct {
 	cuts atomic.Int64
 }
@@ -31,8 +31,7 @@ type truncatingTransport struct {
 func (tt *truncatingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 	resp, err := http.DefaultTransport.RoundTrip(r)
 	carriesResult := r.Method == http.MethodPost && r.URL.Path == api.BasePath+"/jobs" ||
-		r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, api.BasePath+"/results/") ||
-		r.Method == http.MethodGet && strings.HasSuffix(r.URL.Path, "/events")
+		r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, api.BasePath+"/results/")
 	if err != nil || resp.StatusCode != http.StatusOK || !carriesResult || tt.cuts.Add(-1) < 0 {
 		return resp, err
 	}
@@ -67,7 +66,6 @@ func TestClientRejectsTruncatedResultBody(t *testing.T) {
 		tt := &truncatingTransport{}
 		tt.cuts.Store(n)
 		return client.New(ts.URL,
-			client.WithPollInterval(2*time.Millisecond),
 			client.WithRetry(1, time.Millisecond),
 			client.WithHTTPClient(&http.Client{Transport: tt}))
 	}

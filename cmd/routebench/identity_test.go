@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"testing"
-	"time"
 
 	"faultroute"
 	"faultroute/api"
@@ -63,7 +62,7 @@ func TestJSONOutputByteIdenticalAcrossAllThreeEntryPoints(t *testing.T) {
 	t.Cleanup(svc.Close)
 	ts := httptest.NewServer(svc.Handler())
 	t.Cleanup(ts.Close)
-	viaClient, err := client.New(ts.URL, client.WithPollInterval(5*time.Millisecond)).
+	viaClient, err := client.New(ts.URL).
 		Do(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)

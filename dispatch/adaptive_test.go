@@ -85,10 +85,10 @@ func TestPoolHedgingByteIdenticalToLocal(t *testing.T) {
 func TestPoolHedgeLoserCancelNamesItsLatestJob(t *testing.T) {
 	// The slow owner forgets the first job it acknowledges: its first
 	// submit is answered with a job ID its engine never issued, and the
-	// stream ends there, so the watch polls that ID, gets a 404 and
-	// resubmits. The resubmission is the job the owner actually runs,
-	// and the hedge on the successor beats it: the DELETE that cancels
-	// the losing attempt must name that job, not the forgotten one.
+	// stream ends there, so the watch resubmits. The resubmission is the
+	// job the owner actually runs, and the hedge on the successor beats
+	// it: the DELETE that cancels the losing attempt must name that job,
+	// not the forgotten one.
 	req := estimateReq(8) // one whole sub-job
 	srvs, urls := reserve(t, 2)
 	owner := ownerOf(t, urls, req)

@@ -116,11 +116,9 @@ var (
 // Do/Watch/DoBatch calls share the in-flight sub-job bound. The
 // backend set is fixed unless WithResolver makes membership live.
 type Pool struct {
-	members *memberSet
-	hedge   hedger
-	sem     chan struct{} // bounds in-flight sub-jobs, pool-wide
-
-	attempts int // 0 = dynamic: current member count + 1
+	members  *memberSet
+	hedge    hedger
+	sem      chan struct{} // bounds in-flight sub-jobs, pool-wide
 	cooldown time.Duration
 
 	stats poolStats
@@ -168,17 +166,15 @@ func (p *Pool) Stats() PoolStats {
 type Option func(*settings)
 
 type settings struct {
-	clientOpts  []client.Option
-	resolver    func() []string
-	maxInFlight int
-	attempts    int
-	cooldown    time.Duration
-	hedging     bool
-	hedgeAfter  time.Duration
+	clientOpts []client.Option
+	resolver   func() []string
+	cooldown   time.Duration
+	hedging    bool
+	hedgeAfter time.Duration
 }
 
-// WithClientOptions forwards options (poll interval, retry policy, HTTP
-// client) to every per-backend client the Pool constructs.
+// WithClientOptions forwards options (retry policy, HTTP client) to
+// every per-backend client the Pool constructs.
 func WithClientOptions(opts ...client.Option) Option {
 	return func(s *settings) { s.clientOpts = append(s.clientOpts, opts...) }
 }
@@ -195,20 +191,6 @@ func WithClientOptions(opts ...client.Option) Option {
 func WithResolver(resolve func() []string) Option {
 	return func(s *settings) { s.resolver = resolve }
 }
-
-// WithMaxInFlight bounds how many sub-jobs the Pool keeps outstanding
-// across all concurrent calls (<= 0 restores the default of four per
-// initially configured backend). The bound is what keeps a huge
-// estimate from flooding every backend's submission queue at once.
-func WithMaxInFlight(n int) Option { return func(s *settings) { s.maxInFlight = n } }
-
-// WithAttempts sets how many backends a failing sub-job is tried on
-// before the request fails (<= 0 restores the default: the current
-// member count plus one, so a single dead backend can never fail a
-// request). Only transient failures — network errors, 5xx responses,
-// remote cancellation — consume attempts; a deterministic job failure
-// is final immediately, because it would fail identically everywhere.
-func WithAttempts(n int) Option { return func(s *settings) { s.attempts = n } }
 
 // WithCooldown sets how long a backend that failed a sub-job is passed
 // over by placement (default 15s; it is still used as a last resort
@@ -241,6 +223,12 @@ func WithHedgeAfter(d time.Duration) Option { return func(s *settings) { s.hedge
 // are treated as stragglers.
 const hedgeFactor = 2.0
 
+// inFlightPerBackend bounds the sub-jobs a Pool keeps outstanding
+// across all concurrent calls, per backend it starts with: the bound is
+// what keeps a huge estimate from flooding every backend's submission
+// queue at once.
+const inFlightPerBackend = 4
+
 // ParseBackends splits a comma-separated backend list — the form the
 // CLIs' -backends flag takes — into base URLs, trimming whitespace and
 // dropping empty entries.
@@ -255,10 +243,11 @@ func ParseBackends(s string) []string {
 }
 
 // New returns a Pool over the given faultrouted base URLs, e.g.
-// []string{"http://host-a:8080", "http://host-b:8080"}. With
-// WithResolver, targets may be empty — the resolver provides the
-// initial set (and every later one). New performs no I/O beyond that
-// initial resolution; use Health to probe the backends.
+// []string{"http://host-a:8080", "http://host-b:8080"}; a URL listed
+// twice is one backend. With WithResolver, targets may be empty — the
+// resolver provides the initial set (and every later one). New performs
+// no I/O beyond that initial resolution; use Health to probe the
+// backends.
 func New(targets []string, opts ...Option) (*Pool, error) {
 	s := settings{cooldown: 15 * time.Second, hedging: true}
 	for _, opt := range opts {
@@ -270,17 +259,14 @@ func New(targets []string, opts ...Option) (*Pool, error) {
 	if len(targets) == 0 {
 		return nil, errors.New("dispatch: no backends configured")
 	}
-	if s.maxInFlight <= 0 {
-		s.maxInFlight = 4 * len(targets)
-	}
 	if s.hedgeAfter <= 0 {
 		s.hedgeAfter = 400 * time.Millisecond
 	}
+	members := newMemberSet(targets, s.resolver, s.clientOpts)
 	return &Pool{
-		members:  newMemberSet(targets, s.resolver, s.clientOpts),
+		members:  members,
 		hedge:    hedger{enabled: s.hedging, floor: s.hedgeAfter, factor: hedgeFactor},
-		sem:      make(chan struct{}, s.maxInFlight),
-		attempts: s.attempts,
+		sem:      make(chan struct{}, inFlightPerBackend*len(members.members)),
 		cooldown: s.cooldown,
 	}, nil
 }
@@ -571,13 +557,18 @@ const storedReadTimeout = 250 * time.Millisecond
 // returns the first result that passes check: it answers from a stored
 // result at the owner or its successor when there is one, and otherwise
 // submits down the sub-job's placement order, hedging stragglers and
-// failing over on transient errors. A body check rejects is a miss at
-// the stored read and a transient failure of its attempt. check runs on
-// the caller's goroutine, one body at a time, so it may keep what it
-// decodes. slot identifies the sub-job to the progress aggregator. The
-// call holds one in-flight token for its whole duration (read, submit,
-// poll, fetch, retries, hedges — a hedge races under its primary's
-// token rather than consuming one).
+// failing over on transient errors. A sub-job is tried on up to one
+// more backend than its placement order holds, so a single dead backend
+// can never fail a request. Only transient failures (network errors,
+// 5xx responses, remote cancellation) move it on; a deterministic job
+// failure is final at once, because it would fail identically
+// everywhere. A body check rejects is a miss at the stored read and a
+// transient failure of its attempt. check runs on the caller's
+// goroutine, one body at a time, so it may keep what it decodes. slot
+// identifies the sub-job to the progress aggregator. The call holds one
+// in-flight token for its whole duration (read, submit, watch, fetch,
+// retries, hedges — a hedge races under its primary's token rather than
+// consuming one).
 func (p *Pool) dispatch(ctx context.Context, plan *api.Plan, order []*member, slot int, agg *aggregator, check func(api.Result) error) (api.Result, error) {
 	req := plan.Request
 	select {
@@ -592,10 +583,7 @@ func (p *Pool) dispatch(ctx context.Context, plan *api.Plan, order []*member, sl
 		return res, nil
 	}
 
-	attempts := p.attempts
-	if attempts <= 0 {
-		attempts = len(order) + 1
-	}
+	attempts := len(order) + 1
 	var lastErr error
 	tried := make(map[*member]bool, attempts)
 	for attempt := 0; attempt < attempts; attempt++ {

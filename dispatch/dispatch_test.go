@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -51,13 +52,11 @@ func startOn(t *testing.T, srv *httptest.Server, delay time.Duration, wrap func(
 	return b
 }
 
-// fastOpts keeps test dispatches snappy: tight polling, minimal backoff.
+// fastOpts keeps test dispatches snappy: minimal backoff, which also
+// paces a client's resubmission of a job whose answer ended early.
 func fastOpts(extra ...dispatch.Option) []dispatch.Option {
 	return append([]dispatch.Option{
-		dispatch.WithClientOptions(
-			client.WithPollInterval(2*time.Millisecond),
-			client.WithRetry(1, time.Millisecond),
-		),
+		dispatch.WithClientOptions(client.WithRetry(1, time.Millisecond)),
 		dispatch.WithCooldown(time.Minute),
 	}, extra...)
 }
@@ -87,6 +86,49 @@ func estimateReq(trials int) api.Request {
 func TestNewRejectsEmptyBackendList(t *testing.T) {
 	if _, err := dispatch.New(nil); err == nil {
 		t.Fatal("New accepted an empty backend list")
+	}
+}
+
+func TestNewDropsDuplicateBackends(t *testing.T) {
+	// A URL listed twice is one backend. Kept twice, it would be its own
+	// successor: a stored-read miss would ask it twice, and a straggler
+	// could be hedged onto the daemon already running it. Construction
+	// is not membership churn, so it counts no join.
+	var results, submits atomic.Int64
+	b := newBackend(t, func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			switch {
+			case r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, api.BasePath+"/results/"):
+				results.Add(1)
+			case r.Method == http.MethodPost:
+				submits.Add(1)
+			}
+			next.ServeHTTP(w, r)
+		})
+	})
+	const joined = "faultroute_dispatch_members_joined_total"
+	before := scrapeCounter(t, b.srv.URL, joined)
+	pool := newPool(t, dispatch.ParseBackends(b.srv.URL+", "+b.srv.URL))
+	if got := pool.Backends(); len(got) != 1 || got[0] != b.srv.URL {
+		t.Fatalf("Backends() = %v, want [%s]", got, b.srv.URL)
+	}
+	if n := scrapeCounter(t, b.srv.URL, joined) - before; n != 0 {
+		t.Fatalf("New counted %v joins", n)
+	}
+	req := estimateReq(8) // one whole sub-job
+	want, err := faultroute.NewLocal().Do(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := pool.Do(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Body, want.Body) {
+		t.Fatalf("pool bytes differ from local:\n got %s\nwant %s", got.Body, want.Body)
+	}
+	if results.Load() != 1 || submits.Load() != 1 {
+		t.Fatalf("a fresh sub-job cost %d stored reads and %d submits, want 1 each", results.Load(), submits.Load())
 	}
 }
 
@@ -247,7 +289,7 @@ func TestPoolFailoverExperimentWholeJob(t *testing.T) {
 	// dies after accepting the job loses it to the survivor. The dying
 	// backend is the one that owns the experiment's key, so the Pool
 	// reads from it and submits to it first; it dies mid-stream, after
-	// acknowledging the job, and the status polls that follow fail.
+	// acknowledging the job, and the resubmissions that follow fail.
 	req := api.Request{
 		Kind:       api.KindExperiment,
 		Experiment: &api.ExperimentSpec{ID: "E1", Seed: 1, Scale: "quick"},

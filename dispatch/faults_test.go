@@ -46,10 +46,9 @@ const (
 // fault for each request, and the delay a delayed request waits, from
 // its method, path and occurrence count alone, never from a clock or a
 // shared random stream. truncated applies to the responses that can
-// carry a result: GET /v1/results, a 200 POST /v1/jobs (a cached submit
-// carries its bytes inline, a streamed one in its result event) and GET
-// /v1/jobs/{id}/events; swapped applies only to GET /v1/results.
-// Anywhere else they pass.
+// carry a result: GET /v1/results and a 200 POST /v1/jobs (a cached
+// submit carries its bytes inline, a streamed one in its result event);
+// swapped applies only to GET /v1/results. Anywhere else they pass.
 type faultyTransport struct {
 	schedule func(id string, n int) (fault, time.Duration)
 	foreign  map[string][]byte // stored bodies by key, the swapped answers
@@ -73,7 +72,6 @@ func (f *faultyTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 	key, isResult := strings.CutPrefix(r.URL.Path, api.BasePath+"/results/")
 	isResult = isResult && r.Method == http.MethodGet
 	isSubmit := r.Method == http.MethodPost && r.URL.Path == api.BasePath+"/jobs"
-	isEvents := r.Method == http.MethodGet && strings.HasSuffix(r.URL.Path, "/events")
 
 	ft, wait := f.schedule(id, n)
 	switch {
@@ -97,7 +95,7 @@ func (f *faultyTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 		slices.Sort(others)
 		f.injected[ft].Add(1)
 		return reply(r, http.StatusOK, f.foreign[others[n%len(others)]]), nil
-	case ft == truncated && (isResult || isSubmit || isEvents):
+	case ft == truncated && (isResult || isSubmit):
 		resp, err := http.DefaultTransport.RoundTrip(r)
 		if err != nil || resp.StatusCode != http.StatusOK {
 			return resp, err

@@ -118,13 +118,11 @@ type memberSet struct {
 	members []*member
 }
 
-// newMemberSet builds the initial membership from the resolved URLs.
+// newMemberSet builds the initial membership from the resolved URLs,
+// less duplicates. The initial members are not counted as joins.
 func newMemberSet(urls []string, resolve func() []string, clientOpts []client.Option) *memberSet {
 	ms := &memberSet{resolve: resolve, clientOpts: clientOpts}
-	ms.members = make([]*member, len(urls))
-	for i, url := range urls {
-		ms.members[i] = newMember(url, clientOpts)
-	}
+	ms.set(urls)
 	return ms
 }
 
@@ -153,6 +151,15 @@ func (ms *memberSet) refresh() {
 	}
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
+	joined, left := ms.set(urls)
+	mMembersJoined.Add(uint64(joined))
+	mMembersLeft.Add(uint64(left))
+}
+
+// set makes urls, in order and less duplicates, the member list, and
+// reports how many members joined and how many left. Members whose URL
+// stays are kept; the caller holds ms.mu, or owns ms alone.
+func (ms *memberSet) set(urls []string) (joined, left int) {
 	current := make(map[string]*member, len(ms.members))
 	for _, m := range ms.members {
 		current[m.url] = m
@@ -169,14 +176,15 @@ func (ms *memberSet) refresh() {
 			continue
 		}
 		next = append(next, newMember(url, ms.clientOpts))
-		mMembersJoined.Inc()
+		joined++
 	}
 	for url := range current {
 		if !seen[url] {
-			mMembersLeft.Inc()
+			left++
 		}
 	}
 	ms.members = next
+	return joined, left
 }
 
 // fleetMedianEWMA returns the lower median per-trial EWMA across

@@ -28,7 +28,6 @@ import (
 
 	"faultroute"
 	"faultroute/api"
-	"faultroute/client"
 	"faultroute/dispatch"
 	"faultroute/serve"
 )
@@ -78,9 +77,7 @@ func main() {
 		fmt.Printf("  %s\n", u)
 	}
 
-	pool, err := dispatch.New(urls,
-		dispatch.WithClientOptions(client.WithPollInterval(10*time.Millisecond)),
-	)
+	pool, err := dispatch.New(urls)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,7 +16,6 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"time"
 
 	"faultroute"
 	"faultroute/api"
@@ -39,7 +38,7 @@ func main() {
 	defer srv.Close()
 
 	base := "http://" + ln.Addr().String()
-	c := client.New(base, client.WithPollInterval(20*time.Millisecond))
+	c := client.New(base)
 	ctx := context.Background()
 	fmt.Printf("daemon listening on %s\n\n", base)
 

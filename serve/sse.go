@@ -13,12 +13,13 @@ package serve
 // field). POST /v1/jobs with Accept: text/event-stream submits and
 // follows in one exchange: for a job that is not already done, the
 // answer is the stream, opened by an event carrying the
-// SubmitResponse. client.Watch and client.Do ask for it, and fall back
-// to polling if the stream dies mid-job.
+// SubmitResponse. client.Watch and client.Do ask for it, and resubmit
+// if the stream dies mid-job.
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -66,9 +67,11 @@ func (s *Service) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 // canonical newline. The stream snapshots the job at the service's
 // event interval, skips snapshots that change nothing, pushes the
 // terminal transition immediately, and closes after it. head leaves
-// with the first snapshot, before the stream waits on the job. A done
-// job whose bytes the store no longer holds gets no result event; its
-// waiter fetches the result, or resubmits on a 404.
+// with the first snapshot, before the stream waits on the job. Behind a
+// front end that cannot flush, the whole stream, result included,
+// leaves when the handler returns. A done job whose bytes the store no
+// longer holds gets no result event; its waiter fetches the result, or
+// resubmits on a 404.
 func (s *Service) streamJob(w http.ResponseWriter, r *http.Request, job *jobs.Job, head []byte) {
 	w.Header().Set("Content-Type", eventStreamType)
 	w.Header().Set("Cache-Control", "no-cache")
@@ -104,10 +107,8 @@ func (s *Service) streamJob(w http.ResponseWriter, r *http.Request, job *jobs.Jo
 			}
 			return
 		}
-		if err := rc.Flush(); err != nil {
-			// The subscriber went away mid-write, or a front-end that
-			// cannot flush leaves nothing to stream to.
-			return
+		if err := rc.Flush(); err != nil && !errors.Is(err, http.ErrNotSupported) {
+			return // the subscriber went away mid-write
 		}
 		select {
 		case <-r.Context().Done():
