@@ -128,11 +128,13 @@ func (r Result) decode(kind string, out any) error {
 
 // Event is one progress observation of a running request, streamed by
 // Runner.Watch. Total is 0 when the request's size is not known up
-// front (experiments).
+// front (experiments). Error is set only on a terminal failed or
+// canceled event, to the job's error.
 type Event struct {
 	State JobState `json:"state"`
 	Done  int64    `json:"done"`
 	Total int64    `json:"total,omitempty"`
+	Error string   `json:"error,omitempty"`
 }
 
 // Runner executes requests. Two implementations ship with the module:
@@ -196,25 +198,16 @@ type JobStatus struct {
 // SubmitResponse is the body of POST /v1/jobs.
 type SubmitResponse struct {
 	Job JobStatus `json:"job"`
-	// Cached reports that the result already existed: nothing was
-	// enqueued, Result usually carries the bytes, and GET /v1/results
-	// answers immediately.
+	// Cached reports that the job was already done: nothing was
+	// enqueued, and Result carries the bytes.
 	Cached bool `json:"cached"`
 	// Coalesced reports that an identical job was already in flight and
 	// this submission attached to it.
 	Coalesced bool `json:"coalesced"`
-	// Events, when non-empty, advertises the job's Server-Sent-Events
-	// progress stream: the path of GET /v1/jobs/{id}/events, where a
-	// consumer that submitted without asking for the stream can follow
-	// the job instead of reading its status. A daemon that predates the
-	// stream omits the field.
-	Events string `json:"events,omitempty"`
-	// Result, when non-empty, is the job's canonical result bytes
-	// without their trailing newline, which a value inside a JSON
-	// document cannot keep: Result plus "\n" is byte-identical to
-	// GET /v1/results/{key}. The daemon sets it only on a done job whose
-	// bytes are still stored; clients fetch the result when it is
-	// absent, as they do for a fresh job.
+	// Result is the job's canonical result bytes without their trailing
+	// newline, which a value inside a JSON document cannot keep: Result
+	// plus "\n" is byte-identical to GET /v1/results/{key}. The daemon
+	// sets it on every answer whose job is done (Cached).
 	Result json.RawMessage `json:"result,omitempty"`
 }
 

@@ -7,15 +7,15 @@
 // and the service serves exactly the bytes it cached. Do submits a job
 // and follows it to completion on the submission's own exchange: the
 // daemon answers a job that is not done yet with the job's event
-// stream, which ends with the result bytes, and a job already done
-// with the bytes themselves, so either costs one request. An answer
-// that ends before the job does (a stream cut mid-job, or JSON for a
-// running job) is followed by resubmitting, which coalesces onto the
-// running job or is answered with its result. Watch additionally
-// delivers progress events, and WatchJob also reports the job each
-// submission named; the lower-level Submit / Status / Result / Cancel
-// calls expose the raw endpoints for callers that manage jobs
-// themselves.
+// stream, which ends with the result bytes or the job's error, and a
+// job already done with the bytes themselves, so either costs one
+// request and Do sends nothing else. An answer that ends before the job
+// does (a stream cut mid-job, or JSON for a running job) is followed by
+// resubmitting, which coalesces onto the running job or is answered
+// with its result. Watch additionally delivers progress events, and
+// WatchJob also reports the job each submission named; the lower-level
+// Submit / Status / Result / Cancel calls expose the raw endpoints for
+// callers that manage jobs themselves.
 //
 // Submissions are content-addressed and therefore idempotent: the
 // client retries transient failures (network errors, 503 queue-full)
@@ -71,13 +71,14 @@ type Option func(*Client)
 // transports, instrumentation).
 func WithHTTPClient(hc *http.Client) Option { return func(c *Client) { c.hc = hc } }
 
-// WithRetry sets the transient-failure policy: up to retries extra
-// attempts with exponential backoff starting at base (defaults: 3 and
-// 100ms), capped at 30s and spread by deterministic jitter — see
-// backoffWait. Retried calls are all idempotent — submissions coalesce
-// by content address — so retrying is always safe. The first backoff
-// step also paces the resubmission that follows an answer ending
-// before its job did (see WatchJob).
+// WithRetry sets the transient-failure policy of every request: up to
+// retries extra attempts with exponential backoff starting at base
+// (defaults: 3 and 100ms), capped at 30s and spread by deterministic
+// jitter — see backoffWait. Retried calls are all idempotent —
+// submissions coalesce by content address — so retrying is always
+// safe. The first backoff step also paces the resubmission that follows
+// an answer ending before its job did (see WatchJob); such
+// resubmissions spend no retry.
 func WithRetry(retries int, base time.Duration) Option {
 	return func(c *Client) { c.retries, c.backoff = retries, base }
 }
@@ -121,7 +122,9 @@ func (e *APIError) Error() string {
 }
 
 // JobError reports a job that reached a terminal state other than done
-// (failed server-side, or canceled by another client).
+// (failed server-side, or canceled by another client). Status is the
+// job's status as its submission's answer last reported it: its state,
+// counters and error.
 type JobError struct {
 	Status api.JobStatus
 }
@@ -152,24 +155,23 @@ func (c *Client) Watch(ctx context.Context, req api.Request, onEvent func(api.Ev
 // moment, the one a caller that abandons the watch would cancel.
 //
 // A job is followed only on what its submission answers: the job's
-// event stream, which ends with the result bytes, when the job is not
-// done yet, so a fresh job costs one request. An answer that does not
-// carry the job to its end (a stream that ends, or sends an oversized
-// event, before its terminal event, or a JSON answer for a job not yet
-// done) is resubmitted after the first backoff step of WithRetry. The
-// resubmission coalesces onto the running job or is answered with its
-// result; such resubmissions are bounded by ctx, and each by its own
-// transport retries. A done job whose answer carried no result bytes
-// costs one GET /v1/results, and a failed or canceled one a status
-// read for its error. A 404 from either read (the daemon forgot the job
-// or its bytes) is resubmitted too, up to WithRetry's retry count.
+// event stream, which ends with the result bytes or the job's error,
+// when the job is not done yet, so a fresh job costs one request. An
+// answer that does not carry the job to its end (a stream that ends, or
+// sends an oversized event, before its terminal event, or a JSON answer
+// for a job not yet done) is resubmitted after the first backoff step
+// of WithRetry. The resubmission coalesces onto the running job or is
+// answered with its result; such resubmissions are bounded by ctx, and
+// each by its own transport retries. A failed or canceled job is a
+// *JobError, and a done job whose answer carried no result bytes is an
+// error naming the job.
 func (c *Client) WatchJob(ctx context.Context, req api.Request, onSubmit func(api.SubmitResponse), onEvent func(api.Event)) (api.Result, error) {
 	payload, err := json.Marshal(req)
 	if err != nil {
 		return api.Result{}, err
 	}
 	var last api.Event // the event delivered last; the zero Event before the first
-	for forgotten := 0; ; {
+	for {
 		var sub api.SubmitResponse
 		es, err := c.exchange(ctx, http.MethodPost, api.BasePath+"/jobs", payload, &sub, true)
 		if err != nil {
@@ -178,27 +180,17 @@ func (c *Client) WatchJob(ctx context.Context, req api.Request, onSubmit func(ap
 		if onSubmit != nil {
 			onSubmit(sub)
 		}
-		emit(api.Event{State: sub.Job.State, Done: sub.Job.Done, Total: sub.Job.Total}, &last, onEvent)
-		res, err := c.follow(ctx, req, sub, es, &last, onEvent)
-		var ae *APIError
-		switch {
-		case errors.Is(err, errUnfinished):
-			select {
-			case <-ctx.Done():
-				return api.Result{}, ctx.Err()
-			case <-time.After(c.backoffWait(1)):
-			}
-			continue
-		case forgotten < c.retries && errors.As(err, &ae) && ae.StatusCode == http.StatusNotFound:
-			// The daemon acknowledged the job and has since forgotten it
-			// or its bytes: its bounded history dropped the finished
-			// job's record, or its bounded store evicted the result.
-			// Submissions are content-addressed, so resubmitting
-			// coalesces onto the same work or recomputes the same bytes.
-			forgotten++
-			continue
+		st := sub.Job
+		emit(api.Event{State: st.State, Done: st.Done, Total: st.Total, Error: st.Error}, &last, onEvent)
+		res, err := follow(ctx, req, sub, es, &last, onEvent)
+		if !errors.Is(err, errUnfinished) {
+			return res, err
 		}
-		return res, err
+		select {
+		case <-ctx.Done():
+			return api.Result{}, ctx.Err()
+		case <-time.After(c.backoffWait(1)):
+		}
 	}
 }
 
@@ -224,14 +216,12 @@ func emit(ev api.Event, last *api.Event, onEvent func(api.Event)) {
 // follow watches a submitted job to a terminal state on the
 // submission's answer and returns its result. es is the job's event
 // stream when the submission was answered with one, else nil. It
-// returns errUnfinished when the answer ended before the job did. A
-// 404 *APIError from the result fetch or the status read means the
-// daemon forgot the job or its bytes; WatchJob resubmits then.
-func (c *Client) follow(ctx context.Context, req api.Request, sub api.SubmitResponse, es *eventStream, last *api.Event, onEvent func(api.Event)) (api.Result, error) {
+// returns errUnfinished when the answer ended before the job did.
+func follow(ctx context.Context, req api.Request, sub api.SubmitResponse, es *eventStream, last *api.Event, onEvent func(api.Event)) (api.Result, error) {
 	st, result := sub.Job, sub.Result
 	if es != nil {
 		var err error
-		if st, result, err = c.watchStream(ctx, es, st, last, onEvent); err != nil {
+		if st, result, err = watchStream(ctx, es, st, last, onEvent); err != nil {
 			return api.Result{}, err
 		}
 	}
@@ -240,16 +230,12 @@ func (c *Client) follow(ctx context.Context, req api.Request, sub api.SubmitResp
 		return api.Result{}, errUnfinished
 	case st.State != api.JobDone:
 		return api.Result{}, &JobError{Status: st}
-	case len(result) > 0:
-		// A cached submission, or the stream's result event, carries the
-		// stored bytes less their canonical trailing newline.
-		return api.Result{Kind: req.Kind, Key: st.Key, Body: append(result, '\n')}, nil
+	case len(result) == 0:
+		return api.Result{}, fmt.Errorf("faultrouted: job %s is done, but its answer carried no result", st.ID)
 	}
-	body, err := c.Result(ctx, st.Key)
-	if err != nil {
-		return api.Result{}, err
-	}
-	return api.Result{Kind: req.Kind, Key: st.Key, Body: body}, nil
+	// A cached submission, or the stream's result event, carries the
+	// job's bytes less their canonical trailing newline.
+	return api.Result{Kind: req.Kind, Key: st.Key, Body: append(result, '\n')}, nil
 }
 
 // Submit posts the request to POST /v1/jobs and returns the daemon's

@@ -129,7 +129,7 @@ func TestResponseCapFitsLargestShard(t *testing.T) {
 	}
 	envelope, err := json.Marshal(api.SubmitResponse{
 		Job:    api.JobStatus{ID: strings.Repeat("j", 64), Key: strings.Repeat("k", 64), State: api.JobDone, Done: math.MaxInt64, Total: math.MaxInt64},
-		Cached: true, Coalesced: true, Events: strings.Repeat("e", 128),
+		Cached: true, Coalesced: true,
 		Result: json.RawMessage(`{"offset":-9223372036854775808,"rows":[]}`),
 	})
 	if err != nil {

@@ -3,9 +3,10 @@ package client
 // The Server-Sent-Events transport. Do and Watch submit with Accept:
 // text/event-stream, and a daemon answers a job that is not done yet
 // with the job's event stream: a "submitted" event carrying the
-// SubmitResponse, the job's "progress" events, and after a terminal
-// done a "result" event carrying the result bytes. A fresh job thus
-// costs one exchange. The stream is purely a transport: it delivers the
+// SubmitResponse, the job's "progress" events, the terminal one
+// carrying a failed or canceled job's error, and after a terminal done
+// a "result" event carrying the result bytes. A fresh job thus costs
+// one exchange. The stream is purely a transport: it delivers the
 // job's deduplicated, monotone api.Event sequence, and a stream that
 // ends before its terminal event (a daemon restart, a broken proxy, an
 // oversized event) is followed by a resubmission, which continues the
@@ -34,7 +35,7 @@ const eventStreamType = "text/event-stream"
 // in a few hundred; a stream that sends more without the blank line
 // that ends an event is broken or hostile, and the client hangs up and
 // resubmits. A result event's data is capped by the client's response
-// body bound instead, the bound a GET /v1/results body has.
+// body bound instead.
 const maxEventBytes = 64 << 10
 
 // errEventTooLarge reports an event whose data passes its cap.
@@ -170,19 +171,20 @@ func (es *eventStream) submitted(sub any) error {
 // watchStream consumes a job's event stream to its terminal event,
 // delivering deduplicated events to onEvent, and closes it; st is the
 // job's status from its submission. It returns st unchanged when the
-// stream died, or sent an oversized event, before the terminal one. For
-// a done job, result holds the data of the stream's result event, the
+// stream died, or sent an oversized event, before the terminal one;
+// else st with the terminal event's state, counters and error. For a
+// done job, result holds the data of the stream's result event, the
 // result bytes less their canonical newline, or is nil when the stream
-// carried none (a daemon that predates it, or whose store has evicted
-// the bytes) or carried bytes that are not JSON. A non-nil error is
-// final (the caller's context ended, or the job failed or was canceled
-// but its status could not be fetched).
-func (c *Client) watchStream(ctx context.Context, es *eventStream, st api.JobStatus, last *api.Event, onEvent func(api.Event)) (fin api.JobStatus, result []byte, err error) {
-	var final api.JobState // the terminal event's state, once one arrives
-	for final == "" {
+// carried none or carried bytes that are not JSON. A non-nil error is
+// the caller's context ending.
+func watchStream(ctx context.Context, es *eventStream, st api.JobStatus, last *api.Event, onEvent func(api.Event)) (api.JobStatus, []byte, error) {
+	for {
 		name, data, err := es.next()
 		if err != nil {
-			break
+			// Disconnected mid-job or sent an oversized event: the caller
+			// resubmits unless it is done itself.
+			es.body.Close()
+			return st, nil, ctx.Err()
 		}
 		if name != "progress" && name != "" { // unnamed events are progress too
 			continue
@@ -193,29 +195,17 @@ func (c *Client) watchStream(ctx context.Context, es *eventStream, st api.JobSta
 		}
 		emit(ev, last, onEvent)
 		if ev.State.Terminal() {
-			final = ev.State
+			st.State, st.Done, st.Total, st.Error = ev.State, ev.Done, ev.Total, ev.Error
+			break
 		}
 	}
-	if final == "" {
-		// Disconnected mid-job or sent an oversized event: the caller
-		// resubmits unless it is done itself.
-		es.body.Close()
-		return st, nil, ctx.Err()
-	}
-	if final == api.JobDone {
+	var result []byte
+	if st.State == api.JobDone {
 		if name, data, err := es.next(); err == nil && name == "result" && json.Valid(data) {
 			result = data
 			es.buf = nil // result owns the buffer now
 		}
-		es.finish()
-		st.State = final
-		return st, result, nil
 	}
 	es.finish()
-	// The stream only carries progress counters; a failed or canceled
-	// job's error message comes from its status.
-	if fin, err = c.Status(ctx, st.ID); err != nil {
-		return api.JobStatus{}, nil, err
-	}
-	return fin, nil, nil
+	return st, result, nil
 }

@@ -20,6 +20,7 @@ import (
 	"faultroute"
 	"faultroute/api"
 	"faultroute/client"
+	"faultroute/internal/cache"
 	"faultroute/serve"
 )
 
@@ -38,13 +39,11 @@ func watchFixture() api.Request {
 }
 
 // transportCounts wraps a service handler and tallies the requests the
-// client made, by route: how many submissions and result fetches it
-// needed, and whether it read a job's status or subscribed to its
-// events.
+// client made, by route: how many submissions it needed, and whether it
+// read a job's status or fetched a result.
 type transportCounts struct {
 	next    http.Handler
 	submits atomic.Int64 // POST /v1/jobs
-	events  atomic.Int64 // GET /v1/jobs/{id}/events subscriptions
 	status  atomic.Int64 // GET /v1/jobs/{id} reads
 	results atomic.Int64 // GET /v1/results/{key} fetches
 	// aborter, when set, wraps the response writer of every submit.
@@ -55,16 +54,13 @@ type transportCounts struct {
 	// sees it.
 	jsonSubmits bool
 	// noResult drops the result event from every event stream, as from
-	// a daemon that predates it or whose store has evicted the bytes.
+	// a daemon that predates it.
 	noResult bool
 	// taskDelay is the service's serve.Options.TaskDelay: it keeps a
 	// fresh job running after its submit response.
 	taskDelay time.Duration
-	// forgets, when set, picks the one request answered 404 in the
-	// service's place, the way a daemon answers for a job or result it
-	// no longer holds; forgot records that it happened.
-	forgets func(r *http.Request) bool
-	forgot  atomic.Bool
+	// store is the service's serve.Options.Store (nil: the default).
+	store cache.ResultStore
 	// linger holds every event stream open this long after its last
 	// event has gone out, before the response ends.
 	linger time.Duration
@@ -85,19 +81,10 @@ func (tc *transportCounts) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/results/"):
 		tc.results.Add(1)
 	case r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/jobs/"):
-		if strings.HasSuffix(r.URL.Path, "/events") {
-			tc.events.Add(1)
-			streams = true
-		} else {
-			tc.status.Add(1)
-		}
+		tc.status.Add(1)
 	}
 	if streams && tc.noResult {
 		w = &dropResult{ResponseWriter: w}
-	}
-	if tc.forgets != nil && tc.forgets(r) && tc.forgot.CompareAndSwap(false, true) {
-		http.Error(w, `{"error":"forgotten"}`, http.StatusNotFound)
-		return
 	}
 	tc.next.ServeHTTP(w, r)
 	if streams && tc.linger > 0 {
@@ -133,6 +120,7 @@ func newCountingService(t *testing.T, counts *transportCounts, opts ...client.Op
 		QueueDepth:    16,
 		EventInterval: 2 * time.Millisecond,
 		TaskDelay:     counts.taskDelay,
+		Store:         counts.store,
 	})
 	t.Cleanup(svc.Close)
 	counts.next = svc.Handler()
@@ -215,7 +203,7 @@ func TestWatchStreamMatchesJSONSubmit(t *testing.T) {
 	if got, want := tally(streamCounts), (requestTally{submits: 1}); got != want {
 		t.Errorf("streamed watch: requests %+v, want %+v", got, want)
 	}
-	if got := tally(jsonCounts); got.submits < 2 || got.events+got.status+got.results != 0 {
+	if got := tally(jsonCounts); got.submits < 2 || got.status+got.results != 0 {
 		t.Errorf("JSON-answered watch: requests %+v, want at least 2 submits and nothing else", got)
 	}
 }
@@ -305,7 +293,7 @@ func TestWatchStreamDisconnectResubmits(t *testing.T) {
 	if res.Key != want.Key || !bytes.Equal(res.Body, want.Body) {
 		t.Fatalf("Watch returned other bytes than Local:\n got %s %s\nwant %s %s", res.Key, res.Body, want.Key, want.Body)
 	}
-	if got := tally(counts); got.submits < 2 || got.events+got.status+got.results != 0 {
-		t.Errorf("requests %+v, want at least 2 submits and no status, event-stream or result request", got)
+	if got := tally(counts); got.submits < 2 || got.status+got.results != 0 {
+		t.Errorf("requests %+v, want at least 2 submits and no status or result request", got)
 	}
 }

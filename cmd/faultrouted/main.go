@@ -7,8 +7,9 @@
 // API (see SERVING.md for the full reference):
 //
 //	POST   /v1/jobs             submit an estimate, experiment or percolation job
+//	                            (with Accept: text/event-stream, answered with the
+//	                            job's Server-Sent-Events progress stream)
 //	GET    /v1/jobs/{id}        job state + progress counters
-//	GET    /v1/jobs/{id}/events Server-Sent-Events push progress stream
 //	DELETE /v1/jobs/{id}        cancel a queued or running job
 //	GET    /v1/results/{key}    canonical result bytes for a content address
 //	GET    /v1/experiments      the E1..E21 registry with parameter schemas
@@ -128,8 +129,9 @@ func run(args []string) error {
 	})
 	defer svc.Close()
 
-	// Only the header read and idle keep-alives are bounded: SSE streams
-	// at /v1/jobs/{id}/events outlive any whole-request Read/WriteTimeout,
+	// Only the header read and idle keep-alives are bounded: a streamed
+	// submit's SSE answer lasts as long as its job, longer than any
+	// whole-request Read/WriteTimeout,
 	// and a ReadTimeout firing during net/http's background read cancels
 	// the request context. The idle bound exceeds Go clients' 90 s
 	// default, so clients drop idle connections before the server does.

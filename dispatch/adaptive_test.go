@@ -57,7 +57,7 @@ func TestPoolHedgingByteIdenticalToLocal(t *testing.T) {
 		}
 		return took
 	}
-	unhedged := run(newPool(t, urls, dispatch.WithHedging(false)), twin)
+	unhedged := run(newPool(t, urls, dispatch.WithHedgeAfter(time.Hour)), twin)
 	hedged := run(pool, req)
 	if hedged.Seconds() >= 0.6*unhedged.Seconds() {
 		t.Errorf("hedged run took %v, its unhedged twin %v: want under 0.6x — hedging is not absorbing the straggler", hedged, unhedged)
@@ -286,7 +286,7 @@ func TestPoolHealthRecoversCooldownBackend(t *testing.T) {
 	b1, _ := startRoles(t, srvs, urls, ownerOf(t, urls, shardOf(req, 0)), 0, func(next http.Handler) http.Handler {
 		return countSubmits(&b1Submits)(flaky.wrap(next))
 	})
-	pool := newPool(t, urls, dispatch.WithCooldown(time.Hour)) // the probe, not the clock, must recover it
+	pool := newPool(t, urls) // the probe, not the clock, must recover it: the cooldown is 15 s
 	ctx := context.Background()
 
 	if _, err := pool.Do(ctx, req); err != nil {
@@ -308,7 +308,7 @@ func TestPoolHealthRecoversCooldownBackend(t *testing.T) {
 	}
 
 	// The recovered backend must take sub-jobs again within the next job
-	// — an hour-long cooldown would have parked it otherwise. The next job
+	// — the 15 s cooldown would have parked it otherwise. The next job
 	// is a fresh spec whose first shard the recovered backend owns, so
 	// that shard is submitted there unless the backend still cools down.
 	// (A repeat of the first job would prove nothing: the survivor, the

@@ -116,10 +116,9 @@ var (
 // Do/Watch/DoBatch calls share the in-flight sub-job bound. The
 // backend set is fixed unless WithResolver makes membership live.
 type Pool struct {
-	members  *memberSet
-	hedge    hedger
-	sem      chan struct{} // bounds in-flight sub-jobs, pool-wide
-	cooldown time.Duration
+	members *memberSet
+	hedge   hedger
+	sem     chan struct{} // bounds in-flight sub-jobs, pool-wide
 
 	stats poolStats
 }
@@ -168,8 +167,6 @@ type Option func(*settings)
 type settings struct {
 	clientOpts []client.Option
 	resolver   func() []string
-	cooldown   time.Duration
-	hedging    bool
 	hedgeAfter time.Duration
 }
 
@@ -192,31 +189,27 @@ func WithResolver(resolve func() []string) Option {
 	return func(s *settings) { s.resolver = resolve }
 }
 
-// WithCooldown sets how long a backend that failed a sub-job is passed
-// over by placement (default 15s; it is still used as a last resort
-// when every backend is marked down). A successful Health probe ends the
-// cooldown early and resets the backend's latency estimate to the
-// fleet median.
-func WithCooldown(d time.Duration) Option { return func(s *settings) { s.cooldown = d } }
-
-// WithHedging enables or disables straggler speculation (default on,
-// in pools with at least two backends): an attempt that outlives its
-// expected duration — the fleet-median per-trial latency EWMA times
-// the sub-job's trial count, floored by WithHedgeAfter — is duplicated
-// onto the owner's successor (the next untried backend in placement
-// order), so a persistently slow owner loses its shards to faster
-// backends. The first completed result wins and the loser is canceled
-// remotely (DELETE /v1/jobs/{id}). By the determinism contract both
-// attempts compute identical bytes, so hedging changes tail latency,
-// never output.
-func WithHedging(enabled bool) Option { return func(s *settings) { s.hedging = enabled } }
-
 // WithHedgeAfter sets the minimum time an attempt runs before it may
-// be hedged (<= 0 restores the default of 400ms). With no latency
-// observations yet this floor IS the hedge delay; once EWMAs exist the
+// be hedged (<= 0 restores the default of 400ms). In a pool of at least
+// two backends, an attempt that outlives its expected duration — the
+// fleet-median per-trial latency EWMA times the sub-job's trial count,
+// floored by this — is duplicated onto the owner's successor (the next
+// untried backend in placement order), so a persistently slow owner
+// loses its shards to faster backends. The first completed result wins
+// and the loser is canceled remotely (DELETE /v1/jobs/{id}). By the
+// determinism contract both attempts compute identical bytes, so
+// hedging changes tail latency, never output. With no latency
+// observations yet the floor IS the hedge delay; once EWMAs exist the
 // delay is the larger of the floor and twice the attempt's expected
 // duration.
 func WithHedgeAfter(d time.Duration) Option { return func(s *settings) { s.hedgeAfter = d } }
+
+// cooldown is how long a backend that failed a probe or a sub-job is
+// passed over by placement (it is still used as a last resort when
+// every backend is marked down). A successful Health probe ends the
+// cooldown early and resets the backend's latency estimate to the
+// fleet median.
+const cooldown = 15 * time.Second
 
 // hedgeFactor scales an attempt's expected duration into its hedge
 // trigger: only attempts at least this many times over their estimate
@@ -249,7 +242,7 @@ func ParseBackends(s string) []string {
 // no I/O beyond that initial resolution; use Health to probe the
 // backends.
 func New(targets []string, opts ...Option) (*Pool, error) {
-	s := settings{cooldown: 15 * time.Second, hedging: true}
+	var s settings
 	for _, opt := range opts {
 		opt(&s)
 	}
@@ -264,10 +257,9 @@ func New(targets []string, opts ...Option) (*Pool, error) {
 	}
 	members := newMemberSet(targets, s.resolver, s.clientOpts)
 	return &Pool{
-		members:  members,
-		hedge:    hedger{enabled: s.hedging, floor: s.hedgeAfter, factor: hedgeFactor},
-		sem:      make(chan struct{}, inFlightPerBackend*len(members.members)),
-		cooldown: s.cooldown,
+		members: members,
+		hedge:   hedger{floor: s.hedgeAfter, factor: hedgeFactor},
+		sem:     make(chan struct{}, inFlightPerBackend*len(members.members)),
 	}, nil
 }
 
@@ -323,7 +315,7 @@ func (p *Pool) Health(ctx context.Context) []BackendHealth {
 				// A probe that died because the CALLER's context expired says
 				// nothing about the backend — marking the whole cluster down
 				// off a canceled warm-up would poison placement for a cooldown.
-				m.markDown(p.cooldown)
+				m.markDown(cooldown)
 			}
 		}(i, m)
 	}

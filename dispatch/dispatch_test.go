@@ -57,7 +57,6 @@ func startOn(t *testing.T, srv *httptest.Server, delay time.Duration, wrap func(
 func fastOpts(extra ...dispatch.Option) []dispatch.Option {
 	return append([]dispatch.Option{
 		dispatch.WithClientOptions(client.WithRetry(1, time.Millisecond)),
-		dispatch.WithCooldown(time.Minute),
 	}, extra...)
 }
 

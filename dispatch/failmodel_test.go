@@ -23,8 +23,7 @@ func TestPoolFailureExperimentsByteIdenticalToLocal(t *testing.T) {
 	// built kleinberg graphs: all three through a hedged 2-backend pool
 	// must match faultroute.Local byte for byte.
 	b1, b2 := newBackend(t, nil), newBackend(t, nil)
-	pool := newPool(t, []string{b1.srv.URL, b2.srv.URL},
-		dispatch.WithHedging(true), dispatch.WithHedgeAfter(time.Millisecond))
+	pool := newPool(t, []string{b1.srv.URL, b2.srv.URL}, dispatch.WithHedgeAfter(time.Millisecond))
 	local := faultroute.NewLocal()
 	ctx := context.Background()
 	for _, id := range []string{"E19", "E20", "E21"} {

@@ -24,9 +24,8 @@ import (
 
 // hedger decides when a running attempt is a straggler.
 type hedger struct {
-	enabled bool
-	floor   time.Duration // never hedge earlier than this
-	factor  float64       // hedge when elapsed exceeds factor × expected duration
+	floor  time.Duration // never hedge earlier than this
+	factor float64       // hedge when elapsed exceeds factor × expected duration
 }
 
 // delay returns how long to wait before hedging an attempt whose
@@ -109,7 +108,7 @@ func (p *Pool) runAttempt(ctx context.Context, primary *member, req api.Request,
 	}()
 
 	var hedgeCh <-chan time.Time
-	if p.hedge.enabled && len(order) > 1 {
+	if len(order) > 1 {
 		timer := time.NewTimer(p.hedge.delay(expectedDuration(order, req)))
 		defer timer.Stop()
 		hedgeCh = timer.C
@@ -153,7 +152,7 @@ func (p *Pool) runAttempt(ctx context.Context, primary *member, req api.Request,
 			if !failoverable(out.err) {
 				return api.Result{}, out.err // deterministic: fails identically everywhere
 			}
-			out.at.m.markDown(p.cooldown)
+			out.at.m.markDown(cooldown)
 			if firstErr == nil {
 				firstErr = out.err
 			}

@@ -205,7 +205,7 @@ func TestHedgeExpectationUsesFleetMedian(t *testing.T) {
 	median := 2 * time.Millisecond
 	req := estimateRequest(40)
 	req.Estimate.Shard = &api.ShardSpec{Offset: 10, Count: 10}
-	h := hedger{enabled: true, floor: time.Millisecond, factor: hedgeFactor}
+	h := hedger{floor: time.Millisecond, factor: hedgeFactor}
 	for _, members := range [][]*member{
 		{{url: "owner", ewma: 5 * median}, {url: "a", ewma: median}, {url: "b", ewma: median}},
 		{{url: "owner", ewma: 5 * median}, {url: "a", ewma: median}},
@@ -289,7 +289,7 @@ func TestFleetMedianEWMA(t *testing.T) {
 }
 
 func TestHedgerDelayFloorsAndScales(t *testing.T) {
-	h := hedger{enabled: true, floor: 400 * time.Millisecond, factor: 2}
+	h := hedger{floor: 400 * time.Millisecond, factor: 2}
 	if got := h.delay(0); got != 400*time.Millisecond {
 		t.Fatalf("delay with unknown expectation = %v, want the 400ms floor", got)
 	}

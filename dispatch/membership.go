@@ -43,9 +43,9 @@ func newMember(url string, clientOpts []client.Option) *member {
 // markDown records a dispatch failure: dispatch passes over the
 // backend until the cooldown ends (it stays eligible as a last resort
 // when every backend is down).
-func (m *member) markDown(cooldown time.Duration) {
+func (m *member) markDown(d time.Duration) {
 	m.mu.Lock()
-	m.downUntil = time.Now().Add(cooldown)
+	m.downUntil = time.Now().Add(d)
 	m.wasDown = true
 	m.mu.Unlock()
 	mBackendsDown.Inc()

@@ -294,15 +294,16 @@ func TestPoolRepeatAfterJoinSubmitsOnlyMovedShards(t *testing.T) {
 
 // warmUp stores every shard of req at its owner among urls, through a
 // long-lived Pool: one that ran an earlier estimate first, so it has
-// latency history a fresh Pool lacks. Hedging is off so that no owner's
-// attempt can lose a race and be canceled before its result is stored.
+// latency history a fresh Pool lacks. An hour's hedge floor keeps any
+// owner's attempt from losing a race and being canceled before its
+// result is stored.
 func warmUp(t *testing.T, urls []string, req api.Request) {
 	t.Helper()
 	earlier := req
 	spec := *req.Estimate
 	spec.Seed++
 	earlier.Estimate = &spec
-	pool := newPool(t, urls, dispatch.WithHedging(false))
+	pool := newPool(t, urls, dispatch.WithHedgeAfter(time.Hour))
 	for _, r := range []api.Request{earlier, req} {
 		if _, err := pool.Do(context.Background(), r); err != nil {
 			t.Fatal(err)
@@ -337,7 +338,7 @@ func TestPoolRepeatAfterOwnerLostSubJobSubmitsNothing(t *testing.T) {
 			[]dispatch.Option{dispatch.WithHedgeAfter(30 * time.Millisecond)},
 			func(st dispatch.PoolStats) bool { return st.HedgeWins == 1 && st.HedgeCancels == 1 }},
 		{"failover", 0, newHealable().wrap,
-			[]dispatch.Option{dispatch.WithHedging(false)},
+			[]dispatch.Option{dispatch.WithHedgeAfter(time.Hour)},
 			func(st dispatch.PoolStats) bool { return st.Failovers == 1 }},
 	}
 	for _, tc := range cases {

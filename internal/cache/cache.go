@@ -73,10 +73,10 @@ func ValidKey(key string) bool {
 }
 
 // ResultStore is the contract the serving layer consumes: the job
-// engine publishes result bytes under their content address, and the
-// HTTP layer and the engine's coalescing read them back. *Store,
-// *Disk and *Tiered implement it; all three are safe for concurrent
-// use.
+// engine publishes result bytes under their content address and reads
+// them back when a submission finds its job already done, and the HTTP
+// layer serves them by address. *Store, *Disk and *Tiered implement
+// it; all three are safe for concurrent use.
 type ResultStore interface {
 	// Get returns the result stored under key, or ok=false on a miss.
 	// The returned slice is the caller's to keep: implementations
@@ -89,9 +89,9 @@ type ResultStore interface {
 	// and later Puts of the same key are no-ops.
 	Put(key string, val []byte)
 	// Has reports whether key is resident, without counting a hit or
-	// a miss and without touching recency — the presence probe layers
-	// like the job engine use to check that stored bytes still back a
-	// remembered job.
+	// a miss and without touching recency. Nothing in the serving path
+	// calls it: the job engine answers from the Get that finds a result.
+	// It stays for cmd/frbench's instrumented wrapper of the interface.
 	Has(key string) bool
 	// Len returns the number of stored results.
 	Len() int

@@ -17,6 +17,11 @@
 // maxTerminalHistory finished jobs of any outcome. A submission whose
 // done job has been forgotten is answered from the result store with a
 // new done record, exactly as after a restart.
+//
+// Every submission gets, next to its job, the Result its answer
+// carries: the stored bytes for a job already done, or the job's own
+// slot, which the job's finish fills. A waiter thus holds its bytes
+// from the moment its job ends, whatever a bounded store evicts later.
 package jobs
 
 import (
@@ -76,10 +81,13 @@ type Job struct {
 
 	// The execution state: set for a submission that enqueues work, and
 	// dropped by finish, so a terminal job keeps only its status. A record
-	// born done from a store hit never has any.
+	// born done from a store hit never has any. result is the slot its
+	// waiters hold: finish fills it and drops the job's reference, so the
+	// bytes live only as long as a waiter does.
 	task   Task
 	ctx    context.Context
 	cancel context.CancelFunc
+	result *Result
 
 	done   atomic.Int64
 	doneCh chan struct{}
@@ -112,6 +120,16 @@ func (j *Job) Wait(ctx context.Context) error {
 		return ctx.Err()
 	}
 }
+
+// Result carries a job's result bytes to the submissions that wait on
+// it. Bytes is valid once the job is terminal, as seen by its Done
+// channel or a Status: finish fills the slot before either says so.
+type Result struct {
+	data []byte
+}
+
+// Bytes returns the job's result bytes: nil unless the job is done.
+func (r *Result) Bytes() []byte { return r.data }
 
 // Status is a point-in-time snapshot of a job — the api.JobStatus wire
 // type the HTTP layer serves verbatim.
@@ -200,33 +218,28 @@ func NewEngine(store cache.ResultStore, executors, depth int) *Engine {
 }
 
 // Submit registers a job computing the result addressed by key and
-// returns its (possibly pre-existing) Job. fresh reports whether this
-// call enqueued new work: false means the submission coalesced onto an
-// in-flight or completed job, or onto a result already in the store, and
-// nothing will be recomputed. total is the job's expected work-unit
-// count for progress reporting (0 = unknown). Submit fails with
-// ErrQueueFull when the queue is at capacity and with ErrClosed after
-// Close.
-func (e *Engine) Submit(key string, total int64, task Task) (job *Job, fresh bool, err error) {
+// returns its (possibly pre-existing) Job, and the Result that carries
+// the job's bytes to this submission: the bytes of the store read that
+// found the job done, or else the job's own slot, filled when it
+// finishes. fresh reports whether this call enqueued new work: false
+// means the submission coalesced onto an in-flight or completed job, or
+// onto a result already in the store, and nothing will be recomputed.
+// total is the job's expected work-unit count for progress reporting
+// (0 = unknown). Submit fails with ErrQueueFull when the queue is at
+// capacity and with ErrClosed after Close.
+func (e *Engine) Submit(key string, total int64, task Task) (job *Job, res *Result, fresh bool, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
-		return nil, false, ErrClosed
+		return nil, nil, false, ErrClosed
 	}
 	if j, ok := e.inflight[key]; ok {
-		return j, false, nil
+		return j, j.result, false, nil
 	}
-	if j, ok := e.doneByKey[key]; ok {
-		if e.store.Has(key) {
-			return j, false, nil
+	if data, ok := e.store.Get(key); ok {
+		if j, ok := e.doneByKey[key]; ok {
+			return j, &Result{data: data}, false, nil
 		}
-		// The job finished, but a bounded store has since evicted its
-		// bytes: the record is a dangling promise (its /v1/results
-		// fetch would 404), so drop it and recompute. Determinism makes
-		// the recomputation byte-identical to what was evicted.
-		delete(e.doneByKey, key)
-	}
-	if _, ok := e.store.Get(key); ok {
 		// Result present but no job remembers computing it (a store warmed
 		// before this engine started, or a done job the history has
 		// forgotten): synthesize a done job so the API has something to
@@ -238,20 +251,25 @@ func (e *Engine) Submit(key string, total int64, task Task) (job *Job, fresh boo
 		close(j.doneCh)
 		e.doneByKey[key] = j
 		e.retireLocked(j)
-		return j, false, nil
+		return j, &Result{data: data}, false, nil
 	}
+	// A done job whose bytes a bounded store has since evicted is a
+	// dangling record: drop it and recompute. Determinism makes the
+	// recomputation byte-identical to what was evicted.
+	delete(e.doneByKey, key)
 	j := e.newJobLocked(key, total)
 	j.ctx, j.cancel = context.WithCancel(e.baseCtx)
 	j.task = task
+	j.result = &Result{}
 	select {
 	case e.queue <- j:
 	default:
 		j.cancel()
 		delete(e.byID, j.id)
-		return nil, false, fmt.Errorf("%w (depth %d)", ErrQueueFull, cap(e.queue))
+		return nil, nil, false, fmt.Errorf("%w (depth %d)", ErrQueueFull, cap(e.queue))
 	}
 	e.inflight[key] = j
-	return j, true, nil
+	return j, j.result, true, nil
 }
 
 // newJobLocked allocates and indexes a queued job with no execution
@@ -399,12 +417,14 @@ func runTask(j *Job) (data []byte, err error) {
 // byte-identically, if the store has evicted them too).
 const maxTerminalHistory = 1024
 
-// finish records a job's terminal state, publishes a successful result
-// to the store, and releases the submission's coalescing slot. A failed
-// or canceled job leaves no trace under its key, so the same spec can be
-// resubmitted and retried from scratch. The job then drops its execution
-// state, so the compiled task and whatever its closure captured are
-// freed with it, and joins the bounded history.
+// finish records a job's terminal state, hands a successful result to
+// the job's waiters through its slot and publishes it to the store, and
+// releases the submission's coalescing slot. A failed or canceled job
+// leaves no trace under its key, so the same spec can be resubmitted
+// and retried from scratch. The job then drops its execution state and
+// its result slot, so the compiled task, whatever its closure captured
+// and the bytes are freed once no waiter holds them, and joins the
+// bounded history.
 func (e *Engine) finish(j *Job, data []byte, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -418,6 +438,7 @@ func (e *Engine) finish(j *Job, data []byte, err error) {
 	switch {
 	case err == nil:
 		j.state = StateDone
+		j.result.data = data
 		e.store.Put(j.key, data)
 		e.doneByKey[j.key] = j
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
@@ -428,7 +449,7 @@ func (e *Engine) finish(j *Job, data []byte, err error) {
 		j.errMsg = err.Error()
 	}
 	j.cancel() // release the context's resources
-	j.task, j.ctx, j.cancel = nil, nil, nil
+	j.task, j.ctx, j.cancel, j.result = nil, nil, nil, nil
 	j.mu.Unlock()
 	e.retireLocked(j)
 	close(j.doneCh)

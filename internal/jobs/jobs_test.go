@@ -29,7 +29,7 @@ func TestSubmitRunStoreResult(t *testing.T) {
 	e := NewEngine(store, 2, 8)
 	defer e.Close()
 
-	j, fresh, err := e.Submit("key-a", 3, func(ctx context.Context, progress func(int)) ([]byte, error) {
+	j, _, fresh, err := e.Submit("key-a", 3, func(ctx context.Context, progress func(int)) ([]byte, error) {
 		for i := 0; i < 3; i++ {
 			progress(1)
 		}
@@ -64,12 +64,12 @@ func TestDuplicateSubmissionsCoalesce(t *testing.T) {
 		return []byte("once"), nil
 	}
 
-	j1, fresh1, err := e.Submit("dup", 0, task)
+	j1, _, fresh1, err := e.Submit("dup", 0, task)
 	if err != nil || !fresh1 {
 		t.Fatalf("first Submit = (%v, %v)", fresh1, err)
 	}
 	// While in flight (queued or running), the same key must coalesce.
-	j2, fresh2, err := e.Submit("dup", 0, task)
+	j2, _, fresh2, err := e.Submit("dup", 0, task)
 	if err != nil || fresh2 {
 		t.Fatalf("second Submit = (fresh=%v, err=%v), want coalesced", fresh2, err)
 	}
@@ -80,7 +80,7 @@ func TestDuplicateSubmissionsCoalesce(t *testing.T) {
 	waitJob(t, j1)
 	// After completion, the same key must still coalesce — onto the done
 	// job, with no recomputation.
-	j3, fresh3, err := e.Submit("dup", 0, task)
+	j3, _, fresh3, err := e.Submit("dup", 0, task)
 	if err != nil || fresh3 {
 		t.Fatalf("post-completion Submit = (fresh=%v, err=%v), want coalesced", fresh3, err)
 	}
@@ -114,7 +114,7 @@ func TestConcurrentSameSpecSubmissionsRunOnce(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			j, _, err := e.Submit("same-spec", 0, task)
+			j, _, _, err := e.Submit("same-spec", 0, task)
 			if err != nil {
 				t.Errorf("client %d: %v", c, err)
 				return
@@ -143,7 +143,7 @@ func TestCancelRunningJob(t *testing.T) {
 	defer e.Close()
 
 	started := make(chan struct{})
-	j, _, err := e.Submit("cancel-me", 100, func(ctx context.Context, progress func(int)) ([]byte, error) {
+	j, _, _, err := e.Submit("cancel-me", 100, func(ctx context.Context, progress func(int)) ([]byte, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
@@ -164,7 +164,7 @@ func TestCancelRunningJob(t *testing.T) {
 	}
 	// The key is free again: a resubmission is fresh work, not a
 	// coalesced hit on the canceled job.
-	j2, fresh, err := e.Submit("cancel-me", 1, func(ctx context.Context, progress func(int)) ([]byte, error) {
+	j2, _, fresh, err := e.Submit("cancel-me", 1, func(ctx context.Context, progress func(int)) ([]byte, error) {
 		return []byte("second try"), nil
 	})
 	if err != nil || !fresh {
@@ -181,7 +181,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	defer e.Close()
 
 	release := make(chan struct{})
-	blocker, _, err := e.Submit("blocker", 0, func(ctx context.Context, progress func(int)) ([]byte, error) {
+	blocker, _, _, err := e.Submit("blocker", 0, func(ctx context.Context, progress func(int)) ([]byte, error) {
 		<-release
 		return []byte("b"), nil
 	})
@@ -189,7 +189,7 @@ func TestCancelQueuedJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	ran := false
-	queued, _, err := e.Submit("queued", 0, func(ctx context.Context, progress func(int)) ([]byte, error) {
+	queued, _, _, err := e.Submit("queued", 0, func(ctx context.Context, progress func(int)) ([]byte, error) {
 		ran = true
 		return []byte("q"), nil
 	})
@@ -229,13 +229,13 @@ func TestQueueFull(t *testing.T) {
 		return []byte("x"), nil
 	}
 	// First job occupies the executor, second fills the depth-1 queue.
-	if _, _, err := e.Submit("q0", 0, block); err != nil {
+	if _, _, _, err := e.Submit("q0", 0, block); err != nil {
 		t.Fatal(err)
 	}
 	// The executor may not have dequeued q0 yet; allow one retry for q1.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, _, err := e.Submit("q1", 0, block); err == nil {
+		if _, _, _, err := e.Submit("q1", 0, block); err == nil {
 			break
 		} else if time.Now().After(deadline) {
 			t.Fatalf("q1 never fit in the queue: %v", err)
@@ -244,12 +244,12 @@ func TestQueueFull(t *testing.T) {
 	}
 	// Now the queue is full (executor busy with q0, q1 waiting): a third
 	// distinct spec must be rejected, not block the server.
-	_, _, err := e.Submit("q2", 0, block)
+	_, _, _, err := e.Submit("q2", 0, block)
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
 	// But a duplicate of an in-flight job still coalesces fine.
-	if _, fresh, err := e.Submit("q1", 0, block); err != nil || fresh {
+	if _, _, fresh, err := e.Submit("q1", 0, block); err != nil || fresh {
 		t.Fatalf("duplicate during full queue = (fresh=%v, err=%v), want coalesced", fresh, err)
 	}
 }
@@ -260,7 +260,7 @@ func TestFailedJobAllowsRetry(t *testing.T) {
 	defer e.Close()
 
 	boom := errors.New("boom")
-	j, _, err := e.Submit("flaky", 0, func(ctx context.Context, progress func(int)) ([]byte, error) {
+	j, _, _, err := e.Submit("flaky", 0, func(ctx context.Context, progress func(int)) ([]byte, error) {
 		return nil, fmt.Errorf("attempt 1: %w", boom)
 	})
 	if err != nil {
@@ -270,7 +270,7 @@ func TestFailedJobAllowsRetry(t *testing.T) {
 	if st.State != StateFailed || st.Error == "" {
 		t.Fatalf("status = %+v, want failed with message", st)
 	}
-	j2, fresh, err := e.Submit("flaky", 0, func(ctx context.Context, progress func(int)) ([]byte, error) {
+	j2, _, fresh, err := e.Submit("flaky", 0, func(ctx context.Context, progress func(int)) ([]byte, error) {
 		return []byte("ok"), nil
 	})
 	if err != nil || !fresh {
@@ -289,14 +289,14 @@ func TestPanickingTaskFailsItsJobOnly(t *testing.T) {
 	defer e.Close()
 
 	release := make(chan struct{})
-	bad, _, err := e.Submit("bad", 0, func(ctx context.Context, progress func(int)) ([]byte, error) {
+	bad, _, _, err := e.Submit("bad", 0, func(ctx context.Context, progress func(int)) ([]byte, error) {
 		<-release
 		panic("corrupt plan")
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	next, _, err := e.Submit("next", 0, func(ctx context.Context, progress func(int)) ([]byte, error) {
+	next, _, _, err := e.Submit("next", 0, func(ctx context.Context, progress func(int)) ([]byte, error) {
 		return []byte("ok"), nil
 	})
 	if err != nil {
@@ -320,12 +320,15 @@ func TestWarmStoreShortCircuits(t *testing.T) {
 	e := NewEngine(store, 1, 8)
 	defer e.Close()
 
-	j, fresh, err := e.Submit("warm", 5, func(ctx context.Context, progress func(int)) ([]byte, error) {
+	j, res, fresh, err := e.Submit("warm", 5, func(ctx context.Context, progress func(int)) ([]byte, error) {
 		t.Error("task ran despite warm cache")
 		return nil, nil
 	})
 	if err != nil || fresh {
 		t.Fatalf("Submit = (fresh=%v, err=%v), want coalesced onto warm result", fresh, err)
+	}
+	if got := string(res.Bytes()); got != "precomputed" {
+		t.Fatalf("store-hit submission carries %q, want the stored bytes", got)
 	}
 	st := waitJob(t, j)
 	if st.State != StateDone || st.Done != 5 {
@@ -345,7 +348,7 @@ func TestWarmStoreShortCircuits(t *testing.T) {
 func TestSubmitAfterClose(t *testing.T) {
 	e := NewEngine(cache.NewStore(), 1, 8)
 	e.Close()
-	if _, _, err := e.Submit("late", 0, nil); !errors.Is(err, ErrClosed) {
+	if _, _, _, err := e.Submit("late", 0, nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
 	if err := e.Cancel("nope"); !errors.Is(err, ErrNotFound) {
@@ -360,7 +363,7 @@ func TestCancelQueuedJobFreesKeyImmediately(t *testing.T) {
 
 	release := make(chan struct{})
 	defer close(release)
-	blocker, _, err := e.Submit("blocker2", 0, func(ctx context.Context, progress func(int)) ([]byte, error) {
+	blocker, _, _, err := e.Submit("blocker2", 0, func(ctx context.Context, progress func(int)) ([]byte, error) {
 		select {
 		case <-release:
 		case <-ctx.Done():
@@ -371,7 +374,7 @@ func TestCancelQueuedJobFreesKeyImmediately(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = blocker
-	queued, _, err := e.Submit("contended", 0, func(ctx context.Context, progress func(int)) ([]byte, error) {
+	queued, _, _, err := e.Submit("contended", 0, func(ctx context.Context, progress func(int)) ([]byte, error) {
 		return []byte("first"), nil
 	})
 	if err != nil {
@@ -382,7 +385,7 @@ func TestCancelQueuedJobFreesKeyImmediately(t *testing.T) {
 	}
 	// The canceled job must release its key at Cancel time — NOT when an
 	// executor eventually dequeues it — so a resubmission is fresh work.
-	retry, fresh, err := e.Submit("contended", 0, func(ctx context.Context, progress func(int)) ([]byte, error) {
+	retry, _, fresh, err := e.Submit("contended", 0, func(ctx context.Context, progress func(int)) ([]byte, error) {
 		return []byte("second"), nil
 	})
 	if err != nil {
@@ -401,7 +404,7 @@ func TestCloseUnblocksQueuedWaiters(t *testing.T) {
 	e := NewEngine(store, 1, 8)
 
 	started := make(chan struct{})
-	if _, _, err := e.Submit("close-blocker", 0, func(ctx context.Context, progress func(int)) ([]byte, error) {
+	if _, _, _, err := e.Submit("close-blocker", 0, func(ctx context.Context, progress func(int)) ([]byte, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
@@ -409,7 +412,7 @@ func TestCloseUnblocksQueuedWaiters(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started
-	stuck, _, err := e.Submit("close-stuck", 0, func(ctx context.Context, progress func(int)) ([]byte, error) {
+	stuck, _, _, err := e.Submit("close-stuck", 0, func(ctx context.Context, progress func(int)) ([]byte, error) {
 		return []byte("never runs"), nil
 	})
 	if err != nil {
@@ -462,7 +465,7 @@ func TestDeadJobHistoryBounded(t *testing.T) {
 
 	release := make(chan struct{})
 	defer close(release)
-	live, _, err := e.Submit("live", 0, func(ctx context.Context, progress func(int)) ([]byte, error) {
+	live, _, _, err := e.Submit("live", 0, func(ctx context.Context, progress func(int)) ([]byte, error) {
 		select {
 		case <-release:
 		case <-ctx.Done():
@@ -475,7 +478,7 @@ func TestDeadJobHistoryBounded(t *testing.T) {
 
 	var firstID string
 	for i := 0; i < maxTerminalHistory+10; i++ {
-		j, _, err := e.Submit(fmt.Sprintf("fail-%d", i), 0, func(ctx context.Context, progress func(int)) ([]byte, error) {
+		j, _, _, err := e.Submit(fmt.Sprintf("fail-%d", i), 0, func(ctx context.Context, progress func(int)) ([]byte, error) {
 			return nil, errors.New("always fails")
 		})
 		if err != nil {
@@ -496,7 +499,7 @@ func TestDeadJobHistoryBounded(t *testing.T) {
 	var firstDone *Job
 	for i := 0; i < 3*maxTerminalHistory; i++ {
 		key := fmt.Sprintf("done-%d", i)
-		j, _, err := e.Submit(key, 1, func(ctx context.Context, progress func(int)) ([]byte, error) {
+		j, _, _, err := e.Submit(key, 1, func(ctx context.Context, progress func(int)) ([]byte, error) {
 			return []byte("bytes of " + key), nil
 		})
 		if err != nil {
@@ -530,7 +533,7 @@ func TestDeadJobHistoryBounded(t *testing.T) {
 			defer wg.Done()
 			for i := w; i < 3*maxTerminalHistory; i += submitters {
 				key := fmt.Sprintf("done-%d", i)
-				j, fresh, err := e.Submit(key, 1, func(ctx context.Context, progress func(int)) ([]byte, error) {
+				j, _, fresh, err := e.Submit(key, 1, func(ctx context.Context, progress func(int)) ([]byte, error) {
 					t.Errorf("task for %s ran despite its stored bytes", key)
 					return nil, nil
 				})
@@ -555,14 +558,14 @@ func TestDeadJobHistoryBounded(t *testing.T) {
 }
 
 // TestFinishedJobDropsExecutionState pins what a terminal job keeps:
-// its status, but no task, context or cancel func, whichever way it
-// ended.
+// its status, but no task, context, cancel func or result slot,
+// whichever way it ended.
 func TestFinishedJobDropsExecutionState(t *testing.T) {
 	e := NewEngine(cache.NewStore(), 1, 8)
 	defer e.Close()
 
 	started := make(chan struct{})
-	running, _, err := e.Submit("running", 0, func(ctx context.Context, progress func(int)) ([]byte, error) {
+	running, _, _, err := e.Submit("running", 0, func(ctx context.Context, progress func(int)) ([]byte, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
@@ -571,7 +574,7 @@ func TestFinishedJobDropsExecutionState(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started
-	queued, _, err := e.Submit("queued", 0, func(ctx context.Context, progress func(int)) ([]byte, error) {
+	queued, _, _, err := e.Submit("queued", 0, func(ctx context.Context, progress func(int)) ([]byte, error) {
 		return []byte("never runs"), nil
 	})
 	if err != nil {
@@ -583,13 +586,13 @@ func TestFinishedJobDropsExecutionState(t *testing.T) {
 	if err := e.Cancel(running.ID()); err != nil {
 		t.Fatal(err)
 	}
-	done, _, err := e.Submit("done", 0, func(ctx context.Context, progress func(int)) ([]byte, error) {
+	done, _, _, err := e.Submit("done", 0, func(ctx context.Context, progress func(int)) ([]byte, error) {
 		return []byte("ok"), nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	failed, _, err := e.Submit("failed", 0, func(ctx context.Context, progress func(int)) ([]byte, error) {
+	failed, _, _, err := e.Submit("failed", 0, func(ctx context.Context, progress func(int)) ([]byte, error) {
 		return nil, errors.New("boom")
 	})
 	if err != nil {
@@ -603,11 +606,11 @@ func TestFinishedJobDropsExecutionState(t *testing.T) {
 			t.Fatalf("job %s: state %s, want %s", c.job.ID(), st.State, c.want)
 		}
 		c.job.mu.Lock()
-		task, ctx, cancel := c.job.task, c.job.ctx, c.job.cancel
+		task, ctx, cancel, slot := c.job.task, c.job.ctx, c.job.cancel, c.job.result
 		c.job.mu.Unlock()
-		if task != nil || ctx != nil || cancel != nil {
-			t.Errorf("%s job %s still holds task %v, context %v, cancel func %v",
-				c.want, c.job.ID(), task != nil, ctx != nil, cancel != nil)
+		if task != nil || ctx != nil || cancel != nil || slot != nil {
+			t.Errorf("%s job %s still holds task %v, context %v, cancel func %v, result slot %v",
+				c.want, c.job.ID(), task != nil, ctx != nil, cancel != nil, slot != nil)
 		}
 	}
 }
@@ -615,7 +618,7 @@ func TestFinishedJobDropsExecutionState(t *testing.T) {
 // TestEvictedResultRecomputes pins the bounded-store interaction: once
 // a done job's bytes are evicted from the result store, resubmitting
 // the same key must enqueue fresh work instead of coalescing onto the
-// dangling done job (whose /v1/results fetch would 404).
+// dangling done job, which has no bytes to hand over.
 func TestEvictedResultRecomputes(t *testing.T) {
 	// Bound sized to hold exactly one of the two results at a time:
 	// each entry costs len(key)+len(value) = 5+8 = 13 bytes.
@@ -628,19 +631,19 @@ func TestEvictedResultRecomputes(t *testing.T) {
 		runs.Add(1)
 		return []byte("result-a"), nil
 	}
-	j, fresh, err := e.Submit("key-a", 1, task)
+	j, _, fresh, err := e.Submit("key-a", 1, task)
 	if err != nil || !fresh {
 		t.Fatalf("first Submit = (fresh=%v, err=%v)", fresh, err)
 	}
 	waitJob(t, j)
 
 	// While the bytes are resident, a resubmission coalesces.
-	if _, fresh, err := e.Submit("key-a", 1, task); err != nil || fresh {
+	if _, _, fresh, err := e.Submit("key-a", 1, task); err != nil || fresh {
 		t.Fatalf("warm resubmit = (fresh=%v, err=%v), want coalesced", fresh, err)
 	}
 
 	// Evict key-a by inserting a second result past the bound.
-	jb, _, err := e.Submit("key-b", 1, func(ctx context.Context, progress func(int)) ([]byte, error) {
+	jb, _, _, err := e.Submit("key-b", 1, func(ctx context.Context, progress func(int)) ([]byte, error) {
 		return []byte("result-b"), nil
 	})
 	if err != nil {
@@ -651,7 +654,7 @@ func TestEvictedResultRecomputes(t *testing.T) {
 		t.Fatal("test setup: key-a still resident after over-bound insert")
 	}
 
-	j2, fresh, err := e.Submit("key-a", 1, task)
+	j2, _, fresh, err := e.Submit("key-a", 1, task)
 	if err != nil || !fresh {
 		t.Fatalf("post-eviction resubmit = (fresh=%v, err=%v), want fresh", fresh, err)
 	}
@@ -661,5 +664,48 @@ func TestEvictedResultRecomputes(t *testing.T) {
 	}
 	if data, ok := store.Get("key-a"); !ok || string(data) != "result-a" {
 		t.Fatalf("recomputed bytes: %q, %v", data, ok)
+	}
+}
+
+// TestCoalescedWaiterGetsBytesTheStoreDropped pins the result slot: a
+// submission that coalesces onto a running job gets the job's bytes
+// from the job itself, even over a store that keeps nothing, and the
+// finished record keeps no slot.
+func TestCoalescedWaiterGetsBytesTheStoreDropped(t *testing.T) {
+	store := cache.NewBounded(1) // every entry is over budget: Put keeps nothing
+	e := NewEngine(store, 1, 8)
+	defer e.Close()
+
+	started, release := make(chan struct{}), make(chan struct{})
+	first, res1, fresh, err := e.Submit("key", 1, func(ctx context.Context, progress func(int)) ([]byte, error) {
+		close(started)
+		<-release
+		return []byte("the job's bytes"), nil
+	})
+	if err != nil || !fresh {
+		t.Fatalf("first Submit = (fresh=%v, err=%v), want fresh", fresh, err)
+	}
+	<-started
+	j, res2, fresh, err := e.Submit("key", 1, nil)
+	if err != nil || fresh || j != first {
+		t.Fatalf("Submit while running = (fresh=%v, err=%v), want coalesced onto %s", fresh, err, first.ID())
+	}
+	close(release)
+	if st := waitJob(t, j); st.State != StateDone {
+		t.Fatalf("state %s, want done", st.State)
+	}
+	if store.Len() != 0 {
+		t.Fatal("test setup: the store kept the bytes")
+	}
+	for i, res := range []*Result{res1, res2} {
+		if got := string(res.Bytes()); got != "the job's bytes" {
+			t.Errorf("submission %d carries %q, want the job's bytes", i+1, got)
+		}
+	}
+	j.mu.Lock()
+	slot := j.result
+	j.mu.Unlock()
+	if slot != nil {
+		t.Fatalf("finished job %s keeps its result slot", j.ID())
 	}
 }

@@ -52,10 +52,10 @@ type memoEntry struct {
 	// without touching the decoder or the engine's lock. The fast path
 	// is taken only when the store Get hits: under a bounded store the
 	// result bytes can be evicted after the freeze, and the duplicate
-	// must then recompute instead of being pointed at a 404. The frozen
-	// job ID can outlive the engine's record of the job, whose history
-	// is bounded: GET /v1/jobs/{id} then answers 404, but the response
-	// carries the result, so no caller needs the record.
+	// must then recompute instead of being answered without them. The
+	// frozen job ID can outlive the engine's record of the job, whose
+	// history is bounded: GET /v1/jobs/{id} then answers 404, but the
+	// response carries the result, so no caller needs the record.
 	resp atomic.Pointer[memoResp]
 }
 
@@ -108,8 +108,8 @@ func (sm *submitMemo) put(body []byte, e *memoEntry) {
 // `,"result":` + data without its trailing newline + "}\n". The bytes go
 // out verbatim — json.Marshal would re-scan and re-compact a
 // RawMessage — so the client's result plus "\n" is exactly data. When
-// data does not end in the canonical newline (a store miss above all),
-// frozen goes out alone and the client fetches the result.
+// data does not end in the canonical newline, which canonical bytes
+// always do, frozen goes out alone.
 func writeCached(w http.ResponseWriter, frozen, data []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	if len(data) == 0 || data[len(data)-1] != '\n' {

@@ -58,10 +58,11 @@ type Options struct {
 	// size, and the job id/key when the handler resolved one. nil
 	// disables request logging (cmd/faultrouted's -log flag sets it).
 	Logger *slog.Logger
-	// EventInterval is the cadence at which GET /v1/jobs/{id}/events
-	// snapshots a running job's progress (<= 0 selects 25ms); terminal
-	// transitions are pushed immediately regardless. It never affects
-	// result bytes — only how often subscribers hear about progress.
+	// EventInterval is the cadence at which a streamed submit's event
+	// stream snapshots a running job's progress (<= 0 selects 25ms);
+	// terminal transitions are pushed immediately regardless. It never
+	// affects result bytes — only how often a waiter hears about
+	// progress.
 	EventInterval time.Duration
 	// TaskDelay, when positive, sleeps every freshly executed task for
 	// the given duration before it starts computing (canceled jobs stop
@@ -135,10 +136,10 @@ func (s *Service) Store() cache.ResultStore { return s.store }
 //
 //	POST   /v1/jobs             submit an estimate, experiment or percolation job
 //	                            (estimate jobs may carry a shard: a trial-range
-//	                            sub-job of a distributed dispatch, see SERVING.md)
+//	                            sub-job of a distributed dispatch, see SERVING.md);
+//	                            with Accept: text/event-stream the answer is the
+//	                            job's Server-Sent-Events progress stream
 //	GET    /v1/jobs/{id}        job state + progress counters
-//	GET    /v1/jobs/{id}/events Server-Sent-Events push progress stream
-//	                            (also the answer to a submit that asks for it)
 //	DELETE /v1/jobs/{id}        cancel a queued or running job (409 once finished)
 //	GET    /v1/results/{key}    canonical result bytes for a content address
 //	GET    /v1/experiments      the E1..E21 registry with parameter schemas
@@ -152,7 +153,6 @@ func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+api.BasePath+"/jobs", s.handleSubmit)
 	mux.HandleFunc("GET "+api.BasePath+"/jobs/{id}", s.handleJobStatus)
-	mux.HandleFunc("GET "+api.BasePath+"/jobs/{id}/events", s.handleJobEvents)
 	mux.HandleFunc("DELETE "+api.BasePath+"/jobs/{id}", s.handleJobCancel)
 	mux.HandleFunc("GET "+api.BasePath+"/results/{key}", s.handleResult)
 	mux.HandleFunc("GET "+api.BasePath+"/experiments", s.handleExperiments)
@@ -186,18 +186,18 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // finishes; only the memo keeps the plan, for at most memoMaxEntries
 // bodies.
 //
-// A submission whose job is already done is answered with the stored
-// result bytes inline (api.SubmitResponse.Result), read with one store
-// Get. Any other submission that asks for an event stream (Accept:
-// text/event-stream) is answered 200 with its job's stream, which
-// opens with an "event: submitted" carrying the SubmitResponse and
-// ends with the result bytes (see streamJob); without the header it
-// gets the SubmitResponse as JSON, 202 when fresh. Duplicate
-// submissions — byte-identical bodies, the shape of a
-// popularity-skewed fleet — take the memo fast path: the first
-// submission's compile outcome is reused, and once the job is done the
-// pre-encoded response is served without decoding the body or taking
-// the engine lock at all. See memo.go.
+// A submission whose job is already done is answered with the result
+// bytes inline (api.SubmitResponse.Result): the bytes the engine's
+// Submit handed over, never a later store read. Any other submission
+// that asks for an event stream (Accept: text/event-stream) is answered
+// 200 with its job's stream, which opens with an "event: submitted"
+// carrying the SubmitResponse and ends with the result bytes or the
+// job's error (see streamJob); without the header it gets the
+// SubmitResponse as JSON, 202 when fresh. Duplicate submissions —
+// byte-identical bodies, the shape of a popularity-skewed fleet — take
+// the memo fast path: the first submission's compile outcome is reused,
+// and once the job is done the pre-encoded response is served without
+// decoding the body or taking the engine lock at all. See memo.go.
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	if err != nil {
@@ -235,8 +235,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// The Get both fetches the bytes the response carries and keeps
 		// the frozen fast path honest under a bounded store: once the
 		// result's bytes are evicted, the submission falls through and
-		// recomputes rather than point the client at a /v1/results
-		// fetch that would 404.
+		// recomputes.
 		if data, ok := s.store.Get(ent.key); ok {
 			s.metrics.submitted.With("cached").Inc()
 			annotate(r, frozen.jobID, ent.key)
@@ -262,7 +261,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.metrics.observeJob(kind, start, err)
 		return data, err
 	}
-	job, fresh, err := s.engine.Submit(ent.key, ent.total, instrumented)
+	job, res, fresh, err := s.engine.Submit(ent.key, ent.total, instrumented)
 	switch {
 	case errors.Is(err, jobs.ErrQueueFull), errors.Is(err, jobs.ErrClosed):
 		s.metrics.submitted.With("rejected").Inc()
@@ -282,7 +281,6 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Job:       st,
 		Cached:    !fresh && st.State == jobs.StateDone,
 		Coalesced: !fresh && st.State != jobs.StateDone,
-		Events:    api.BasePath + "/jobs/" + job.ID() + "/events",
 	}
 	switch {
 	case fresh:
@@ -299,14 +297,12 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if resp.Cached {
 		// The job is terminal and its status frozen: encode once, freeze
 		// the bytes on the memo entry, and serve every later duplicate
-		// from them. This response and every later one carry the stored
-		// result bytes (writeCached), so the client needs no
-		// GET /v1/results.
+		// from them. This response and every later one carry the result
+		// bytes (writeCached).
 		if b, err := json.Marshal(resp); err == nil {
 			b = append(b, '\n')
 			ent.resp.Store(&memoResp{body: b, jobID: job.ID()})
-			data, _ := s.store.Get(ent.key)
-			writeCached(w, b, data)
+			writeCached(w, b, res.Bytes())
 			return
 		}
 	}
@@ -317,7 +313,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if b, err := json.Marshal(resp); err == nil {
 			var head bytes.Buffer
 			writeEvent(&head, "submitted", b)
-			s.streamJob(w, r, job, head.Bytes())
+			s.streamJob(w, r, job, res, head.Bytes())
 			return
 		}
 	}

@@ -1,20 +1,16 @@
 package serve
 
-// Server-Sent-Events push progress. A job's event stream carries the
-// same api.Event values polling GET /v1/jobs/{id} would observe —
-// deduplicated, with a monotone Done counter — and ends right after the
-// terminal event, so a stream consumer and a poller see equivalent
-// sequences and identical terminal states. After a terminal done the
-// stream also carries the job's result bytes, read from the store at
-// that moment, so a waiter needs no GET /v1/results.
-//
-// Two requests get the stream. GET /v1/jobs/{id}/events follows a job
-// already submitted; every SubmitResponse advertises it (the events
-// field). POST /v1/jobs with Accept: text/event-stream submits and
-// follows in one exchange: for a job that is not already done, the
-// answer is the stream, opened by an event carrying the
-// SubmitResponse. client.Watch and client.Do ask for it, and resubmit
-// if the stream dies mid-job.
+// Server-Sent-Events push progress. POST /v1/jobs with Accept:
+// text/event-stream submits and follows in one exchange: for a job that
+// is not already done, the answer is the job's event stream, opened by
+// an event carrying the SubmitResponse. The stream carries the api.Event
+// values a status read would observe — deduplicated, with a monotone
+// Done counter — and ends right after the terminal event. A terminal
+// failed or canceled event carries the job's error; a terminal done is
+// followed by the job's result bytes, the ones its submission holds
+// (jobs.Result), so no bounded store can take them first.
+// client.Watch and client.Do ask for the stream, and resubmit if it
+// dies mid-job.
 
 import (
 	"bytes"
@@ -34,45 +30,23 @@ import (
 // Content-Type alike.
 const eventStreamType = "text/event-stream"
 
-// sseRetryHint tells EventSource-style consumers how long to wait
-// before reconnecting after a drop.
-const sseRetryHint = 500 * time.Millisecond
-
-// retryFrame opens a GET event stream: the reconnection hint.
-var retryFrame = []byte(fmt.Sprintf("retry: %d\n\n", sseRetryHint.Milliseconds()))
-
 // wantsStream reports whether a submission asked for its job's event
 // stream as the answer.
 func wantsStream(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), eventStreamType)
 }
 
-// handleJobEvents streams one known job's events (see streamJob).
-// Unknown jobs get a plain 404 JSON error.
-func (s *Service) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	job, ok := s.engine.Get(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no such job %q", id)
-		return
-	}
-	annotate(r, job.ID(), job.Key())
-	s.streamJob(w, r, job, retryFrame)
-}
-
 // streamJob answers 200 with the job's event stream: head, a frame
 // already encoded, then an "event: progress" (data = the api.Event
 // JSON) per observed change, and after a terminal done an "event:
-// result" whose data is the stored result bytes without their
-// canonical newline. The stream snapshots the job at the service's
-// event interval, skips snapshots that change nothing, pushes the
-// terminal transition immediately, and closes after it. head leaves
-// with the first snapshot, before the stream waits on the job. Behind a
-// front end that cannot flush, the whole stream, result included,
-// leaves when the handler returns. A done job whose bytes the store no
-// longer holds gets no result event; its waiter fetches the result, or
-// resubmits on a 404.
-func (s *Service) streamJob(w http.ResponseWriter, r *http.Request, job *jobs.Job, head []byte) {
+// result" whose data is res's bytes without their canonical newline.
+// The stream snapshots the job at the service's event interval, skips
+// snapshots that change nothing, pushes the terminal transition
+// immediately, and closes after it. head leaves with the first
+// snapshot, before the stream waits on the job. Behind a front end that
+// cannot flush, the whole stream, result included, leaves when the
+// handler returns.
+func (s *Service) streamJob(w http.ResponseWriter, r *http.Request, job *jobs.Job, res *jobs.Result, head []byte) {
 	w.Header().Set("Content-Type", eventStreamType)
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
@@ -88,7 +62,7 @@ func (s *Service) streamJob(w http.ResponseWriter, r *http.Request, job *jobs.Jo
 	first := true
 	for {
 		st := job.Status()
-		cur := api.Event{State: st.State, Done: st.Done, Total: st.Total}
+		cur := api.Event{State: st.State, Done: st.Done, Total: st.Total, Error: st.Error}
 		if first || cur != last {
 			first, last = false, cur
 			data, err := json.Marshal(cur)
@@ -100,10 +74,8 @@ func (s *Service) streamJob(w http.ResponseWriter, r *http.Request, job *jobs.Jo
 		if st.State.Terminal() {
 			// No flush: the terminal event, the result and the end of
 			// the response leave together when the handler returns.
-			if st.State == jobs.StateDone {
-				if data, ok := s.store.Get(job.Key()); ok && len(data) > 0 && data[len(data)-1] == '\n' {
-					writeEvent(w, "result", data[:len(data)-1])
-				}
+			if data := res.Bytes(); st.State == jobs.StateDone && len(data) > 0 && data[len(data)-1] == '\n' {
+				writeEvent(w, "result", data[:len(data)-1])
 			}
 			return
 		}

@@ -60,8 +60,8 @@ func readStream(t *testing.T, resp *http.Response) []sseEvent {
 // TestStreamWithoutFlusherEndsWithResult mounts the service behind a
 // front end that cannot flush. A stream then cannot push its events as
 // they happen, but it must still follow the job to its end: a streamed
-// submit and a GET of the job's events each end with the terminal done
-// and the result, and a client.Do is one request.
+// submit ends with the terminal done and the result, and a client.Do is
+// one request.
 func TestStreamWithoutFlusherEndsWithResult(t *testing.T) {
 	// The delay keeps every job running past its stream's first
 	// snapshot, where the stream would first flush.
@@ -119,17 +119,6 @@ func TestStreamWithoutFlusherEndsWithResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	endsWithResult("streamed submit", readStream(t, resp), want)
-
-	_, body, want = fixture(2)
-	var sub api.SubmitResponse
-	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", string(body), &sub); code != http.StatusAccepted || sub.Events == "" {
-		t.Fatalf("JSON submit: %d %+v, want 202 for a fresh job and its events path", code, sub)
-	}
-	resp, err = http.Get(ts.URL + sub.Events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	endsWithResult("GET events", readStream(t, resp), want)
 
 	req, _, want := fixture(3)
 	before := requests.Load()
